@@ -3,7 +3,8 @@
 Every operation in the package is reachable from a subcommand, with
 plain-text output that is one result per line and byte-identical for
 identical inputs.  Exit codes: 0 for success or a passing check, 1 for
-a failed check or a found counterexample, 2 for malformed input.
+a failed check or a found counterexample, 2 for malformed or
+over-budget input.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def cmd_countermodel(args) -> int:
     language = _language(args)
     formula = parse_formula(args.formula, language)
     found = countermodel_search(
-        language, formula, args.max_size, threads=args.threads, cells_cap=args.cap
+        language, formula, args.max_size, cells_cap=args.cap
     )
     if found is None:
         print("NO COUNTERMODEL")
@@ -327,7 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signature", required=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--max-size", type=int, default=3)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted for compatibility; the search runs on one thread",
+    )
     p.add_argument("--cap", type=int, default=DEFAULT_CELLS_CAP, help="table cell bound per structure")
     p.set_defaults(handler=cmd_countermodel)
 
@@ -368,6 +372,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (LogicError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # The parser, printers and fsubst recurse once per nesting level.
+        print("error: formula nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -4,10 +4,13 @@ A structure interprets every function symbol as a finite operation table
 and every predicate symbol as a truth table over tuples of domain
 elements, all stored row-major.  Environments are eventually-constant
 sequences of domain elements, so a finite prefix plus a default element
-describes a total assignment.  Two evaluation routes are provided: the
-direct two-valued one, and a finite-Boolean-algebra-valued one where
-relation tables carry bitmask values and the universal quantifier is a
-bitwise meet over the domain.
+describes a total assignment.
+
+Formulas are evaluated by one table evaluator.  A formula of rank r is a
+function from D^r to a finite Boolean algebra, and an algebra with b
+atoms is b copies of the two-element one, so the whole table is stored
+as b bit planes and every connective is a bitwise operation on them.
+Two-valued evaluation is the one-atom case.
 
 On top of evaluation sit validity checking, deterministic countermodel
 search over enumerated structures, quantifier-law checks on the
@@ -18,7 +21,6 @@ perfect valuations.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import BoundExceeded, LogicError
@@ -45,10 +47,14 @@ from .terms import (
     Var,
     cons_subst,
     is_closed,
+    rank as term_rank,
     sigma_at,
 )
 
 DEFAULT_CELLS_CAP = 64
+# Rows of any one formula table: a rank-r table over a domain of size n
+# holds n**r rows per bit plane.
+DEFAULT_ROWS_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -226,36 +232,280 @@ def _eval_term(structure: Structure, term: Term, env: Env) -> int:
     raise TypeError(f"not a term: {term!r}")
 
 
-def eval_formula(structure: Structure, formula: Formula, env: Env) -> int:
-    """Two-valued truth of a formula, 0 or 1.
+# ------------------------------------------------------------------
+# formula tables
+# ------------------------------------------------------------------
+#
+# A rank-r table has one row per prefix in D^r, in itertools.product
+# order: coordinate 1 is the most significant digit, so row i is the
+# i-th prefix.  A value with b truth bits is stored as b bit planes, one
+# Python int each, where bit i of plane k is bit k of the value at row
+# i.  The connectives act on each plane alone: negation is XOR with the
+# all-ones plane, conjunction is AND after lifting the lower-rank side,
+# and the binder is the AND of the n contiguous blocks of its body's
+# plane, one block per value of coordinate 1.
+#
+# Evaluating under one environment uses the same tables, cut down to
+# the rows that environment reaches: below q binders a subformula of
+# rank r is read only at prefixes (d1..dq, e1, e2, ...), so its table
+# covers D^min(r, q) and every coordinate i past q reads e_(i-q).  At
+# q = 0 the whole formula is a one-row table, and the work is that of
+# walking the tree once per quantified environment.
 
-    The binder quantifies the first coordinate: the body is evaluated
-    with each domain element consed onto the environment.
+_ATOM, _NOT, _AND, _FORALL = range(4)
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _bitset(flags: bytes) -> int:
+    """The int whose bit i is flags[i] (each 0 or 1)."""
+    return int(flags[::-1].translate(_DIGITS), 2)
+
+
+def _row_sets(column: list[int]) -> tuple[list[int], list[int]]:
+    """The distinct values of a column in ascending order, and for each
+    the bitset of the rows that hold it.  An atom's plane is the union
+    of the row sets of the cells whose value has that plane's bit set."""
+    cells = sorted(set(column))
+    return cells, [_bitset(bytes(map(c.__eq__, column))) for c in cells]
+
+
+def _digits(row: int, size: int, length: int) -> tuple[int, ...]:
+    """The prefix of the given length at a table row."""
+    out = []
+    for _ in range(length):
+        row, digit = divmod(row, size)
+        out.append(digit)
+    return tuple(reversed(out))
+
+
+def _value(planes: tuple[int, ...], row: int) -> int:
+    """The bitmask a table holds at one row."""
+    return sum(((plane >> row) & 1) << k for k, plane in enumerate(planes))
+
+
+class _Program:
+    """A formula DAG compiled for tables over domains of one size.
+
+    Structurally equal subformulas share one node.  Nodes are kept in
+    post-order as (kind, a, b, rank): for an atom, a indexes ``atoms``;
+    otherwise a and b are operand node ids.  Every node's rank is
+    checked against the row cap when the node is added, before any
+    table is built.
     """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.nodes: list[tuple[int, int, int, int]] = []
+        self.atoms: list[tuple[Atom, int]] = []
+        self.full: dict[int, int] = {}
+        self._keys: dict = {}
+        self._by_id: dict[tuple[int, int | None], tuple[int, Formula]] = {}
+        self._spreaders: dict[int, dict[int, str]] = {}
+
+    def rank(self, node: int) -> int:
+        return self.nodes[node][3]
+
+    def add(self, formula: Formula, depth: int | None = None) -> int:
+        """Node id of the formula, compiling its new subformulas.
+
+        With a depth, the formula sits below that many binders and each
+        table keeps only the rows an environment reaches (see above);
+        without one, tables are whole.  A connective is keyed by its
+        kind and operand node ids, so no key hashes a whole subtree.
+        Formula objects already compiled at a depth are found by id();
+        the memo holds each one, so its id stays unique while the
+        program lives.
+        """
+        by_id, keys, nodes = self._by_id, self._keys, self.nodes
+        stack = [(formula, depth)]
+        while stack:
+            phi, d = stack[-1]
+            if (id(phi), d) in by_id:
+                stack.pop()
+                continue
+            inner = None if d is None else d + 1
+            match phi:
+                case Atom(_, args):
+                    rank = max((term_rank(t) for t in args), default=0)
+                    if d is not None:
+                        rank = min(rank, d)
+                    node = (_ATOM, phi, rank, rank)
+                case FNot(body) if (id(body), d) not in by_id:
+                    stack.append((body, d))
+                    continue
+                case Forall(body) if (id(body), inner) not in by_id:
+                    stack.append((body, inner))
+                    continue
+                case FNot(body):
+                    a = by_id[id(body), d][0]
+                    node = (_NOT, a, 0, nodes[a][3])
+                case Forall(body):
+                    a = by_id[id(body), inner][0]
+                    node = (_FORALL, a, 0, max(nodes[a][3] - 1, 0))
+                case FAnd(left, right) if (
+                    (id(left), d) not in by_id or (id(right), d) not in by_id
+                ):
+                    stack.extend((p, d) for p in (left, right) if (id(p), d) not in by_id)
+                    continue
+                case FAnd(left, right):
+                    a, b = by_id[id(left), d][0], by_id[id(right), d][0]
+                    node = (_AND, a, b, max(nodes[a][3], nodes[b][3]))
+                case _:
+                    raise TypeError(f"not a formula: {phi!r}")
+            stack.pop()
+            key = node[:3]
+            if key not in keys:
+                kind, a, b, rank = node
+                if rank not in self.full:
+                    self.full[rank] = (1 << self.rows(rank)) - 1
+                if kind == _ATOM:
+                    self.atoms.append((phi, rank))
+                    node = (_ATOM, len(self.atoms) - 1, 0, rank)
+                keys[key] = len(nodes)
+                nodes.append(node)
+            by_id[id(phi), d] = (keys[key], phi)
+        return by_id[id(formula), depth][0]
+
+    def rows(self, rank: int) -> int:
+        """Rows of a rank-``rank`` table; BoundExceeded past the cap."""
+        n, cap = self.size, DEFAULT_ROWS_CAP
+        if n > 1 and (rank >= cap.bit_length() or n ** rank > cap):
+            raise BoundExceeded(
+                f"a formula table needs {n}^{rank} rows, over the cap of {cap}"
+            )
+        return n ** rank
+
+    def lift(self, plane: int, rank: int, to: int) -> int:
+        """The same plane read at a higher rank: each row of the lower
+        table becomes a run of size**(to - rank) equal rows."""
+        if rank == to:
+            return plane
+        copies = self.size ** (to - rank)
+        spread = self._spreaders.get(copies)
+        if spread is None:
+            spread = str.maketrans({"0": "0" * copies, "1": "1" * copies})
+            self._spreaders[copies] = spread
+        return int(format(plane, f"0{self.size ** rank}b").translate(spread), 2)
+
+    def evaluate(self, planes: list[int], atom_planes: list[int]) -> None:
+        """Extend ``planes``, one bit plane per node, to the nodes that
+        it does not cover yet, given the plane of each atom."""
+        nodes, full, n = self.nodes, self.full, self.size
+        for node in range(len(planes), len(nodes)):
+            kind, a, b, rank = nodes[node]
+            if kind == _ATOM:
+                plane = atom_planes[a]
+            elif kind == _NOT:
+                plane = planes[a] ^ full[rank]
+            elif kind == _AND:
+                left, right = planes[a], planes[b]
+                if nodes[a][3] != rank:
+                    left = self.lift(left, nodes[a][3], rank)
+                if nodes[b][3] != rank:
+                    right = self.lift(right, nodes[b][3], rank)
+                plane = left & right
+            elif nodes[a][3] == 0:
+                plane = planes[a]
+            else:
+                body, block, plane = planes[a], n ** rank, full[rank]
+                for k in range(n):
+                    plane &= body >> (k * block)
+            planes.append(plane)
+
+
+class _Columns:
+    """Values of terms at each row of a table, under one assignment of
+    function tables.  Coordinates past a table's rank read ``tail``
+    shifted down by that rank (see the notes above); whole tables never
+    read it."""
+
+    def __init__(self, size: int, fn_tables, tail: Env = Env()):
+        self.size = size
+        self.fn_tables = fn_tables
+        self.tail = tail
+        self._memo: dict = {}
+
+    def term(self, term: Term, rank: int) -> list[int]:
+        """Value of the term at each row of a rank-``rank`` table."""
+        key = (term, rank)
+        column = self._memo.get(key)
+        if column is None:
+            size = self.size
+            match term:
+                case Var(index) if index > rank:
+                    column = [self.tail.at(index - rank)] * size ** rank
+                case Var(index):
+                    repeat = size ** (rank - index)
+                    column = [
+                        v for _ in range(size ** (index - 1))
+                        for v in range(size) for _ in range(repeat)
+                    ]
+                case App(symbol, args):
+                    table = self.fn_tables[symbol]
+                    column = [table[c] for c in self.cells(args, rank)]
+                case _:
+                    raise TypeError(f"not a term: {term!r}")
+            self._memo[key] = column
+        return column
+
+    def cells(self, args, rank: int) -> list[int]:
+        """Row-major table index of the argument tuple at each row of a
+        rank-``rank`` table."""
+        size = self.size
+        cells = [0] * size ** rank
+        for arg in args:
+            values = self.term(arg, rank)
+            cells = [c * size + v for c, v in zip(cells, values)]
+        return cells
+
+
+class _Tables:
+    """Tables of formulas in one structure, one compiled program for all,
+    so structurally equal subformulas are evaluated once.  ``env`` is
+    the environment that ``value`` evaluates under."""
+
+    def __init__(self, structure: Structure, env: Env = Env()):
+        self.structure = structure
+        self.program = _Program(structure.size)
+        self.planes: list[list[int]] = [[] for _ in range(structure.truth_bits)]
+        self.atom_planes: list[list[int]] = [[] for _ in range(structure.truth_bits)]
+        self.columns = _Columns(structure.size, structure.fn_tables, env)
+
+    def table(self, formula: Formula, depth: int | None = None) -> tuple[int, tuple[int, ...]]:
+        """Rank and bit planes of the formula's table, cut down to the
+        rows the environment reaches below ``depth`` binders if given."""
+        program = self.program
+        node = program.add(formula, depth)
+        for atom, rank in program.atoms[len(self.atom_planes[0]):]:
+            cells, rows = _row_sets(self.columns.cells(atom.args, rank))
+            table = self.structure.rel_tables[atom.symbol]
+            for k, atom_planes in enumerate(self.atom_planes):
+                bits = [(table[c] >> k) & 1 for c in cells]
+                atom_planes.append(sum(itertools.compress(rows, bits)))
+        for planes, atom_planes in zip(self.planes, self.atom_planes):
+            program.evaluate(planes, atom_planes)
+        return program.rank(node), tuple(planes[node] for planes in self.planes)
+
+    def value(self, formula: Formula) -> int:
+        """The formula's value under the environment, as a bitmask."""
+        return _value(self.table(formula, 0)[1], 0)
+
+
+def _check_two_valued(structure: Structure, formula: Formula) -> None:
     if structure.truth_bits != 1:
         raise ValueError("two-valued evaluation needs 1-bit relation tables")
     check_formula(formula, structure.language)
+
+
+def eval_formula(structure: Structure, formula: Formula, env: Env) -> int:
+    """Two-valued truth of a formula, 0 or 1.
+
+    The binder quantifies the first coordinate: its value is the meet
+    of the body's values with each domain element in that coordinate.
+    """
+    _check_two_valued(structure, formula)
     structure.check_env(env)
-    return _eval_formula(structure, formula, env)
-
-
-def _eval_formula(structure: Structure, formula: Formula, env: Env) -> int:
-    match formula:
-        case Atom(symbol, args):
-            values = tuple(_eval_term(structure, a, env) for a in args)
-            return structure.rel_tables[symbol][table_index(values, structure.size)]
-        case FNot(body):
-            return 1 - _eval_formula(structure, body, env)
-        case FAnd(left, right):
-            if _eval_formula(structure, left, env) == 0:
-                return 0
-            return _eval_formula(structure, right, env)
-        case Forall(body):
-            for element in range(structure.size):
-                if _eval_formula(structure, body, env.cons(element)) == 0:
-                    return 0
-            return 1
-    raise TypeError(f"not a formula: {formula!r}")
+    return _Tables(structure, env).value(formula)
 
 
 def eval_formula_B(
@@ -273,29 +523,7 @@ def eval_formula_B(
         )
     check_formula(formula, structure.language)
     structure.check_env(env)
-    return _eval_formula_B(structure, algebra, formula, env)
-
-
-def _eval_formula_B(
-    structure: Structure, algebra: FiniteBooleanAlg, formula: Formula, env: Env
-) -> int:
-    match formula:
-        case Atom(symbol, args):
-            values = tuple(_eval_term(structure, a, env) for a in args)
-            return structure.rel_tables[symbol][table_index(values, structure.size)]
-        case FNot(body):
-            return algebra.complement(_eval_formula_B(structure, algebra, body, env))
-        case FAnd(left, right):
-            return algebra.meet(
-                _eval_formula_B(structure, algebra, left, env),
-                _eval_formula_B(structure, algebra, right, env),
-            )
-        case Forall(body):
-            return algebra.meet_all(
-                _eval_formula_B(structure, algebra, body, env.cons(element))
-                for element in range(structure.size)
-            )
-    raise TypeError(f"not a formula: {formula!r}")
+    return _Tables(structure, env).value(formula)
 
 
 def env_after_subst(structure: Structure, env: Env, sub: Substitution) -> Env:
@@ -327,18 +555,31 @@ def counterexample_env(
     structure.  Only prefixes up to the formula's rank matter: truth
     cannot depend on later coordinates.
     """
-    k = frank(formula)
+    _check_two_valued(structure, formula)
     tail = Env() if base is None else base
-    rest = tail.prefix[k:]
-    for prefix in itertools.product(range(structure.size), repeat=k):
-        env = Env(prefix + rest, tail.default)
-        if eval_formula(structure, formula, env) == 0:
-            return env
-    return None
+    rank = frank(formula)
+    rest = tail.prefix[rank:]
+    structure.check_env(Env(rest, tail.default))
+    _, (plane,) = _Tables(structure).table(formula)
+    falsified = plane ^ ((1 << structure.size ** rank) - 1)
+    if not falsified:
+        return None
+    row = (falsified & -falsified).bit_length() - 1
+    return Env(_digits(row, structure.size, rank) + rest, tail.default)
 
 
 def is_valid(structure: Structure, formula: Formula) -> bool:
     return counterexample_env(structure, formula) is None
+
+
+def _check_cells(language: Language, size: int, cells_cap: int) -> None:
+    cells = sum(size ** a for _, a in language.functions.items())
+    cells += sum(size ** a for _, a in language.predicates.items())
+    if cells > cells_cap:
+        raise BoundExceeded(
+            f"candidate structures need {cells} table cells, over the cap of "
+            f"{cells_cap}; use a smaller language or a lower size bound"
+        )
 
 
 def enumerate_structures(
@@ -363,13 +604,7 @@ def enumerate_structures(
         for name, arity in language.predicates.items()
         if not (eq_identity and name == eq)
     ]
-    cells = sum(size ** a for _, a in fn_symbols)
-    cells += sum(size ** a for _, a in language.predicates.items())
-    if cells > cells_cap:
-        raise BoundExceeded(
-            f"candidate structures need {cells} table cells, over the cap of "
-            f"{cells_cap}; use a smaller language or a lower size bound"
-        )
+    _check_cells(language, size, cells_cap)
     full = (1 << truth_bits) - 1
     table_spaces = [
         itertools.product(range(size), repeat=size ** arity)
@@ -393,6 +628,13 @@ def enumerate_structures(
         )
 
 
+def _term_symbols(term: Term, out: set[str]) -> None:
+    if isinstance(term, App):
+        out.add(term.symbol)
+        for arg in term.args:
+            _term_symbols(arg, out)
+
+
 def countermodel_search(
     language: Language,
     formula: Formula,
@@ -402,29 +644,79 @@ def countermodel_search(
 ) -> Structure | None:
     """First structure falsifying the formula, sizes 1..max_size.
 
-    Candidates follow the enumeration order of enumerate_structures
-    and the first countermodel in that order is returned regardless of
-    the thread count, so results are reproducible.
+    The result is the first countermodel in the enumeration order of
+    enumerate_structures, so results are reproducible.  Only the tables
+    of symbols that occur in the formula are enumerated; the others stay
+    all zero.  That finds the same structure: zeroing the unused tables
+    of a countermodel gives a countermodel no later in the order, so the
+    first one has them zero.  ``threads`` is accepted for compatibility
+    and ignored: the search runs on the calling thread.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     check_formula(formula, language)
     for size in range(1, max_size + 1):
-        candidates = enumerate_structures(language, size, cells_cap=cells_cap)
-        if threads <= 1:
-            for structure in candidates:
-                if not is_valid(structure, formula):
-                    return structure
-            continue
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            while True:
-                batch = list(itertools.islice(candidates, 64 * threads))
-                if not batch:
-                    break
-                verdicts = list(pool.map(lambda d: is_valid(d, formula), batch))
-                for structure, valid in zip(batch, verdicts):
-                    if not valid:
-                        return structure
+        _check_cells(language, size, cells_cap)
+        found = _search_size(language, formula, size)
+        if found is not None:
+            return found
+    return None
+
+
+def _search_size(language: Language, formula: Formula, size: int) -> Structure | None:
+    program = _Program(size)
+    root = program.add(formula)
+    top = program.full[program.rank(root)]
+    used = {atom.symbol for atom, _ in program.atoms}
+    for atom, _ in program.atoms:
+        for arg in atom.args:
+            _term_symbols(arg, used)
+    eq = language.equality
+    fn_free = [(name, a) for name, a in language.functions.items() if name in used]
+    rel_free = [
+        (name, a) for name, a in language.predicates.items()
+        if name in used and name != eq
+    ]
+    # Relation tables of one candidate: the enumerated ones, then the
+    # pinned identity for equality.
+    slot_of = {name: i for i, (name, _) in enumerate(rel_free)}
+    pinned: tuple = ()
+    if eq is not None:
+        slot_of[eq] = len(rel_free)
+        pinned = (identity_table(size),)
+    zeros = {
+        name: (0,) * size ** arity
+        for name, arity in (*language.functions.items(), *language.predicates.items())
+    }
+    fn_space = itertools.product(*(
+        itertools.product(range(size), repeat=size ** a) for _, a in fn_free
+    ))
+    for fn_combo in fn_space:
+        # Term columns depend only on the function tables, so each
+        # relation candidate costs only the atoms' row-set unions and
+        # the connectives.
+        fns = {name: zeros[name] for name in language.functions}
+        fns.update(zip((name for name, _ in fn_free), fn_combo))
+        columns = _Columns(size, fns)
+        atoms = []
+        for atom, rank in program.atoms:
+            cells, rows = _row_sets(columns.cells(atom.args, rank))
+            atoms.append((slot_of[atom.symbol], cells, rows))
+        rel_space = itertools.product(*(
+            itertools.product((0, 1), repeat=size ** a) for _, a in rel_free
+        ))
+        for rel_combo in rel_space:
+            rels = rel_combo + pinned
+            atom_planes = [
+                sum(itertools.compress(rows, map(rels[slot].__getitem__, cells)))
+                for slot, cells, rows in atoms
+            ]
+            planes: list[int] = []
+            program.evaluate(planes, atom_planes)
+            if planes[root] != top:
+                rel_tables = {name: zeros[name] for name in language.predicates if name != eq}
+                rel_tables.update(zip((name for name, _ in rel_free), rel_combo))
+                return Structure(language, size, fns, rel_tables)
     return None
 
 
@@ -502,50 +794,47 @@ def qa_law_check(
             f"mask width mismatch: relation tables use {structure.truth_bits} "
             f"bits but the algebra has {algebra.atom_count} atoms"
         )
-    envs_by_rank = [
-        [
-            Env(prefix, 0)
-            for prefix in itertools.product(range(structure.size), repeat=length)
-        ]
-        for length in range(rank_bound + 2)
-    ]
-    # Values are memoized per formula and per env prefix truncated to the
-    # formula's rank.  Keys use a stable slot number instead of the formula
-    # itself so lookups never re-hash whole trees; the keep list pins every
-    # slotted formula alive so id() stays unambiguous.
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
-    slots: dict[int, tuple[int, int]] = {}
-    keep: list[Formula] = []
+    n = structure.size
+    # One set of tables serves every law: structurally equal subformulas,
+    # such as p and q inside both sides of Q1, are evaluated once.
+    tables = _Tables(structure)
+    lift = tables.program.lift
 
-    def slot_of(phi: Formula) -> tuple[int, int]:
-        info = slots.get(id(phi))
-        if info is None:
-            info = (len(keep), frank(phi))
-            keep.append(phi)
-            slots[id(phi)] = info
-        return info
-
-    def ev(phi: Formula, env: Env) -> int:
-        slot, r = slot_of(phi)
-        key = (slot, env.prefix[:r])
-        value = memo.get(key)
-        if value is None:
-            value = _eval_formula_B(structure, algebra, phi, env)
-            memo[key] = value
-        return value
+    def at_width(planes, rank, depth, width):
+        """The table lifted to rank depth, restricted to the rows whose
+        coordinates past width are 0."""
+        planes = tuple(lift(p, rank, depth) for p in planes)
+        if width == depth:
+            return planes
+        rows, stride = n ** depth, n ** (depth - width)
+        return tuple(
+            int(format(p, f"0{rows}b")[::-1][::stride][::-1], 2) for p in planes
+        )
 
     def run_law(law: str, instances) -> LawReport:
         # Both sides ignore env coordinates beyond their rank, so
         # comparing over prefixes of the larger side rank decides
-        # equality over every longer environment as well.
+        # equality over every longer environment as well.  Environments
+        # are compared in ascending prefix order, each with default 0.
         checked = 0
         for p, q, left, right in instances:
-            depth = max(slot_of(left)[1], slot_of(right)[1])
-            for env in envs_by_rank[min(depth, rank_bound + 1)]:
-                checked += 1
-                lv, rv = ev(left, env), ev(right, env)
-                if lv != rv:
-                    return LawReport(law, False, checked, LawFailure(p, q, env, lv, rv))
+            left_rank, left_table = tables.table(left)
+            right_rank, right_table = tables.table(right)
+            depth = max(left_rank, right_rank)
+            width = min(depth, rank_bound + 1)
+            lv = at_width(left_table, left_rank, depth, width)
+            rv = at_width(right_table, right_rank, depth, width)
+            differ = 0
+            for a, b in zip(lv, rv):
+                differ |= a ^ b
+            if not differ:
+                checked += n ** width
+                continue
+            row = (differ & -differ).bit_length() - 1
+            checked += row + 1
+            env = Env(_digits(row, n, width), 0)
+            failure = LawFailure(p, q, env, _value(lv, row), _value(rv, row))
+            return LawReport(law, False, checked, failure)
         return LawReport(law, True, checked)
 
     def q1_instances():
@@ -631,19 +920,16 @@ def perfect_check_bounded(
     for term in candidates:
         if not is_closed(term):
             raise ValueError(f"candidate term is not closed: {term!r}")
+    holds = _evaluator(structure, env)
     entries = []
     for p in sample:
-        holds = eval_formula(structure, Forall(p), env)
-        if holds == 1:
-            ok = all(
-                eval_formula(structure, fsubst(p, cons_subst(a)), env) == 1
-                for a in candidates
-            )
+        if holds(Forall(p)):
+            ok = all(holds(fsubst(p, cons_subst(a))) for a in candidates)
             entries.append(WitnessEntry(p, "universal", ok))
             continue
         witness = None
         for a in candidates:
-            if eval_formula(structure, fsubst(FNot(p), cons_subst(a)), env) == 1:
+            if holds(fsubst(FNot(p), cons_subst(a))):
                 witness = a
                 break
         entries.append(
@@ -665,8 +951,21 @@ def finite_meet_property(sentences: list[Formula], structure: Structure) -> bool
     conjunction of the sentences evaluates to true under the empty
     environment.  The empty set passes vacuously.
     """
-    empty = Env((), 0)
     for phi in sentences:
         if frank(phi) != 0:
             raise ValueError(f"not a sentence (rank {frank(phi)}): {phi!r}")
-    return all(eval_formula(structure, phi, empty) == 1 for phi in sentences)
+    holds = _evaluator(structure, Env((), 0))
+    return all(holds(phi) for phi in sentences)
+
+
+def _evaluator(structure: Structure, env: Env):
+    """Two-valued truth under one environment, as eval_formula gives it,
+    with one set of tables shared by every formula asked about."""
+    tables = _Tables(structure, env)
+
+    def holds(formula: Formula) -> bool:
+        _check_two_valued(structure, formula)
+        structure.check_env(env)
+        return tables.value(formula) == 1
+
+    return holds

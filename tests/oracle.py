@@ -1,0 +1,139 @@
+"""Recursive reference evaluator, the oracle for the table evaluator.
+
+It walks the formula tree once per environment, as the package did
+before formulas were evaluated as whole tables, and each function here
+restates a library entry point on top of it.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from clonelogic.formulas import (
+    Atom,
+    FAnd,
+    FNot,
+    Forall,
+    equality_atom,
+    fplus,
+    frank,
+    fstar,
+    fsubst,
+)
+from clonelogic.semantics import (
+    Env,
+    LawFailure,
+    LawReport,
+    PerfectReport,
+    QAReport,
+    WitnessEntry,
+    enumerate_structures,
+    eval_term,
+    table_index,
+)
+from clonelogic.terms import cons_subst
+
+
+def oracle_eval(structure, algebra, formula, env: Env) -> int:
+    """Value of the formula under one environment, as a bitmask."""
+    match formula:
+        case Atom(symbol, args):
+            values = tuple(eval_term(structure, a, env) for a in args)
+            return structure.rel_tables[symbol][table_index(values, structure.size)]
+        case FNot(body):
+            return algebra.complement(oracle_eval(structure, algebra, body, env))
+        case FAnd(left, right):
+            return algebra.meet(
+                oracle_eval(structure, algebra, left, env),
+                oracle_eval(structure, algebra, right, env),
+            )
+        case Forall(body):
+            return algebra.meet_all(
+                oracle_eval(structure, algebra, body, env.cons(element))
+                for element in range(structure.size)
+            )
+    raise TypeError(f"not a formula: {formula!r}")
+
+
+def oracle_counterexample_env(structure, algebra, formula, base: Env | None = None):
+    k = frank(formula)
+    tail = Env() if base is None else base
+    rest = tail.prefix[k:]
+    for prefix in itertools.product(range(structure.size), repeat=k):
+        env = Env(prefix + rest, tail.default)
+        if oracle_eval(structure, algebra, formula, env) != algebra.top:
+            return env
+    return None
+
+
+def oracle_countermodel(language, algebra, formula, max_size: int):
+    """First countermodel by full enumeration, every symbol included."""
+    for size in range(1, max_size + 1):
+        for structure in enumerate_structures(language, size):
+            if oracle_counterexample_env(structure, algebra, formula) is not None:
+                return structure
+    return None
+
+
+def oracle_qa_law_check(structure, algebra, sample, rank_bound: int) -> QAReport:
+    """The Q1..Q5 checks environment by environment: both sides of each
+    instance under every prefix of length min(side rank, rank_bound + 1)
+    in ascending order, each with default 0."""
+
+    def run_law(law, instances):
+        checked = 0
+        for p, q, left, right in instances:
+            depth = min(max(frank(left), frank(right)), rank_bound + 1)
+            for prefix in itertools.product(range(structure.size), repeat=depth):
+                env = Env(prefix, 0)
+                checked += 1
+                lv = oracle_eval(structure, algebra, left, env)
+                rv = oracle_eval(structure, algebra, right, env)
+                if lv != rv:
+                    return LawReport(law, False, checked, LawFailure(p, q, env, lv, rv))
+        return LawReport(law, True, checked)
+
+    def q1_instances():
+        n = len(sample)
+        for offset in sorted({0, 1 % n, n // 2}) if n else []:
+            for i, p in enumerate(sample):
+                q = sample[(i + offset) % n]
+                yield p, q, Forall(FAnd(p, q)), FAnd(Forall(p), Forall(q))
+
+    reports = [
+        run_law("Q1", q1_instances()),
+        run_law("Q2", (
+            (p, None, fplus(Forall(p)), FAnd(fplus(Forall(p)), p)) for p in sample
+        )),
+        run_law("Q3", ((p, None, Forall(fplus(p)), p) for p in sample)),
+    ]
+    if structure.language.equality is not None:
+        e = equality_atom(structure.language)
+        reports.append(run_law("Q4", [(e, None, fstar(e), FNot(FAnd(e, FNot(e))))]))
+        reports.append(run_law("Q5", (
+            (p, None, FAnd(e, p), FAnd(e, fstar(p))) for p in sample
+        )))
+    return QAReport(tuple(reports))
+
+
+
+def oracle_perfect_check(structure, algebra, env: Env, candidates, sample) -> PerfectReport:
+    """The witness checks, each formula walked under the one environment."""
+
+    def holds(formula):
+        return oracle_eval(structure, algebra, formula, env) == algebra.top
+
+    entries = []
+    for p in sample:
+        if holds(Forall(p)):
+            ok = all(holds(fsubst(p, cons_subst(a))) for a in candidates)
+            entries.append(WitnessEntry(p, "universal", ok))
+            continue
+        witness = next(
+            (a for a in candidates if holds(fsubst(FNot(p), cons_subst(a)))), None
+        )
+        entries.append(WitnessEntry(
+            p, "negated-universal", witness is not None, witness,
+            inconclusive=witness is None,
+        ))
+    return PerfectReport(tuple(entries))

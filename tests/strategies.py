@@ -17,13 +17,14 @@ def variables(max_index: int = 5):
     return st.integers(min_value=1, max_value=max_index).map(Var)
 
 
-def terms(max_index: int = 5):
+def terms(max_index: int = 5, binary: bool = True):
+    """Terms over c, f and, unless binary is off, g."""
+    extend = [lambda inner: st.builds(lambda a: App("f", (a,)), inner)]
+    if binary:
+        extend.append(lambda inner: st.builds(lambda a, b: App("g", (a, b)), inner, inner))
     return st.recursive(
         variables(max_index) | st.just(App("c", ())),
-        lambda inner: st.one_of(
-            st.builds(lambda a: App("f", (a,)), inner),
-            st.builds(lambda a, b: App("g", (a, b)), inner, inner),
-        ),
+        lambda inner: st.one_of(*(build(inner) for build in extend)),
         max_leaves=6,
     )
 
@@ -37,17 +38,18 @@ def substitutions(draw, max_index: int = 5):
     return Substitution(prefix, Const(draw(terms(max_index))))
 
 
-def atoms(max_index: int = 4):
+def atoms(max_index: int = 4, binary: bool = True):
+    t = terms(max_index, binary)
     return st.one_of(
-        st.builds(lambda t: Atom("r", (t,)), terms(max_index)),
-        st.builds(lambda t, u: Atom("s", (t, u)), terms(max_index), terms(max_index)),
-        st.builds(lambda t, u: Atom("e", (t, u)), terms(max_index), terms(max_index)),
+        st.builds(lambda a: Atom("r", (a,)), t),
+        st.builds(lambda a, b: Atom("s", (a, b)), t, t),
+        st.builds(lambda a, b: Atom("e", (a, b)), t, t),
     )
 
 
-def formulas(max_index: int = 4):
+def formulas(max_index: int = 4, binary: bool = True):
     return st.recursive(
-        atoms(max_index),
+        atoms(max_index, binary),
         lambda inner: st.one_of(
             inner.map(FNot),
             st.builds(FAnd, inner, inner),

@@ -1,5 +1,7 @@
 """End-to-end tests for the command line, via direct main() calls."""
 
+import time
+
 import pytest
 
 from clonelogic.cli import main
@@ -93,6 +95,13 @@ def test_parse_error_reports_position(sig, capsys):
     assert "line 1" in err and "column" in err
 
 
+def test_parse_deep_nesting_exits_2_without_traceback(sig, capsys):
+    code, out, err = run(capsys, ["parse", "formula", "~" * 5000 + "r(x1, x1)", "--signature", sig])
+    assert code == 2
+    assert out == ""
+    assert err == "error: formula nested too deeply\n"
+
+
 def test_parse_output_reparses_to_itself(sig, capsys):
     first = run(capsys, ["parse", "formula", "exists x2. (r(x1, x2) -> r(x2, x1))", "--signature", sig])
     canonical = first[1].splitlines()[0]
@@ -177,6 +186,15 @@ def test_eval_structure_file_needs_signature(tmp_path, capsys):
     code, _, err = run(capsys, ["eval", "--structure", str(path), "--formula", "r(x1, x1)"])
     assert code == 2
     assert "--signature" in err
+
+
+def test_eval_over_row_cap_exits_2_promptly(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["eval", "--structure", "zmod2", "--formula", "e(x25, x25)"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "rows" in err
 
 
 def test_axiom_instance(sig, capsys):

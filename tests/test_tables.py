@@ -1,0 +1,193 @@
+"""The table evaluator against the recursive oracle in tests/oracle.py."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from clonelogic.formulas import (
+    Atom,
+    FNot,
+    Forall,
+    FunctionType,
+    Language,
+    PredicateType,
+    close_off,
+    equality_atom,
+    f_imp,
+    frank,
+)
+from clonelogic.errors import BoundExceeded
+from clonelogic.semantics import (
+    DEFAULT_ROWS_CAP,
+    Env,
+    FiniteBooleanAlg,
+    Structure,
+    counterexample_env,
+    countermodel_search,
+    eval_formula,
+    eval_formula_B,
+    finite_meet_property,
+    perfect_check_bounded,
+    qa_law_check,
+    zmod_structure,
+)
+from clonelogic.terms import App, Var
+
+from oracle import (
+    oracle_counterexample_env,
+    oracle_countermodel,
+    oracle_eval,
+    oracle_perfect_check,
+    oracle_qa_law_check,
+)
+from strategies import LANG, formulas
+
+# LANG without the binary function g, so that full enumeration at size 2
+# stays small: 2 * 4 * 4 * 16 = 512 candidates.
+SMALL_LANG = Language(
+    FunctionType({"c": 0, "f": 1}), PredicateType({"r": 1, "s": 2, "e": 2}, equality="e")
+)
+x1 = Var(1)
+c = App("c", ())
+closed_terms = st.recursive(
+    st.just(c),
+    lambda inner: st.builds(lambda a: App("f", (a,)), inner)
+    | st.builds(lambda a, b: App("g", (a, b)), inner, inner),
+    max_leaves=3,
+)
+
+
+@st.composite
+def structures(draw, max_size: int = 3):
+    """Random structures over LANG of size 1..max_size with 1- or 2-bit
+    relation tables; equality is the identity or an arbitrary table."""
+    size = draw(st.integers(1, max_size))
+    bits = draw(st.integers(1, 2))
+    eq_identity = draw(st.booleans())
+
+    def table(arity, values):
+        return tuple(draw(st.lists(values, min_size=size ** arity, max_size=size ** arity)))
+
+    fn_tables = {
+        name: table(arity, st.integers(0, size - 1)) for name, arity in LANG.functions.items()
+    }
+    rel_tables = {
+        name: table(arity, st.integers(0, (1 << bits) - 1))
+        for name, arity in LANG.predicates.items()
+        if not (eq_identity and name == LANG.equality)
+    }
+    return Structure(LANG, size, fn_tables, rel_tables, eq_identity=eq_identity, truth_bits=bits)
+
+
+@st.composite
+def structure_env(draw):
+    structure = draw(structures())
+    n = structure.size
+    prefix = draw(st.lists(st.integers(0, n - 1), max_size=5))
+    return structure, Env(tuple(prefix), draw(st.integers(0, n - 1)))
+
+
+@given(structure_env(), formulas(max_index=4))
+def test_eval_matches_oracle(pair, p) -> None:
+    d, env = pair
+    algebra = FiniteBooleanAlg(d.truth_bits)
+    expected = oracle_eval(d, algebra, p, env)
+    assert eval_formula_B(d, algebra, p, env) == expected
+    if d.truth_bits == 1:
+        assert eval_formula(d, p, env) == expected
+
+
+def test_eval_under_one_environment_reads_only_its_rows() -> None:
+    # The whole table of e(x25, x25) over two elements is over the row
+    # cap, but one environment reaches a single row.
+    z2 = zmod_structure(2)
+    e = equality_atom(z2.language)
+    far = Atom(e.symbol, (Var(25), Var(25)))
+    assert eval_formula(z2, far, Env()) == 1
+    assert eval_formula_B(z2, FiniteBooleanAlg(1), FNot(far), Env((1,) * 30, 1)) == 0
+    with pytest.raises(BoundExceeded, match="rows"):
+        counterexample_env(z2, far)
+
+
+def test_eval_under_one_environment_caps_quantified_rows() -> None:
+    # Below q binders one environment reaches up to 2^q rows, so the
+    # quantifier nesting alone can pass the cap.
+    z2 = zmod_structure(2)
+    e = equality_atom(z2.language).symbol
+
+    def nested(q):
+        phi = Atom(e, (Var(q), Var(q)))
+        for _ in range(q):
+            phi = Forall(phi)
+        return phi
+
+    q = DEFAULT_ROWS_CAP.bit_length() - 1
+    assert eval_formula(z2, nested(q), Env()) == 1
+    with pytest.raises(BoundExceeded, match="rows"):
+        eval_formula(z2, nested(q + 1), Env())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    structure_env(),
+    st.lists(formulas(max_index=3), max_size=4),
+    st.lists(closed_terms, max_size=3),
+)
+def test_witness_and_meet_checks_match_oracle(pair, sample, candidates) -> None:
+    d, env = pair
+    if d.truth_bits != 1:
+        return
+    algebra = FiniteBooleanAlg(1)
+    expected = oracle_perfect_check(d, algebra, env, candidates, sample)
+    assert perfect_check_bounded(d, env, candidates, sample) == expected
+    sentences = [close_off(p) for p in sample]
+    assert finite_meet_property(sentences, d) == all(
+        oracle_eval(d, algebra, s, Env()) == 1 for s in sentences
+    )
+
+
+@given(structure_env(), formulas(max_index=3))
+def test_counterexample_env_matches_oracle(pair, p) -> None:
+    d, base = pair
+    if d.truth_bits != 1:
+        with pytest.raises(ValueError, match="two-valued"):
+            counterexample_env(d, p, base)
+        return
+    algebra = FiniteBooleanAlg(1)
+    assert counterexample_env(d, p, base) == oracle_counterexample_env(d, algebra, p, base)
+
+
+@settings(max_examples=40, deadline=None)
+@given(structures(), st.lists(formulas(max_index=2), min_size=1, max_size=4), st.data())
+def test_qa_law_check_matches_oracle(d, sample, data) -> None:
+    algebra = FiniteBooleanAlg(d.truth_bits)
+    rank_bound = data.draw(st.integers(max(frank(p) for p in sample), 3))
+    expected = oracle_qa_law_check(d, algebra, sample, rank_bound)
+    assert qa_law_check(d, algebra, sample, rank_bound) == expected
+
+
+def test_qa_law_check_truncates_sides_past_the_rank_bound() -> None:
+    # With rank bound 0 both sides of Q4 have rank 2, over the compared
+    # prefix length 1; coordinate 2 then reads the default 0.
+    broken = Structure(
+        Language(FunctionType({}), PredicateType({"e": 2}, equality="e")),
+        2, {}, {"e": (0, 0, 0, 0)}, eq_identity=False,
+    )
+    algebra = FiniteBooleanAlg(1)
+    report = qa_law_check(broken, algebra, [], 0)
+    assert report == oracle_qa_law_check(broken, algebra, [], 0)
+    q4 = report.laws[3]
+    assert q4.law == "Q4" and q4.checked == 1 and q4.failure.env == Env((0,), 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(formulas(max_index=2, binary=False))
+@example(f_imp(Forall(Atom("s", (x1, c))), Atom("s", (c, c))))  # f and r unused, valid
+@example(Atom("r", (c,)))  # f and s unused
+@example(Atom("e", (App("f", (x1,)), x1)))  # only f and the pinned equality
+def test_countermodel_search_matches_full_enumeration(p) -> None:
+    expected = oracle_countermodel(SMALL_LANG, FiniteBooleanAlg(1), p, 2)
+    assert countermodel_search(SMALL_LANG, p, 2) == expected
+    assert countermodel_search(SMALL_LANG, p, 2, threads=2) == expected
+
