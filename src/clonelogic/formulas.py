@@ -164,21 +164,37 @@ class Language:
 
 
 def check_formula(formula: Formula, language: Language) -> None:
-    """Raise if the formula uses undeclared symbols or wrong arities."""
-    match formula:
-        case Atom(symbol, args):
-            expected = language.predicates.arity(symbol)
+    """Raise if the formula uses undeclared symbols or wrong arities.
+
+    An explicit-stack walk, depth first and left to right, so the first
+    error raised is the one a recursive walk meets first.  Each distinct
+    node object is checked once: nodes are immutable and the formula keeps
+    them alive, so their ids are stable for the call, and a subformula or
+    term shared several times over, as axiom instances share their
+    parameters, is checked once.
+    """
+    predicates, functions = language.predicates, language.functions
+    seen: set[int] = set()
+    stack = [formula]
+    push = stack.append
+    while stack:
+        node = stack.pop()
+        key = id(node)
+        if key in seen:
+            continue
+        seen.add(key)
+        if isinstance(node, FAnd):
+            push(node.right)
+            push(node.left)
+        elif isinstance(node, (FNot, Forall)):
+            push(node.body)
+        elif isinstance(node, Atom):
+            symbol, args = node.symbol, node.args
+            expected = predicates.arity(symbol)
             if len(args) != expected:
                 raise ArityMismatch(symbol, expected, len(args))
             for t in args:
-                check_term(t, language.functions)
-        case FNot(body):
-            check_formula(body, language)
-        case FAnd(left, right):
-            check_formula(left, language)
-            check_formula(right, language)
-        case Forall(body):
-            check_formula(body, language)
+                check_term(t, functions, seen)
 
 
 # ------------------------------------------------------------------

@@ -11,7 +11,7 @@ substitution, and environment.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import ParseError
 from .formulas import (
@@ -64,245 +64,222 @@ from .terms import (
     Substitution,
     Term,
     Var,
+    _VARIABLE_SHAPE,
 )
 
-_VAR_SHAPE = re.compile(r"^x[1-9][0-9]*$")
+# One pass over the text: punctuation (longest first), negative integers,
+# words, and, last, any other visible character, which is an error.
+# Whitespace matches no alternative, so finditer skips it.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<iff><->)
-      | (?P<imp>->)
-      | (?P<negint>-[0-9]+)
+    r"""(?P<punct><->|->|[()\[\],;.~&|/:=])
+      | (?P<int>-[0-9]+)
       | (?P<word>[A-Za-z0-9_']+)
-      | (?P<punct>[()\[\],;.~&|/:=])
+      | (?P<bad>\S)
     """,
     re.VERBOSE,
 )
 
+# A token is a (kind, text, offset) tuple; kind is "punct", "int", "word"
+# or "end", and offset indexes the source text.  No punctuation text is
+# also a word or an integer, so the parser tests punctuation by text alone.
+Token = tuple[str, str, int]
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "word", "int", "punct", or "end"
-    text: str
-    line: int
-    col: int
+# Binary connective text -> (formula builder, propositional builder).
+_CONNECTIVES = {
+    "&": (FAnd, PAnd),
+    "|": (f_or, por),
+    "->": (f_imp, pimp),
+    "<->": (f_iff, piff),
+}
+
+
+def _position(source: str, start_line: int, offset: int) -> tuple[int, int]:
+    """1-based (line, column) of an offset; only errors need it."""
+    line = start_line + source.count("\n", 0, offset)
+    return line, offset - source.rfind("\n", 0, offset)
 
 
 def tokenize(text: str, start_line: int = 1) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = start_line, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
-        kind = m.lastgroup
-        if kind == "negint":
-            tokens.append(Token("int", lexeme, line, col))
-        elif kind == "word":
-            tokens.append(Token("word", lexeme, line, col))
-        elif kind in ("iff", "imp", "punct"):
-            tokens.append(Token("punct", lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("end", "", line, col))
+    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
+    if "bad" in map(itemgetter(0), tokens):
+        _, char, offset = next(token for token in tokens if token[0] == "bad")
+        raise ParseError(
+            f"unexpected character {char!r}", *_position(text, start_line, offset)
+        )
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
-    """Recursive-descent cursor over a token list."""
+    """Recursive-descent cursor over the token tuples of one source text.
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    The cursor never moves past the end token: every step forward follows
+    a test that the current token is not the end.
+    """
+
+    __slots__ = ("source", "start_line", "tokens", "pos")
+
+    def __init__(self, source: str, start_line: int = 1):
+        self.source = source
+        self.start_line = start_line
+        self.tokens = tokenize(source, start_line)
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
-    def advance(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind != "end":
-            self.pos += 1
-        return token
+    def error(self, message: str, offset: int) -> ParseError:
+        return ParseError(message, *_position(self.source, self.start_line, offset))
 
     def fail(self, message: str) -> ParseError:
-        token = self.peek()
-        return ParseError(message, token.line, token.col)
+        return self.error(message, self.tokens[self.pos][2])
 
     def at_punct(self, text: str) -> bool:
-        token = self.peek()
-        return token.kind == "punct" and token.text == text
+        return self.tokens[self.pos][1] == text
 
     def expect_punct(self, text: str) -> Token:
-        if not self.at_punct(text):
-            raise self.fail(f"expected {text!r}")
-        return self.advance()
+        token = self.tokens[self.pos]
+        if token[1] != text:
+            raise self.error(f"expected {text!r}", token[2])
+        self.pos += 1
+        return token
 
     def expect_word(self, text: str | None = None) -> Token:
-        token = self.peek()
-        if token.kind != "word" or (text is not None and token.text != text):
+        token = self.tokens[self.pos]
+        if token[0] != "word" or (text is not None and token[1] != text):
             what = repr(text) if text is not None else "a name"
-            raise self.fail(f"expected {what}")
-        return self.advance()
+            raise self.error(f"expected {what}", token[2])
+        self.pos += 1
+        return token
 
     def expect_int(self) -> int:
-        token = self.peek()
-        if token.kind == "int":
-            self.advance()
-            return int(token.text)
-        if token.kind == "word" and token.text.isdigit():
-            self.advance()
-            return int(token.text)
-        raise self.fail("expected an integer")
+        kind, text, offset = self.tokens[self.pos]
+        if kind == "int" or (kind == "word" and text.isdigit()):
+            self.pos += 1
+            return int(text)
+        raise self.error("expected an integer", offset)
 
     def expect_end(self) -> None:
-        if self.peek().kind != "end":
+        if self.tokens[self.pos][0] != "end":
             raise self.fail("expected end of input")
+
+    def args(self, functions: FunctionType) -> list[Term]:
+        """An optional parenthesized, comma-separated term list."""
+        tokens = self.tokens
+        args: list[Term] = []
+        if tokens[self.pos][1] == "(":
+            self.pos += 1
+            if tokens[self.pos][1] != ")":
+                args.append(self.term(functions))
+                while tokens[self.pos][1] == ",":
+                    self.pos += 1
+                    args.append(self.term(functions))
+            self.expect_punct(")")
+        return args
 
     # ----- terms -----
 
     def term(self, functions: FunctionType) -> Term:
-        token = self.peek()
-        if token.kind != "word":
-            raise self.fail("expected a term")
-        self.advance()
-        if _VAR_SHAPE.match(token.text):
-            return Var(int(token.text[1:]))
-        name = token.text
+        kind, name, offset = self.tokens[self.pos]
+        if kind != "word":
+            raise self.error("expected a term", offset)
+        self.pos += 1
+        if _VARIABLE_SHAPE.match(name):
+            return Var(int(name[1:]))
         if name not in functions:
-            raise ParseError(
-                f"unknown function symbol {name!r}", token.line, token.col
-            )
-        args: list[Term] = []
-        if self.at_punct("("):
-            self.advance()
-            if not self.at_punct(")"):
-                args.append(self.term(functions))
-                while self.at_punct(","):
-                    self.advance()
-                    args.append(self.term(functions))
-            self.expect_punct(")")
+            raise self.error(f"unknown function symbol {name!r}", offset)
+        args = self.args(functions)
         want = functions.arity(name)
         if len(args) != want:
-            raise ParseError(
-                f"{name!r} expects {want} argument(s), got {len(args)}",
-                token.line,
-                token.col,
+            raise self.error(
+                f"{name!r} expects {want} argument(s), got {len(args)}", offset
             )
         return App(name, tuple(args))
 
     # ----- formulas -----
 
     def formula(self, language: Language) -> Formula:
-        token = self.peek()
-        if self.at_punct("~"):
-            self.advance()
+        tokens = self.tokens
+        kind, text, offset = tokens[self.pos]
+        if text == "~":
+            self.pos += 1
             return FNot(self.formula(language))
-        if token.kind == "word" and token.text in ("forall", "exists"):
-            self.advance()
-            index = None
-            nxt = self.peek()
-            if (
-                nxt.kind == "word"
-                and _VAR_SHAPE.match(nxt.text)
-                and self.peek(1).kind == "punct"
-                and self.peek(1).text == "."
-            ):
-                index = int(nxt.text[1:])
-                self.advance()
-                self.advance()
-            body = self.formula(language)
-            if token.text == "forall":
-                return Forall(body) if index is None else forall_xi(index, body)
-            return exists(body) if index is None else exists_xi(index, body)
-        if self.at_punct("("):
-            self.advance()
+        if text == "(":
+            self.pos += 1
             left = self.formula(language)
-            connective = self.peek()
-            if connective.kind == "punct" and connective.text in ("&", "|", "->", "<->"):
-                self.advance()
+            builders = _CONNECTIVES.get(tokens[self.pos][1])
+            if builders is not None:
+                self.pos += 1
                 right = self.formula(language)
                 self.expect_punct(")")
-                builder = {"&": FAnd, "|": f_or, "->": f_imp, "<->": f_iff}
-                return builder[connective.text](left, right)
+                return builders[0](left, right)
             self.expect_punct(")")
             return left
-        if token.kind == "word":
-            self.advance()
-            name = token.text
-            if name not in language.predicates:
-                raise ParseError(
-                    f"unknown predicate symbol {name!r}", token.line, token.col
-                )
-            args: list[Term] = []
-            if self.at_punct("("):
-                self.advance()
-                if not self.at_punct(")"):
-                    args.append(self.term(language.functions))
-                    while self.at_punct(","):
-                        self.advance()
-                        args.append(self.term(language.functions))
-                self.expect_punct(")")
-            want = language.predicates.arity(name)
-            if len(args) != want:
-                raise ParseError(
-                    f"{name!r} expects {want} argument(s), got {len(args)}",
-                    token.line,
-                    token.col,
-                )
-            return Atom(name, tuple(args))
-        raise self.fail("expected a formula")
+        if kind != "word":
+            raise self.error("expected a formula", offset)
+        self.pos += 1
+        if text == "forall" or text == "exists":
+            index = None
+            next_kind, next_text, _ = tokens[self.pos]
+            # A word is never the last token, so pos + 1 is in range.
+            if (
+                next_kind == "word"
+                and _VARIABLE_SHAPE.match(next_text)
+                and tokens[self.pos + 1][1] == "."
+            ):
+                index = int(next_text[1:])
+                self.pos += 2
+            body = self.formula(language)
+            if text == "forall":
+                return Forall(body) if index is None else forall_xi(index, body)
+            return exists(body) if index is None else exists_xi(index, body)
+        if text not in language.predicates:
+            raise self.error(f"unknown predicate symbol {text!r}", offset)
+        args = self.args(language.functions)
+        want = language.predicates.arity(text)
+        if len(args) != want:
+            raise self.error(
+                f"{text!r} expects {want} argument(s), got {len(args)}", offset
+            )
+        return Atom(text, tuple(args))
 
     # ----- substitutions and environments -----
 
     def subst(self, functions: FunctionType) -> Substitution:
-        opener = self.expect_punct("[")
+        opener = self.expect_punct("[")[2]
         prefix: list[Term] = []
         if not self.at_punct(";") and not self.at_punct("]"):
             prefix.append(self.term(functions))
             while self.at_punct(","):
-                self.advance()
+                self.pos += 1
                 prefix.append(self.term(functions))
         tail = None
         if self.at_punct(";"):
-            self.advance()
-            keyword = self.expect_word()
-            if keyword.text == "shift":
+            self.pos += 1
+            _, keyword, offset = self.expect_word()
+            if keyword == "shift":
                 tail = Shift(self.expect_int())
-            elif keyword.text == "const":
+            elif keyword == "const":
                 tail = Const(self.term(functions))
             else:
-                raise ParseError(
-                    "substitution tail must be 'shift' or 'const'",
-                    keyword.line,
-                    keyword.col,
-                )
+                raise self.error("substitution tail must be 'shift' or 'const'", offset)
         self.expect_punct("]")
         if tail is None:
             if not prefix:
-                raise ParseError(
-                    "empty substitution needs an explicit tail",
-                    opener.line,
-                    opener.col,
-                )
+                raise self.error("empty substitution needs an explicit tail", opener)
             tail = Const(prefix.pop())
         try:
             return Substitution(tuple(prefix), tail)
         except ValueError as err:
-            raise ParseError(str(err), opener.line, opener.col) from err
+            raise self.error(str(err), opener) from err
 
     def env(self) -> Env:
-        opener = self.expect_punct("[")
+        opener = self.expect_punct("[")[2]
         values: list[int] = []
         if not self.at_punct(";"):
             values.append(self.expect_int())
             while self.at_punct(","):
-                self.advance()
+                self.pos += 1
                 values.append(self.expect_int())
         self.expect_punct(";")
         default = self.expect_int()
@@ -310,44 +287,43 @@ class _Parser:
         try:
             return Env(tuple(values), default)
         except ValueError as err:
-            raise ParseError(str(err), opener.line, opener.col) from err
+            raise self.error(str(err), opener) from err
 
     # ----- propositional terms -----
 
     def prop(self) -> PropTerm:
-        token = self.peek()
-        if self.at_punct("~"):
-            self.advance()
+        tokens = self.tokens
+        kind, text, offset = tokens[self.pos]
+        if text == "~":
+            self.pos += 1
             return PNot(self.prop())
-        if self.at_punct("("):
-            self.advance()
+        if text == "(":
+            self.pos += 1
             left = self.prop()
-            connective = self.peek()
-            if connective.kind == "punct" and connective.text in ("&", "|", "->", "<->"):
-                self.advance()
+            builders = _CONNECTIVES.get(tokens[self.pos][1])
+            if builders is not None:
+                self.pos += 1
                 right = self.prop()
                 self.expect_punct(")")
-                builder = {"&": PAnd, "|": por, "->": pimp, "<->": piff}
-                return builder[connective.text](left, right)
+                return builders[1](left, right)
             self.expect_punct(")")
             return left
-        if token.kind == "word":
-            self.advance()
-            return PVar(token.text)
-        raise self.fail("expected a propositional term")
+        if kind == "word":
+            self.pos += 1
+            return PVar(text)
+        raise self.error("expected a propositional term", offset)
 
     # ----- axiom instance recipes -----
 
     def axiom_spec(self, language: Language) -> AxiomInstanceSpec:
-        token = self.expect_word()
-        if token.text not in AXIOM_IDS:
-            raise ParseError(f"unknown axiom {token.text!r}", token.line, token.col)
+        _, axiom, offset = self.expect_word()
+        if axiom not in AXIOM_IDS:
+            raise self.error(f"unknown axiom {axiom!r}", offset)
         fields: dict[str, object] = {}
         if self.at_punct("("):
-            self.advance()
+            self.pos += 1
             while not self.at_punct(")"):
-                name_token = self.expect_word()
-                field = name_token.text
+                _, field, field_offset = self.expect_word()
                 self.expect_punct("=")
                 if field in ("p", "q", "r"):
                     fields[field] = self.formula(language)
@@ -358,46 +334,36 @@ class _Parser:
                 elif field == "n":
                     fields["gen_count"] = self.expect_int()
                 else:
-                    raise ParseError(
-                        f"unknown axiom parameter {field!r}",
-                        name_token.line,
-                        name_token.col,
-                    )
+                    raise self.error(f"unknown axiom parameter {field!r}", field_offset)
                 if self.at_punct(","):
-                    self.advance()
+                    self.pos += 1
                 elif not self.at_punct(")"):
                     raise self.fail("expected ',' or ')'")
             self.expect_punct(")")
-        return AxiomInstanceSpec(token.text, **fields)
+        return AxiomInstanceSpec(axiom, **fields)
 
     def prop_axiom(self) -> PropAxiom:
-        token = self.expect_word()
-        if token.text not in ("A1", "A2", "A3"):
-            raise ParseError(
-                f"unknown propositional axiom {token.text!r}", token.line, token.col
-            )
+        _, axiom, offset = self.expect_word()
+        if axiom not in ("A1", "A2", "A3"):
+            raise self.error(f"unknown propositional axiom {axiom!r}", offset)
         fields: dict[str, PropTerm] = {}
         self.expect_punct("(")
         while not self.at_punct(")"):
-            name_token = self.expect_word()
-            if name_token.text not in ("p", "q", "r"):
-                raise ParseError(
-                    f"unknown axiom parameter {name_token.text!r}",
-                    name_token.line,
-                    name_token.col,
-                )
+            _, field, field_offset = self.expect_word()
+            if field not in ("p", "q", "r"):
+                raise self.error(f"unknown axiom parameter {field!r}", field_offset)
             self.expect_punct("=")
-            fields[name_token.text] = self.prop()
+            fields[field] = self.prop()
             if self.at_punct(","):
-                self.advance()
+                self.pos += 1
             elif not self.at_punct(")"):
                 raise self.fail("expected ',' or ')'")
         self.expect_punct(")")
-        return PropAxiom(int(token.text[1]), **fields)
+        return PropAxiom(int(axiom[1]), **fields)
 
 
 def _parse_all(text: str, grab) -> object:
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     value = grab(parser)
     parser.expect_end()
     return value
@@ -533,7 +499,7 @@ def _content_lines(text: str):
 
 
 def _line_parser(line: str, number: int) -> _Parser:
-    return _Parser(tokenize(line, start_line=number))
+    return _Parser(line, number)
 
 
 def load_signature(text: str) -> Language:
@@ -543,22 +509,19 @@ def load_signature(text: str) -> Language:
     equality = None
     for number, line in _content_lines(text):
         parser = _line_parser(line, number)
-        head = parser.expect_word()
-        if head.text not in ("fn", "rel"):
-            raise ParseError("expected 'fn' or 'rel'", head.line, head.col)
-        name_token = parser.peek()
-        name = parser.expect_word().text
+        _, head, offset = parser.expect_word()
+        if head not in ("fn", "rel"):
+            raise parser.error("expected 'fn' or 'rel'", offset)
+        _, name, offset = parser.expect_word()
         if name in functions or name in predicates:
-            raise ParseError(
-                f"duplicate symbol {name!r}", name_token.line, name_token.col
-            )
+            raise parser.error(f"duplicate symbol {name!r}", offset)
         parser.expect_punct("/")
         arity = parser.expect_int()
-        if head.text == "fn":
+        if head == "fn":
             functions[name] = arity
         else:
             predicates[name] = arity
-            if parser.peek().kind == "word":
+            if parser.peek()[0] == "word":
                 parser.expect_word("equality")
                 equality = name
         parser.expect_end()
@@ -578,26 +541,24 @@ def load_structure(text: str, language: Language) -> Structure:
     identity_flag = False
     for number, line in _content_lines(text):
         parser = _line_parser(line, number)
-        head = parser.expect_word()
-        if head.text == "domain":
+        _, head, offset = parser.expect_word()
+        if head == "domain":
             size = parser.expect_int()
-        elif head.text in ("fn", "rel"):
-            name = parser.expect_word().text
+        elif head in ("fn", "rel"):
+            name = parser.expect_word()[1]
             parser.expect_punct(":")
             values = []
-            while parser.peek().kind != "end":
+            while parser.peek()[0] != "end":
                 values.append(parser.expect_int())
-            if head.text == "fn":
+            if head == "fn":
                 fn_tables[name] = tuple(values)
             else:
                 rel_tables[name] = tuple(values)
-        elif head.text == "equality":
+        elif head == "equality":
             parser.expect_word("identity")
             identity_flag = True
         else:
-            raise ParseError(
-                "expected 'domain', 'fn', 'rel', or 'equality'", head.line, head.col
-            )
+            raise parser.error("expected 'domain', 'fn', 'rel', or 'equality'", offset)
         parser.expect_end()
     if size is None:
         raise ParseError("missing 'domain' line", 1, 1)
@@ -613,24 +574,24 @@ def load_prop_algebra(text: str) -> FinitePropAlgebra:
     and_rows: dict[int, tuple[int, ...]] = {}
     for number, line in _content_lines(text):
         parser = _line_parser(line, number)
-        head = parser.expect_word()
-        if head.text == "size":
+        _, head, offset = parser.expect_word()
+        if head == "size":
             size = parser.expect_int()
-        elif head.text == "not":
+        elif head == "not":
             parser.expect_punct(":")
             values = []
-            while parser.peek().kind != "end":
+            while parser.peek()[0] != "end":
                 values.append(parser.expect_int())
             not_table = tuple(values)
-        elif head.text == "and":
+        elif head == "and":
             row = parser.expect_int()
             parser.expect_punct(":")
             values = []
-            while parser.peek().kind != "end":
+            while parser.peek()[0] != "end":
                 values.append(parser.expect_int())
             and_rows[row] = tuple(values)
         else:
-            raise ParseError("expected 'size', 'not', or 'and'", head.line, head.col)
+            raise parser.error("expected 'size', 'not', or 'and'", offset)
         parser.expect_end()
     if size is None or not_table is None:
         raise ParseError("algebra file needs 'size' and 'not' lines", 1, 1)
@@ -658,7 +619,7 @@ def load_theory(text: str, language: Language) -> Theory:
         parser = _line_parser(line, number)
         if name is None:
             parser.expect_word("theory")
-            name = parser.expect_word().text
+            name = parser.expect_word()[1]
             parser.expect_end()
             continue
         formulas.append(parser.formula(language))
@@ -679,65 +640,56 @@ def load_proof(text: str, language: Language) -> tuple[Proof, str | None]:
     steps: list[ProofStep] = []
 
     def step_ref(parser: _Parser) -> int:
-        token = parser.peek()
+        offset = parser.peek()[2]
         value = parser.expect_int()
         if not 1 <= value <= len(steps):
-            raise ParseError(
+            raise parser.error(
                 f"step reference {value} out of range (references are 1-based "
                 f"and must point at an earlier step)",
-                token.line,
-                token.col,
+                offset,
             )
         return value - 1
 
     for number, line in _content_lines(text):
         parser = _line_parser(line, number)
         if kind is None:
-            head = parser.expect_word()
-            if head.text not in ("local", "global"):
-                raise ParseError("expected 'local' or 'global'", head.line, head.col)
-            kind = head.text
+            _, head, offset = parser.expect_word()
+            if head not in ("local", "global"):
+                raise parser.error("expected 'local' or 'global'", offset)
+            kind = head
             parser.expect_end()
             continue
-        if theory_name is None and not steps and parser.peek().text == "theory":
+        if theory_name is None and not steps and parser.peek()[1] == "theory":
             parser.expect_word("theory")
-            theory_name = parser.expect_word().text
+            theory_name = parser.expect_word()[1]
             parser.expect_end()
             continue
-        index_token = parser.peek()
+        offset = parser.peek()[2]
         index = parser.expect_int()
         if index != len(steps) + 1:
-            raise ParseError(
-                f"expected step number {len(steps) + 1}",
-                index_token.line,
-                index_token.col,
-            )
+            raise parser.error(f"expected step number {len(steps) + 1}", offset)
         parser.expect_punct(".")
         formula = parser.formula(language)
         parser.expect_word("by")
-        keyword = parser.expect_word()
-        if keyword.text == "axiom":
+        _, keyword, offset = parser.expect_word()
+        if keyword == "axiom":
             by = ByAxiom(parser.axiom_spec(language))
-        elif keyword.text == "hyp":
-            token = parser.peek()
+        elif keyword == "hyp":
+            offset = parser.peek()[2]
             value = parser.expect_int()
             if value < 1:
-                raise ParseError(
-                    "hypothesis references are 1-based", token.line, token.col
-                )
+                raise parser.error("hypothesis references are 1-based", offset)
             by = ByHyp(value - 1)
-        elif keyword.text == "mp":
+        elif keyword == "mp":
             by = ByMP(step_ref(parser), step_ref(parser))
-        elif keyword.text == "subst":
+        elif keyword == "subst":
             source = step_ref(parser)
             by = BySubst(source, parser.subst(language.functions))
-        elif keyword.text == "gen":
+        elif keyword == "gen":
             by = ByGen(step_ref(parser))
         else:
-            raise ParseError(
-                "expected 'axiom', 'hyp', 'mp', 'subst', or 'gen'",
-                keyword.line,
-                keyword.col,
+            raise parser.error(
+                "expected 'axiom', 'hyp', 'mp', 'subst', or 'gen'", offset
             )
         parser.expect_end()
         steps.append(ProofStep(formula, by))
@@ -751,48 +703,36 @@ def load_prop_proof(text: str) -> list[PropStep]:
     steps: list[PropStep] = []
     for number, line in _content_lines(text):
         parser = _line_parser(line, number)
-        index_token = parser.peek()
+        offset = parser.peek()[2]
         index = parser.expect_int()
         if index != len(steps) + 1:
-            raise ParseError(
-                f"expected step number {len(steps) + 1}",
-                index_token.line,
-                index_token.col,
-            )
+            raise parser.error(f"expected step number {len(steps) + 1}", offset)
         parser.expect_punct(".")
         formula = parser.prop()
         parser.expect_word("by")
-        keyword = parser.peek()
-        if keyword.kind == "word" and keyword.text in ("A1", "A2", "A3"):
+        kind, keyword, _ = parser.peek()
+        if kind == "word" and keyword in ("A1", "A2", "A3"):
             by = parser.prop_axiom()
         else:
-            keyword = parser.expect_word()
-            if keyword.text == "hyp":
-                token = parser.peek()
+            _, keyword, offset = parser.expect_word()
+            if keyword == "hyp":
+                offset = parser.peek()[2]
                 value = parser.expect_int()
                 if value < 1:
-                    raise ParseError(
-                        "hypothesis references are 1-based", token.line, token.col
-                    )
+                    raise parser.error("hypothesis references are 1-based", offset)
                 by = PropHyp(value - 1)
-            elif keyword.text == "mp":
+            elif keyword == "mp":
                 refs = []
                 for _ in range(2):
-                    token = parser.peek()
+                    offset = parser.peek()[2]
                     value = parser.expect_int()
                     if not 1 <= value <= len(steps):
-                        raise ParseError(
-                            f"step reference {value} out of range",
-                            token.line,
-                            token.col,
-                        )
+                        raise parser.error(f"step reference {value} out of range", offset)
                     refs.append(value - 1)
                 by = PropMP(refs[0], refs[1])
             else:
-                raise ParseError(
-                    "expected 'A1', 'A2', 'A3', 'hyp', or 'mp'",
-                    keyword.line,
-                    keyword.col,
+                raise parser.error(
+                    "expected 'A1', 'A2', 'A3', 'hyp', or 'mp'", offset
                 )
         parser.expect_end()
         steps.append(PropStep(formula, by))

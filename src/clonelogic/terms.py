@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import ArityMismatch, UndeclaredSymbol
+from .errors import ArityMismatch, BoundExceeded, UndeclaredSymbol
 
 __all__ = [
     "Var",
@@ -49,6 +49,7 @@ __all__ = [
     "rank",
     "is_closed",
     "forall_rotation",
+    "MAX_BINDER_INDEX",
     "check_term",
     "enumerate_terms",
 ]
@@ -133,17 +134,28 @@ class FunctionType:
         return App(name, tuple(args))
 
 
-def check_term(term: Term, functions: FunctionType) -> None:
-    """Raise if ``term`` uses a symbol not declared in ``functions``."""
-    match term:
-        case Var(_):
-            return
-        case App(symbol, args):
+def check_term(
+    term: Term, functions: FunctionType, seen: set[int] | None = None
+) -> None:
+    """Raise if ``term`` uses a symbol not declared in ``functions``.
+
+    An explicit-stack walk, depth first and left to right, so the first
+    error raised is the one a recursive walk meets first.  ``seen`` holds
+    the ids of applications already checked, which are skipped; a caller
+    checking many terms of one formula shares it across calls.
+    """
+    if seen is None:
+        seen = set()
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, App) and id(node) not in seen:
+            seen.add(id(node))
+            symbol, args = node.symbol, node.args
             expected = functions.arity(symbol)
             if len(args) != expected:
                 raise ArityMismatch(symbol, expected, len(args))
-            for a in args:
-                check_term(a, functions)
+            stack.extend(reversed(args))
 
 
 @dataclass(frozen=True)
@@ -319,6 +331,12 @@ def is_closed(term: Term) -> bool:
     return rank(term) == 0
 
 
+# Largest coordinate a named binder may bind: its rotation holds one
+# prefix entry per coordinate up to it.  The same order as the semantics'
+# cap on table rows.
+MAX_BINDER_INDEX = 1 << 20
+
+
 def forall_rotation(i: int) -> Substitution:
     """The reindexing that moves coordinate ``i`` into binding position.
 
@@ -326,6 +344,10 @@ def forall_rotation(i: int) -> Substitution:
     """
     if i < 1:
         raise ValueError(f"binder coordinate must be >= 1, got {i}")
+    if i > MAX_BINDER_INDEX:
+        raise BoundExceeded(
+            f"binder coordinate {i} is over the cap of {MAX_BINDER_INDEX}"
+        )
     prefix = tuple(Var(j + 1) for j in range(1, i)) + (Var(1),)
     return Substitution(prefix, Shift(1))
 

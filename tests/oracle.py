@@ -1,14 +1,17 @@
-"""Recursive reference evaluator, the oracle for the table evaluator.
+"""Recursive reference walks, the oracles for the package's fast paths.
 
-It walks the formula tree once per environment, as the package did
-before formulas were evaluated as whole tables, and each function here
-restates a library entry point on top of it.
+The evaluator walks the formula tree once per environment, as the
+package did before formulas were evaluated as whole tables, and each
+``oracle_*`` function restates a library entry point on top of it.
+``oracle_check_formula`` is the well-formedness check as it was before
+it became an explicit-stack walk over shared nodes.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from clonelogic.errors import ArityMismatch
 from clonelogic.formulas import (
     Atom,
     FAnd,
@@ -31,7 +34,36 @@ from clonelogic.semantics import (
     eval_term,
     table_index,
 )
-from clonelogic.terms import cons_subst
+from clonelogic.terms import App, Var, cons_subst
+
+
+def oracle_check_term(term, functions) -> None:
+    match term:
+        case Var(_):
+            return
+        case App(symbol, args):
+            expected = functions.arity(symbol)
+            if len(args) != expected:
+                raise ArityMismatch(symbol, expected, len(args))
+            for a in args:
+                oracle_check_term(a, functions)
+
+
+def oracle_check_formula(formula, language) -> None:
+    match formula:
+        case Atom(symbol, args):
+            expected = language.predicates.arity(symbol)
+            if len(args) != expected:
+                raise ArityMismatch(symbol, expected, len(args))
+            for t in args:
+                oracle_check_term(t, language.functions)
+        case FNot(body):
+            oracle_check_formula(body, language)
+        case FAnd(left, right):
+            oracle_check_formula(left, language)
+            oracle_check_formula(right, language)
+        case Forall(body):
+            oracle_check_formula(body, language)
 
 
 def oracle_eval(structure, algebra, formula, env: Env) -> int:

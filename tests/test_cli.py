@@ -197,6 +197,31 @@ def test_eval_over_row_cap_exits_2_promptly(capsys):
     assert err.count("\n") == 1 and err.startswith("error: ") and "rows" in err
 
 
+@pytest.fixture
+def sig_unary(tmp_path):
+    path = tmp_path / "sig_unary.txt"
+    path.write_text(SIG_UNARY)
+    return str(path)
+
+
+@pytest.mark.parametrize("binder", ["forall", "exists"])
+def test_named_binder_over_cap_exits_2_promptly(sig_unary, capsys, binder):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, ["parse", "formula", f"{binder} x99999999. r(x1)", "--signature", sig_unary]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "99999999" in err
+
+
+def test_named_binder_under_cap_parses(sig_unary, capsys):
+    code, out, _ = run(capsys, ["parse", "formula", "forall x1000. r(x1000)", "--signature", sig_unary])
+    assert code == 0
+    assert out == "forall r(x1)\nrank 0\nsentence yes\n"
+
+
 def test_axiom_instance(sig, capsys):
     code, out, _ = run(
         capsys, ["axiom", "A5(p=r(x1, x1), subst=[x1 ; shift 0])", "--signature", sig]

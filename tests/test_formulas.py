@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from clonelogic.errors import ArityMismatch, UndeclaredSymbol
+from clonelogic.errors import ArityMismatch, BoundExceeded, UndeclaredSymbol
 from clonelogic.formulas import (
     Atom,
     FAnd,
@@ -38,6 +38,7 @@ from clonelogic.formulas import (
 )
 from clonelogic.terms import (
     IDENTITY,
+    MAX_BINDER_INDEX,
     SHIFT_UP,
     App,
     FunctionType,
@@ -48,6 +49,7 @@ from clonelogic.terms import (
     touch_subst,
 )
 
+from oracle import oracle_check_formula
 from strategies import LANG, formulas, substitutions, terms
 
 x1, x2, x3 = Var(1), Var(2), Var(3)
@@ -99,6 +101,81 @@ def test_check_formula_flags_bad_atoms() -> None:
         check_formula(Atom("q", ()), LANG)
     with pytest.raises(ArityMismatch):
         check_formula(Atom("r", (x1, x2)), LANG)
+
+
+# Symbols outside LANG (h, q) and arities that LANG does not declare.
+_loose_terms = st.recursive(
+    st.integers(1, 3).map(Var) | st.sampled_from(["c", "h"]).map(lambda n: App(n, ())),
+    lambda inner: st.builds(
+        lambda name, args: App(name, tuple(args)),
+        st.sampled_from(["c", "f", "g", "h"]),
+        st.lists(inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+_loose_atoms = st.builds(
+    lambda name, args: Atom(name, tuple(args)),
+    st.sampled_from(["r", "s", "e", "q"]),
+    st.lists(_loose_terms, max_size=3),
+) | st.builds(lambda t: Atom("s", (t, t)), _loose_terms)
+_loose_formulas = st.recursive(
+    _loose_atoms,
+    lambda inner: st.one_of(
+        inner.map(FNot),
+        inner.map(Forall),
+        st.builds(FAnd, inner, inner),
+        inner.map(lambda p: FAnd(p, FNot(p))),  # one subformula object, twice
+    ),
+    max_leaves=8,
+)
+
+
+def _raised(check, formula):
+    try:
+        check(formula, LANG)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@given(_loose_formulas)
+def test_check_formula_matches_recursive_oracle(p) -> None:
+    assert _raised(check_formula, p) == _raised(oracle_check_formula, p)
+
+
+def test_check_formula_does_not_recurse() -> None:
+    deep = r(x1)
+    for _ in range(5000):
+        deep = FNot(deep)
+    check_formula(deep, LANG)
+    bad = Atom("q", ())
+    for _ in range(5000):
+        bad = Forall(bad)
+    with pytest.raises(UndeclaredSymbol):
+        check_formula(bad, LANG)
+    term = x1
+    for _ in range(5000):
+        term = App("f", (term,))
+    check_formula(s(term, App("g", (term, x2))), LANG)
+
+
+def test_check_formula_visits_shared_nodes_once() -> None:
+    """Twenty doublings share one atom 2^20 times over; the walk sees 21
+    distinct nodes, and the first error is still found."""
+    shared = s(App("f", (x1,)), App("f", (x1,)))
+    bad = FAnd(shared, r(App("h", ())))
+    for _ in range(20):
+        shared = FAnd(shared, shared)
+        bad = FAnd(bad, bad)
+    check_formula(shared, LANG)
+    with pytest.raises(UndeclaredSymbol, match="'h'"):
+        check_formula(bad, LANG)
+
+
+def test_close_off_over_binder_cap_raises() -> None:
+    with pytest.raises(BoundExceeded):
+        close_off(r(Var(MAX_BINDER_INDEX + 1)))
+    assert frank(close_off(s(x1, Var(50)))) == 0
 
 
 # ------------- substitution action -------------
