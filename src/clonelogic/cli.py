@@ -10,6 +10,7 @@ over-budget input.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import re
 import sys
@@ -276,7 +277,11 @@ def cmd_peano(args) -> int:
     return exit_code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: ``parse_args``
+    returns a fresh namespace every call and copies list defaults before
+    appending to them, so calls share nothing."""
     parser = argparse.ArgumentParser(
         prog="clonelogic",
         description="Terms, formulas, proofs, and finite models from the command line.",

@@ -53,7 +53,8 @@ from .terms import (
 
 DEFAULT_CELLS_CAP = 64
 # Rows of any one formula table: a rank-r table over a domain of size n
-# holds n**r rows per bit plane.
+# holds n**r rows per bit plane.  It also caps the m**2-entry tables of
+# zmod_structure(m).
 DEFAULT_ROWS_CAP = 1 << 20
 
 
@@ -245,6 +246,15 @@ def _eval_term(structure: Structure, term: Term, env: Env) -> int:
 # and the binder is the AND of the n contiguous blocks of its body's
 # plane, one block per value of coordinate 1.
 #
+# A plane may also carry L lanes: bit row * L + lane holds the row's
+# value in lane ``lane``.  L structures that share their function tables
+# make one structure valued in the algebra 2^L, and since each
+# connective acts on every bit alike, one pass evaluates all L of them.
+# Only the row arithmetic changes: the all-ones plane has rows * L bits,
+# a binder block is n^rank * L bits, and lifting repeats each L-bit row
+# chunk.  Countermodel search puts relation candidates in lanes; every
+# other caller uses one lane, where this is the layout above.
+#
 # Evaluating under one environment uses the same tables, cut down to
 # the rows that environment reaches: below q binders a subformula of
 # rank r is read only at prefixes (d1..dq, e1, e2, ...), so its table
@@ -256,17 +266,33 @@ _ATOM, _NOT, _AND, _FORALL = range(4)
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _bitset(flags: bytes) -> int:
-    """The int whose bit i is flags[i] (each 0 or 1)."""
+def _bitset(flags: bytes, stride: int = 1) -> int:
+    """The int whose bit i * stride is flags[i] (each 0 or 1), with every
+    other bit 0."""
+    if stride % 8 == 0:
+        spaced = bytearray(len(flags) * (stride // 8))
+        spaced[::stride // 8] = flags
+        return int.from_bytes(spaced, "little")
+    if stride > 1:
+        spaced = bytearray(len(flags) * stride)
+        spaced[::stride] = flags
+        flags = spaced
     return int(flags[::-1].translate(_DIGITS), 2)
 
 
-def _row_sets(column: list[int]) -> tuple[list[int], list[int]]:
+def _row_sets(column: list[int], lanes: int = 1) -> tuple[list[int], list[int]]:
     """The distinct values of a column in ascending order, and for each
-    the bitset of the rows that hold it.  An atom's plane is the union
-    of the row sets of the cells whose value has that plane's bit set."""
+    the bitset of the rows that hold it, at lane stride (one bit per
+    row).  An atom's plane is the union of the row sets of the cells
+    whose value has that plane's bit set; with lanes, each row set is
+    first multiplied by its cell's L-bit lane chunk."""
     cells = sorted(set(column))
-    return cells, [_bitset(bytes(map(c.__eq__, column))) for c in cells]
+    return cells, [_bitset(bytes(map(c.__eq__, column)), lanes) for c in cells]
+
+
+def _repeat_rows(text: str, width: int, copies: int) -> str:
+    """Each ``width``-character row of the text repeated ``copies`` times."""
+    return "".join([text[i:i + width] * copies for i in range(0, len(text), width)])
 
 
 def _digits(row: int, size: int, length: int) -> tuple[int, ...]:
@@ -290,11 +316,12 @@ class _Program:
     post-order as (kind, a, b, rank): for an atom, a indexes ``atoms``;
     otherwise a and b are operand node ids.  Every node's rank is
     checked against the row cap when the node is added, before any
-    table is built.
+    table is built.  ``lanes`` is the number of lanes per plane.
     """
 
     def __init__(self, size: int):
         self.size = size
+        self.lanes = 1
         self.nodes: list[tuple[int, int, int, int]] = []
         self.atoms: list[tuple[Atom, int]] = []
         self.full: dict[int, int] = {}
@@ -357,7 +384,7 @@ class _Program:
             if key not in keys:
                 kind, a, b, rank = node
                 if rank not in self.full:
-                    self.full[rank] = (1 << self.rows(rank)) - 1
+                    self.full[rank] = (1 << self.rows(rank) * self.lanes) - 1
                 if kind == _ATOM:
                     self.atoms.append((phi, rank))
                     node = (_ATOM, len(self.atoms) - 1, 0, rank)
@@ -375,22 +402,32 @@ class _Program:
             )
         return n ** rank
 
+    def set_lanes(self, lanes: int) -> None:
+        """Evaluate with ``lanes`` lanes per plane from now on."""
+        self.lanes = lanes
+        self.full = {rank: (1 << self.rows(rank) * lanes) - 1 for rank in self.full}
+
     def lift(self, plane: int, rank: int, to: int) -> int:
         """The same plane read at a higher rank: each row of the lower
-        table becomes a run of size**(to - rank) equal rows."""
+        table, an L-bit chunk, becomes a run of size**(to - rank) equal
+        rows.  With one lane a row is one binary digit, so a single
+        translate repeats them all."""
         if rank == to:
             return plane
-        copies = self.size ** (to - rank)
+        copies, lanes = self.size ** (to - rank), self.lanes
+        text = format(plane, f"0{self.size ** rank * lanes}b")
+        if lanes > 1:
+            return int(_repeat_rows(text, lanes, copies), 2)
         spread = self._spreaders.get(copies)
         if spread is None:
             spread = str.maketrans({"0": "0" * copies, "1": "1" * copies})
             self._spreaders[copies] = spread
-        return int(format(plane, f"0{self.size ** rank}b").translate(spread), 2)
+        return int(text.translate(spread), 2)
 
     def evaluate(self, planes: list[int], atom_planes: list[int]) -> None:
         """Extend ``planes``, one bit plane per node, to the nodes that
         it does not cover yet, given the plane of each atom."""
-        nodes, full, n = self.nodes, self.full, self.size
+        nodes, full, n, lanes = self.nodes, self.full, self.size, self.lanes
         for node in range(len(planes), len(nodes)):
             kind, a, b, rank = nodes[node]
             if kind == _ATOM:
@@ -407,7 +444,7 @@ class _Program:
             elif nodes[a][3] == 0:
                 plane = planes[a]
             else:
-                body, block, plane = planes[a], n ** rank, full[rank]
+                body, block, plane = planes[a], n ** rank * lanes, full[rank]
                 for k in range(n):
                     plane &= body >> (k * block)
             planes.append(plane)
@@ -649,8 +686,14 @@ def countermodel_search(
     of symbols that occur in the formula are enumerated; the others stay
     all zero.  That finds the same structure: zeroing the unused tables
     of a countermodel gives a countermodel no later in the order, so the
-    first one has them zero.  ``threads`` is accepted for compatibility
-    and ignored: the search runs on the calling thread.
+    first one has them zero.
+
+    Relation candidates are evaluated a block at a time, one candidate
+    per lane (see the notes on tables above): the last relation cells in
+    enumeration order are the lanes, so a block is a run of consecutive
+    candidates, and the lowest lane that fails is the first countermodel
+    in the block.  ``threads`` is accepted for compatibility and
+    ignored: the search runs on the calling thread.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
@@ -663,10 +706,20 @@ def countermodel_search(
     return None
 
 
+# Bits per plane in countermodel search: a block holds as many
+# candidates as fit beside the formula's widest table.
+_LANE_BITS = 1 << 14
+
+
+def _lane_pattern(bit: int, lanes: int) -> int:
+    """The lanes whose index has the given bit set, as an L-bit chunk."""
+    half = 1 << bit
+    return int(("1" * half + "0" * half) * (lanes // (2 * half)), 2)
+
+
 def _search_size(language: Language, formula: Formula, size: int) -> Structure | None:
     program = _Program(size)
     root = program.add(formula)
-    top = program.full[program.rank(root)]
     used = {atom.symbol for atom, _ in program.atoms}
     for atom, _ in program.atoms:
         for arg in atom.args:
@@ -677,13 +730,27 @@ def _search_size(language: Language, formula: Formula, size: int) -> Structure |
         (name, a) for name, a in language.predicates.items()
         if name in used and name != eq
     ]
-    # Relation tables of one candidate: the enumerated ones, then the
-    # pinned identity for equality.
-    slot_of = {name: i for i, (name, _) in enumerate(rel_free)}
-    pinned: tuple = ()
-    if eq is not None:
-        slot_of[eq] = len(rel_free)
-        pinned = (identity_table(size),)
+    # A relation candidate is one 0/1 value per cell of the enumerated
+    # tables, concatenated in order; the first cell is the most
+    # significant.  The last ``inner`` cells are lanes: lane k reads
+    # bit (inner - 1 - j) of k at inner cell j.  The others are looped.
+    start = {}
+    cells = 0
+    for name, arity in rel_free:
+        start[name] = cells
+        cells += size ** arity
+    widest = max(program.rows(rank) for rank in program.full)
+    inner = 0
+    while inner < cells and (2 << inner) * widest <= _LANE_BITS:
+        inner += 1
+    outer = cells - inner
+    lanes = 1 << inner
+    program.set_lanes(lanes)
+    ones = (1 << lanes) - 1
+    chunks = [_lane_pattern(inner - 1 - j, lanes) for j in range(inner)]
+    root_rank = program.rank(root)
+    top = program.full[root_rank]
+    identity = identity_table(size)
     zeros = {
         name: (0,) * size ** arity
         for name, arity in (*language.functions.items(), *language.predicates.items())
@@ -692,31 +759,46 @@ def _search_size(language: Language, formula: Formula, size: int) -> Structure |
         itertools.product(range(size), repeat=size ** a) for _, a in fn_free
     ))
     for fn_combo in fn_space:
-        # Term columns depend only on the function tables, so each
-        # relation candidate costs only the atoms' row-set unions and
-        # the connectives.
+        # Term columns depend only on the function tables, so they are
+        # computed once per assignment.  An atom's plane is the sum over
+        # its cells of the cell's rows times the cell's chunk: a fixed
+        # part from the lanes and the pinned equality, plus the looped
+        # cells that hold 1.
         fns = {name: zeros[name] for name in language.functions}
         fns.update(zip((name for name, _ in fn_free), fn_combo))
         columns = _Columns(size, fns)
         atoms = []
         for atom, rank in program.atoms:
-            cells, rows = _row_sets(columns.cells(atom.args, rank))
-            atoms.append((slot_of[atom.symbol], cells, rows))
-        rel_space = itertools.product(*(
-            itertools.product((0, 1), repeat=size ** a) for _, a in rel_free
-        ))
-        for rel_combo in rel_space:
-            rels = rel_combo + pinned
+            fixed, looped, parts = 0, [], []
+            for cell, rows in zip(*_row_sets(columns.cells(atom.args, rank), lanes)):
+                if atom.symbol == eq:
+                    fixed += rows * ones * identity[cell]
+                elif (g := start[atom.symbol] + cell) < outer:
+                    looped.append(g)
+                    parts.append(rows * ones)
+                else:
+                    fixed += rows * chunks[g - outer]
+            atoms.append((fixed, looped, parts))
+        for bits in itertools.product((0, 1), repeat=outer):
             atom_planes = [
-                sum(itertools.compress(rows, map(rels[slot].__getitem__, cells)))
-                for slot, cells, rows in atoms
+                fixed + sum(itertools.compress(parts, map(bits.__getitem__, looped)))
+                for fixed, looped, parts in atoms
             ]
             planes: list[int] = []
             program.evaluate(planes, atom_planes)
-            if planes[root] != top:
-                rel_tables = {name: zeros[name] for name in language.predicates if name != eq}
-                rel_tables.update(zip((name for name, _ in rel_free), rel_combo))
-                return Structure(language, size, fns, rel_tables)
+            plane = planes[root]
+            if plane == top:
+                continue
+            passed = ones
+            for row in range(program.rows(root_rank)):
+                passed &= plane >> (row * lanes)
+            failed = ones ^ passed
+            lane = (failed & -failed).bit_length() - 1
+            values = bits + tuple((lane >> (inner - 1 - j)) & 1 for j in range(inner))
+            rel_tables = {name: zeros[name] for name in language.predicates if name != eq}
+            for name, arity in rel_free:
+                rel_tables[name] = values[start[name]:start[name] + size ** arity]
+            return Structure(language, size, fns, rel_tables)
     return None
 
 
@@ -724,6 +806,10 @@ def zmod_structure(m: int) -> Structure:
     """Modular arithmetic on {0..m-1} for the arithmetic language."""
     if m < 1:
         raise ValueError("modulus must be >= 1")
+    if m * m > DEFAULT_ROWS_CAP:
+        raise BoundExceeded(
+            f"zmod{m} needs {m}^2 table entries, over the cap of {DEFAULT_ROWS_CAP}"
+        )
     language = arithmetic_language()
     fn_tables = {
         "0": (0,),

@@ -4,7 +4,9 @@ import time
 
 import pytest
 
-from clonelogic.cli import main
+from clonelogic.cli import build_parser, main
+from clonelogic.errors import BoundExceeded
+from clonelogic.semantics import zmod_structure
 
 SIG = """\
 fn f/1
@@ -195,6 +197,32 @@ def test_eval_over_row_cap_exits_2_promptly(capsys):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and "rows" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--structure", "zmod5000", "--formula", "e(x1, x1)"],
+        ["qa_laws", "--structure", "zmod5000", "--depth", "1"],
+        ["peano", "--check-zmod", "5000"],
+    ],
+    ids=["eval", "qa_laws", "peano"],
+)
+def test_zmod_over_row_cap_exits_2_promptly(capsys, argv):
+    # zmod5000 would build 25,000,000-entry add and mul tables.
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "zmod5000" in err
+
+
+def test_zmod_at_row_cap_builds():
+    # 1024^2 entries is exactly the cap.
+    assert zmod_structure(1024).size == 1024
+    with pytest.raises(BoundExceeded, match="zmod1025"):
+        zmod_structure(1025)
 
 
 @pytest.fixture
@@ -421,3 +449,22 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, ["nonsense"])[0] == 2
     assert run(capsys, ["countermodel", "--signature", "x"])[0] == 2
     assert run(capsys, ["peano"])[0] == 2
+
+
+def test_main_calls_share_nothing_through_the_cached_parser(tmp_path, capsys):
+    # The parser is built once per process; values parsed in one call
+    # must not leak into the next, including the list default of the
+    # repeatable --hyp option.
+    assert build_parser() is build_parser()
+    path = tmp_path / "prop.txt"
+    path.write_text(PROP_PROOF)
+    argv = ["check_proof", str(path), "--prop"]
+    assert run(capsys, argv + ["--hyp", "a"]) == (0, "ACCEPTED\n", "")
+    assert run(capsys, ["taut", "(a -> a)"]) == (0, "TAUTOLOGY\n", "")
+    code, out, _ = run(capsys, argv)
+    assert code == 1 and out.startswith("REJECTED step 2")
+    assert run(capsys, argv + ["--hyp", "a"]) == (0, "ACCEPTED\n", "")
+    code, out, _ = run(capsys, argv + ["--hyp", "b"])
+    assert code == 1 and out.startswith("REJECTED step 2")
+    assert build_parser().parse_args(argv).hyp == []
+    assert vars(build_parser().parse_args(["taut", "a"])).keys() == {"command", "text", "handler"}

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from clonelogic.formulas import (
     Atom,
+    FAnd,
     FNot,
     Forall,
     FunctionType,
@@ -17,6 +18,7 @@ from clonelogic.formulas import (
     f_imp,
     frank,
 )
+from clonelogic import semantics
 from clonelogic.errors import BoundExceeded
 from clonelogic.semantics import (
     DEFAULT_ROWS_CAP,
@@ -191,3 +193,55 @@ def test_countermodel_search_matches_full_enumeration(p) -> None:
     assert countermodel_search(SMALL_LANG, p, 2) == expected
     assert countermodel_search(SMALL_LANG, p, 2, threads=2) == expected
 
+
+
+# Relation candidates over SMALL_LANG are r's cells, then s's; equality
+# is pinned.  At size 1 that is two cells, so four lanes hold both r and
+# s in one block; at size 2 it is six, and one, two or four lanes leave
+# the r cells and the first s cells to the looped path.
+r_c, s_cc = Atom("r", (c,)), Atom("s", (c, c))
+
+
+@pytest.mark.parametrize("lane_bits", [1, 2, 4, 64])
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(formulas(max_index=2, binary=False))
+@example(FNot(FAnd(r_c, s_cc)))  # only the last candidate at size 1, r = s = 1
+# Equivalent to ~r(c): at size 1 both candidates with r = 1 fail, so a
+# two-lane block holds two countermodels and the lower one is first.
+@example(FNot(FAnd(r_c, FNot(FAnd(s_cc, FNot(s_cc))))))
+# Valid at size 1; at size 2 first falsified by r = (0, 1) and
+# s = (0, 0, 0, 1), candidate 17: past the first block for up to 16 lanes.
+@example(f_imp(FAnd(Atom("r", (x1,)), Atom("s", (x1, x1))), Forall(Atom("r", (x1,)))))
+# The pinned equality: valid at size 1, where no x1 differs from c; at
+# size 2 first falsified by r = (0, 1) and s = (0, 0, 1, 0).
+@example(FNot(FAnd(FNot(Atom("e", (x1, c))), FAnd(Atom("r", (x1,)), Atom("s", (x1, c))))))
+@example(FNot(FAnd(Atom("e", (c, App("f", (c,)))), Forall(FAnd(Atom("r", (x1,)), Atom("s", (x1, c)))))))
+@example(f_imp(Forall(Atom("s", (x1, c))), Atom("s", (c, c))))  # valid: every block holds
+def test_lane_blocks_match_full_enumeration(monkeypatch, lane_bits, p) -> None:
+    # With the plane cut to lane_bits bits, a block holds at most that
+    # many candidates: 1, 2 and 4 lanes loop over most cells, and 64
+    # bits put every cell of a rank-0 formula in one block.
+    monkeypatch.setattr(semantics, "_LANE_BITS", lane_bits)
+    expected = oracle_countermodel(SMALL_LANG, FiniteBooleanAlg(1), p, 2)
+    assert countermodel_search(SMALL_LANG, p, 2) == expected
+
+
+@pytest.mark.parametrize("lane_bits", [1, 2, 4, 64])
+def test_lane_count_follows_the_widest_table(monkeypatch, lane_bits) -> None:
+    # A block has the most lanes, a power of two, that fit beside the
+    # widest table in lane_bits bits; at least one, and no more than
+    # there are candidates (2^2 at size 1, 2^6 at size 2).
+    monkeypatch.setattr(semantics, "_LANE_BITS", lane_bits)
+    seen = []
+    set_lanes = semantics._Program.set_lanes
+
+    def spy(program, lanes):
+        seen.append((program.size, lanes))
+        set_lanes(program, lanes)
+
+    monkeypatch.setattr(semantics._Program, "set_lanes", spy)
+    # Both use r and s; the widest table at size 2 has 1 row, then 2.
+    for p, rows in ((FAnd(r_c, s_cc), 1), (FAnd(r_c, Atom("s", (x1, c))), 2)):
+        seen.clear()
+        assert countermodel_search(SMALL_LANG, f_imp(p, p), 2) is None
+        assert seen == [(1, min(lane_bits, 4)), (2, max(min(lane_bits // rows, 64), 1))]
