@@ -89,6 +89,10 @@ def soundness_survey(
     a fresh batch of seeded random structures is drawn per instance.
     Every instance must be valid everywhere.
     """
+    if per_schema < 1:
+        raise ValueError("per_schema must be >= 1")
+    if max_size < 1:
+        raise ValueError("max_size must be >= 1")
     language = soundness_language()
     rng = random.Random(seed)
     small = list(enumerate_structures(language, 1))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import ArityMismatch
+from .errors import ArityMismatch, BoundExceeded
 from . import terms
 from .terms import (
     App,
@@ -367,14 +367,23 @@ def peano_induction(p: Formula) -> Formula:
 # exhaustive fragments
 # ------------------------------------------------------------------
 
+# Formulas one enumeration may return.  Each connective more in the
+# budget makes the output over ten times larger: four atoms give 268,
+# 3,244 and 44,524 formulas at budgets 2, 3 and 4.
+_MAX_ENUMERATED = 1 << 16
+
+
 def enumerate_formulas(atoms: Sequence[Formula], connectives: int) -> list[Formula]:
     """All formulas built from ``atoms`` with at most ``connectives`` nodes
     of negation, conjunction, or the binder.
 
     Deterministic order: by connective count, negations first, then binders,
     then conjunctions (left operand count ascending, operands in list order).
-    Grows fast in the budget; meant for small exhaustive oracles.
+    Grows fast in the budget; meant for small exhaustive oracles.  Raises
+    BoundExceeded as soon as the output would hold more than 2^16 formulas.
     """
+    if connectives < 0:
+        raise ValueError("connectives must be >= 0")
     by_count: list[list[Formula]] = [list(dict.fromkeys(atoms))]
     seen: set[Formula] = set(by_count[0])
     for budget in range(1, connectives + 1):
@@ -382,6 +391,11 @@ def enumerate_formulas(atoms: Sequence[Formula], connectives: int) -> list[Formu
 
         def emit(candidate: Formula) -> None:
             if candidate not in seen:
+                if len(seen) == _MAX_ENUMERATED:
+                    raise BoundExceeded(
+                        f"formulas with at most {connectives} connectives "
+                        f"pass the cap of {_MAX_ENUMERATED}"
+                    )
                 seen.add(candidate)
                 layer.append(candidate)
 

@@ -409,6 +409,71 @@ def test_soundness_unknown_schema(capsys):
     assert "A99" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["qa_laws", "--structure", "zmod2", "--rank-bound", "-1"], "rank_bound must be >= 0"),
+        (["qa_laws", "--structure", "zmod2", "--depth", "-1"], "connectives must be >= 0"),
+        (["soundness", "--count", "-3"], "per_schema must be >= 1"),
+        (["soundness", "--count", "0"], "per_schema must be >= 1"),
+        (["soundness", "--max-size", "-1"], "max_size must be >= 1"),
+        (["soundness", "--max-size", "0"], "max_size must be >= 1"),
+        (["countermodel", "--signature", "SIG", "--formula", "e(x1, x1)", "--max-size", "-1"],
+         "max_size must be >= 1"),
+    ],
+    ids=["rank-bound", "depth", "count", "count-zero", "max-size", "max-size-zero", "countermodel"],
+)
+def test_out_of_range_numeric_flags_exit_2(sig, capsys, argv, message):
+    # Each of these once exited 0 with a vacuous result, except countermodel.
+    argv = [sig if a == "SIG" else a for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_qa_laws_rank_bound_zero_still_runs(capsys):
+    # No atom of e fits coordinates 1..0, so the sample is empty; Q4 is
+    # compared at prefix length 1.
+    code, out, _ = run(capsys, ["qa_laws", "--structure", "zmod2", "--rank-bound", "0"])
+    assert code == 0
+    assert out == (
+        "Q1 pass checked=0\nQ2 pass checked=0\nQ3 pass checked=0\n"
+        "Q4 pass checked=2\nQ5 pass checked=0\n"
+    )
+
+
+def test_qa_laws_depth_3_runs(capsys):
+    # 3,244 formulas over e(xi, xj), i, j in 1..2: under the sample cap.
+    code, out, _ = run(capsys, ["qa_laws", "--structure", "zmod2", "--depth", "3"])
+    assert code == 0
+    assert out == (
+        "Q1 pass checked=18621\nQ2 pass checked=12016\nQ3 pass checked=12016\n"
+        "Q4 pass checked=4\nQ5 pass checked=12976\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # 44,524 formulas: enumerated, then refused by the law check.
+        (["--depth", "4"], "the law sample holds 44524 formulas, over the cap of 8192"),
+        # 51,489 formulas over nine atoms.
+        (["--depth", "3", "--rank-bound", "3"], "the law sample holds 51489 formulas"),
+        # Over 2^16 formulas: the enumeration stops.
+        (["--depth", "5"], "formulas with at most 5 connectives pass the cap of 65536"),
+    ],
+    ids=["depth-4", "rank-bound-3", "depth-5"],
+)
+def test_qa_laws_large_sample_exits_2_promptly(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["qa_laws", "--structure", "zmod2"] + argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
 def test_peano_emit_frozen(capsys):
     code, out, _ = run(capsys, ["peano", "--emit"])
     assert code == 0

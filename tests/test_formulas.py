@@ -360,3 +360,27 @@ def test_enumerate_formulas_deterministic() -> None:
     a = enumerate_formulas([r(x1), r(x2)], connectives=2)
     b = enumerate_formulas([r(x1), r(x2)], connectives=2)
     assert a == b
+
+
+def test_enumerate_formulas_rejects_negative_budget() -> None:
+    with pytest.raises(ValueError, match="connectives must be >= 0"):
+        enumerate_formulas([r(x1)], connectives=-1)
+    assert enumerate_formulas([r(x1), r(x1)], connectives=0) == [r(x1)]
+
+
+def test_enumerate_formulas_cap(monkeypatch) -> None:
+    from clonelogic import formulas
+
+    # Exactly at the cap the output is returned; one formula over raises.
+    monkeypatch.setattr(formulas, "_MAX_ENUMERATED", 16)
+    assert len(enumerate_formulas([r(x1)], connectives=2)) == 16
+    monkeypatch.setattr(formulas, "_MAX_ENUMERATED", 15)
+    with pytest.raises(BoundExceeded, match="at most 2 connectives pass the cap of 15"):
+        enumerate_formulas([r(x1)], connectives=2)
+
+
+def test_enumerate_formulas_stops_at_the_real_cap() -> None:
+    atoms = [s(Var(i), Var(j)) for i in (1, 2) for j in (1, 2)]
+    assert [len(enumerate_formulas(atoms, k)) for k in (2, 3, 4)] == [268, 3244, 44524]
+    with pytest.raises(BoundExceeded, match="pass the cap of 65536"):
+        enumerate_formulas(atoms, 5)

@@ -17,6 +17,7 @@ from clonelogic.formulas import (
     equality_atom,
     f_imp,
     frank,
+    fsubst,
 )
 from clonelogic import semantics
 from clonelogic.errors import BoundExceeded
@@ -34,7 +35,7 @@ from clonelogic.semantics import (
     qa_law_check,
     zmod_structure,
 )
-from clonelogic.terms import App, Var
+from clonelogic.terms import MINUS, SHIFT_UP, STAR, App, Var, cons_subst, forall_rotation
 
 from oracle import (
     oracle_counterexample_env,
@@ -160,13 +161,110 @@ def test_counterexample_env_matches_oracle(pair, p) -> None:
     assert counterexample_env(d, p, base) == oracle_counterexample_env(d, algebra, p, base)
 
 
+def lang_structure(size, bits, rel_tables, eq_identity=True):
+    """A structure over LANG: the given relation tables, zeros elsewhere."""
+    fn_tables = {name: (0,) * size ** arity for name, arity in LANG.functions.items()}
+    rels = {
+        name: (0,) * size ** arity for name, arity in LANG.predicates.items()
+        if not (eq_identity and name == LANG.equality)
+    }
+    rels.update(rel_tables)
+    return Structure(LANG, size, fn_tables, rels, eq_identity=eq_identity, truth_bits=bits)
+
+
+s12, r1 = Atom("s", (x1, Var(2))), Atom("r", (x1,))
+e12 = Atom("e", (x1, Var(2)))
+
+
 @settings(max_examples=40, deadline=None)
-@given(structures(), st.lists(formulas(max_index=2), min_size=1, max_size=4), st.data())
-def test_qa_law_check_matches_oracle(d, sample, data) -> None:
+@given(
+    structures(),
+    st.lists(formulas(max_index=2), min_size=1, max_size=4),
+    st.integers(0, 3),
+)
+# A duplicate: p is paired with itself at every Q1 offset.
+@example(lang_structure(2, 1, {"s": (0, 1, 1, 0), "r": (1, 0)}), [s12, s12], 2)
+# One formula: the Q1 offsets 0, 1 % 1 and 1 // 2 collapse to one.
+@example(lang_structure(3, 1, {"s": (1, 0, 1, 0, 1, 1, 0, 0, 1)}), [Forall(s12)], 1)
+# Two formulas: offsets 1 and 2 // 2 collapse.
+@example(lang_structure(2, 2, {"s": (3, 1, 2, 0), "r": (2, 1)}), [r1, FNot(Atom("s", (Var(2), x1)))], 2)
+# Five formulas make n // 2 a third offset.  Q1 holds in every
+# structure (a meet of meets), so no example can fail it; broken
+# equality fails Q4 and Q5 instead, Q5 at its second formula (the
+# first does not read x1).
+@example(
+    lang_structure(2, 1, {"s": (0, 1, 0, 1), "r": (0, 1), "e": (1, 1, 0, 0)}, eq_identity=False),
+    [FNot(Atom("r", (Var(2),))), r1, s12, Forall(s12), FAnd(r1, e12)],
+    2,
+)
+# Four-valued with broken equality: e(1, 1) is not top, so Q4 fails at
+# x2 = 1, and e(0, 1) meets s(0, 1) = 0 but s(1, 1) = 3, so Q5 fails.
+@example(
+    lang_structure(2, 2, {"s": (0, 0, 0, 3), "e": (3, 1, 0, 2)}, eq_identity=False),
+    [s12, r1],
+    2,
+)
+def test_qa_law_check_matches_oracle(d, sample, rank_bound) -> None:
     algebra = FiniteBooleanAlg(d.truth_bits)
-    rank_bound = data.draw(st.integers(max(frank(p) for p in sample), 3))
+    rank_bound = max(rank_bound, *(frank(p) for p in sample))
     expected = oracle_qa_law_check(d, algebra, sample, rank_bound)
     assert qa_law_check(d, algebra, sample, rank_bound) == expected
+
+
+# The clone acting on compiled nodes: the substitutions the laws use, and
+# the ones that bind named coordinates and instantiate the first one.
+clone_actions = st.one_of(
+    st.sampled_from([SHIFT_UP, STAR, MINUS]),
+    closed_terms.map(cons_subst),
+    st.integers(1, 3).map(forall_rotation),
+)
+
+
+@settings(deadline=None)
+@given(formulas(max_index=3), st.lists(clone_actions, min_size=1, max_size=3), st.integers(1, 3))
+def test_node_subst_matches_fsubst(p, sigmas, size) -> None:
+    # One program serves every substitution, so memoized images of one
+    # substitution must not leak into another; in the second program the
+    # substituted formula is compiled before its image is asked for.
+    program = semantics._Program(size)
+    node = program.add(p)
+    for sigma in sigmas:
+        assert program.subst(node, sigma) == program.add(fsubst(p, sigma))
+        assert program.subst(node, sigma) == program.add(fsubst(p, sigma))
+    other = semantics._Program(size)
+    expected = [other.add(fsubst(p, sigma)) for sigma in sigmas]
+    node = other.add(p)
+    assert [other.subst(node, sigma) for sigma in sigmas] == expected
+
+
+@settings(deadline=None)
+@given(formulas(max_index=3), formulas(max_index=3))
+def test_constructors_match_add(p, q) -> None:
+    program = semantics._Program(2)
+    a, b = program.add(p), program.add(q)
+    assert program.not_(a) == program.add(FNot(p))
+    assert program.and_(a, b) == program.add(FAnd(p, q))
+    assert program.forall(a) == program.add(Forall(p))
+    for atom, _ in program.atoms:
+        assert program.atom(atom) == program.add(atom)
+    assert len(program.nodes) == len(program._keys)
+
+
+def test_node_subst_walks_deep_chains_without_recursion() -> None:
+    # 5,000 levels, a binder every 50th: x150 sits below 100 binders, so
+    # the shift reaches it through 100 lifts as x151.  Over one element
+    # every table has one row, whatever the rank.
+    def chain(far):
+        phi = Atom("s", (x1, Var(far)))
+        for level in range(5000):
+            phi = Forall(phi) if level % 50 == 0 else FNot(phi)
+        return phi
+
+    program = semantics._Program(1)
+    node = program.add(chain(150))
+    assert program.subst(node, SHIFT_UP) == program.add(chain(151))
+    assert program.rank(program.subst(node, SHIFT_UP)) == 51
+    assert program.subst(node, STAR) == node
 
 
 def test_qa_law_check_truncates_sides_past_the_rank_bound() -> None:
