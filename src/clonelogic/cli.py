@@ -165,9 +165,9 @@ def cmd_axiom(args) -> int:
 
 def cmd_check_proof(args) -> int:
     if args.prop:
-        steps = load_prop_proof(_read(args.proof))
+        proof = load_prop_proof(_read(args.proof))
         hypotheses = tuple(parse_prop(text) for text in args.hyp)
-        result = check_prop_proof(steps, hypotheses)
+        result = check_prop_proof(proof, hypotheses)
     else:
         language = _language(args)
         proof, theory_name = load_proof(_read(args.proof), language)

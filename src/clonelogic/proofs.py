@@ -30,12 +30,12 @@ from .formulas import (
     f_imp,
     fsubst,
 )
-from .propositional import CheckResult
 from .terms import Substitution, Var
 
 __all__ = [
     "AXIOM_IDS",
     "AxiomInstanceSpec",
+    "build_prime_axiom",
     "instantiate_prime_axiom",
     "instantiate_axiom",
     "Theory",
@@ -46,6 +46,7 @@ __all__ = [
     "ByGen",
     "ProofStep",
     "Proof",
+    "CheckResult",
     "check_proof",
     "derives",
     "inconsistency_witness",
@@ -91,8 +92,10 @@ def _equality_symbol(language: Language, axiom: str) -> str:
     return name
 
 
-def instantiate_prime_axiom(spec: AxiomInstanceSpec, language: Language) -> Formula:
-    """Build the prime (binder-free at the top) instance of the schema."""
+def build_prime_axiom(spec: AxiomInstanceSpec, language: Language | None = None) -> Formula:
+    """The prime (binder-free at the top) instance of the schema, not
+    checked against a language.  Only A7 and A8 read the language, for
+    its equality symbol, so A1..A6 build without one."""
     axiom = spec.axiom
     if axiom == "A1":
         (p,) = _need(spec, "p")
@@ -128,6 +131,12 @@ def instantiate_prime_axiom(spec: AxiomInstanceSpec, language: Language) -> Form
         out = f_imp(FAnd(head, fsubst(p, sub)), fsubst(p, terms.dup_second(sub)))
     else:
         raise ValueError(f"unknown axiom {axiom!r}")
+    return out
+
+
+def instantiate_prime_axiom(spec: AxiomInstanceSpec, language: Language) -> Formula:
+    """Build the prime instance of the schema and check it against the language."""
+    out = build_prime_axiom(spec, language)
     check_formula(out, language)
     return out
 
@@ -203,6 +212,15 @@ class Proof:
         if self.kind not in ("local", "global"):
             raise ValueError(f"proof kind must be 'local' or 'global', got {self.kind!r}")
         object.__setattr__(self, "steps", tuple(self.steps))
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """Outcome of a proof check; ``step`` is the 0-based first failure."""
+
+    ok: bool
+    step: int | None = None
+    reason: str | None = None
 
 
 def check_proof(proof: Proof, theory: Theory) -> CheckResult:

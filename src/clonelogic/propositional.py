@@ -1,4 +1,9 @@
-"""Propositional terms and finite proposition algebras.
+"""Propositions and finite proposition algebras.
+
+A proposition is a quantifier-free formula whose atoms are letters:
+``Atom(letter, ())``, a nullary predicate symbol.  So propositions share
+the formula type, its connectives and its evaluator, and a tautology is
+a formula true in every one-element structure over its letters.
 
 A proposition algebra is any set with a unary operation (negation) and a
 binary operation (conjunction); no equations are assumed.  Everything else
@@ -14,24 +19,23 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import BoundExceeded, LogicError
+from .formulas import Atom, FAnd, Formula, FunctionType, Language, PredicateType, f_imp
+from .proofs import (
+    AxiomInstanceSpec,
+    ByAxiom,
+    ByHyp,
+    ByMP,
+    CheckResult,
+    Proof,
+    build_prime_axiom,
+)
+from .semantics import countermodel_search
 
 __all__ = [
-    "PVar",
-    "PNot",
-    "PAnd",
-    "PropTerm",
-    "por",
-    "pimp",
-    "piff",
-    "expand_sugar",
-    "prop_variables",
-    "eval_prop",
-    "truth_table",
     "tautology",
-    "semantic_consequence",
     "FinitePropAlgebra",
     "algebra_two",
     "bitmask_algebra",
@@ -50,114 +54,30 @@ __all__ = [
     "is_boolean",
     "lindenbaum",
     "free_boolean_classes",
-    "CheckResult",
-    "PropAxiom",
-    "PropHyp",
-    "PropMP",
-    "PropStep",
     "check_prop_proof",
 ]
 
 
-@dataclass(frozen=True)
-class PVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class PNot:
-    body: "PropTerm"
-
-
-@dataclass(frozen=True)
-class PAnd:
-    left: "PropTerm"
-    right: "PropTerm"
-
-
-PropTerm = Union[PVar, PNot, PAnd]
-
-
-def por(p: PropTerm, q: PropTerm) -> PropTerm:
-    return PNot(PAnd(PNot(p), PNot(q)))
-
-
-def pimp(p: PropTerm, q: PropTerm) -> PropTerm:
-    return por(PNot(p), q)
-
-
-def piff(p: PropTerm, q: PropTerm) -> PropTerm:
-    return PAnd(pimp(p, q), pimp(q, p))
-
-
-def expand_sugar(kind: str, p: PropTerm, q: PropTerm) -> PropTerm:
-    """Expand a derived connective ('or', 'imp', 'iff') into the core."""
-    if kind == "or":
-        return por(p, q)
-    if kind == "imp":
-        return pimp(p, q)
-    if kind == "iff":
-        return piff(p, q)
-    raise ValueError(f"unknown connective {kind!r}")
-
-
-def prop_variables(term: PropTerm) -> tuple[str, ...]:
-    """Variable names occurring in the term, sorted."""
-    out: set[str] = set()
-
-    def walk(t: PropTerm) -> None:
-        match t:
-            case PVar(name):
-                out.add(name)
-            case PNot(body):
-                walk(body)
-            case PAnd(left, right):
-                walk(left)
-                walk(right)
-
-    walk(term)
-    return tuple(sorted(out))
-
-
-def eval_prop(term: PropTerm, assignment: dict[str, bool]) -> bool:
-    match term:
-        case PVar(name):
-            return assignment[name]
-        case PNot(body):
-            return not eval_prop(body, assignment)
-        case PAnd(left, right):
-            return eval_prop(left, assignment) and eval_prop(right, assignment)
-
-
-def truth_table(term: PropTerm, var_order: Sequence[str]) -> int:
-    """Bitmask of rows where the term is true.
-
-    Row r assigns variable i the bit (r >> i) & 1 of r.
-    """
-    mask = 0
-    for row in range(1 << len(var_order)):
-        assignment = {v: bool((row >> i) & 1) for i, v in enumerate(var_order)}
-        if eval_prop(term, assignment):
-            mask |= 1 << row
-    return mask
-
-
-def tautology(term: PropTerm) -> bool:
-    names = prop_variables(term)
-    return truth_table(term, names) == (1 << (1 << len(names))) - 1
-
-
-def semantic_consequence(hypotheses: Sequence[PropTerm], term: PropTerm) -> bool:
-    """True when every assignment satisfying all hypotheses satisfies the term."""
-    seen = set(prop_variables(term))
-    for h in hypotheses:
-        seen.update(prop_variables(h))
-    names = sorted(seen)
-    for row in range(1 << len(names)):
-        assignment = {v: bool((row >> i) & 1) for i, v in enumerate(names)}
-        if all(eval_prop(h, assignment) for h in hypotheses) and not eval_prop(term, assignment):
-            return False
-    return True
+def tautology(formula: Formula) -> bool:
+    """True when no one-element structure over the formula's letters, read
+    as nullary predicate symbols, falsifies it: the countermodel search at
+    size 1, whose candidates are the rows of the truth table."""
+    letters: dict[str, int] = {}
+    seen: set[int] = set()
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, Atom):
+            letters[node.symbol] = 0
+        elif isinstance(node, FAnd):
+            stack += (node.left, node.right)
+        else:
+            stack.append(node.body)
+    language = Language(FunctionType(), PredicateType(letters))
+    return countermodel_search(language, formula, 1) is None
 
 
 # ------------------------------------------------------------------
@@ -494,9 +414,9 @@ def free_boolean_classes(num_vars: int, depth: int) -> frozenset[int]:
     of closing under negation and conjunction."""
     rows = 1 << num_vars
     full = (1 << rows) - 1
+    # Row r gives variable i the value (r >> i) & 1.
     current: frozenset[int] = frozenset(
-        truth_table(PVar(f"v{i}"), [f"v{j}" for j in range(num_vars)])
-        for i in range(num_vars)
+        sum(1 << row for row in range(rows) if row >> i & 1) for i in range(num_vars)
     )
     for _ in range(depth):
         step = set(current)
@@ -512,85 +432,48 @@ def free_boolean_classes(num_vars: int, depth: int) -> frozenset[int]:
 # propositional proofs
 # ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of a proof check; ``step`` is the 0-based first failure."""
-
-    ok: bool
-    step: int | None = None
-    reason: str | None = None
-
-
-@dataclass(frozen=True)
-class PropAxiom:
-    """Instance of axiom schema 1, 2, or 3 at the given propositions."""
-
-    number: int
-    p: PropTerm
-    q: PropTerm | None = None
-    r: PropTerm | None = None
+def _prop_axiom_gap(spec: AxiomInstanceSpec) -> str | None:
+    """Why the spec names no propositional axiom instance, or None."""
+    number = spec.axiom[1:]
+    if spec.axiom not in ("A1", "A2", "A3"):
+        return f"no propositional axiom {number}"
+    if spec.p is None:
+        return f"axiom {number} needs p"
+    if number == "2" and spec.q is None:
+        return "axiom 2 needs q"
+    if number == "3" and (spec.q is None or spec.r is None):
+        return "axiom 3 needs q and r"
+    if spec.gen_count:
+        return "propositional axioms take no binders"
+    return None
 
 
-@dataclass(frozen=True)
-class PropHyp:
-    index: int
+def check_prop_proof(proof: Proof, hypotheses: Sequence[Formula] = ()) -> CheckResult:
+    """Certificate check of a proof from A1..A3, hypotheses and modus ponens.
 
-
-@dataclass(frozen=True)
-class PropMP:
-    premise: int
-    implication: int
-
-
-PropJustification = Union[PropAxiom, PropHyp, PropMP]
-
-
-@dataclass(frozen=True)
-class PropStep:
-    formula: PropTerm
-    by: PropJustification
-
-
-def build_prop_axiom(just: PropAxiom) -> PropTerm:
-    if just.number == 1:
-        return pimp(just.p, PAnd(just.p, just.p))
-    if just.number == 2:
-        if just.q is None:
-            raise ValueError("axiom 2 needs q")
-        return pimp(PAnd(just.p, just.q), just.p)
-    if just.number == 3:
-        if just.q is None or just.r is None:
-            raise ValueError("axiom 3 needs q and r")
-        return pimp(
-            pimp(just.p, just.q),
-            pimp(PNot(PAnd(just.q, just.r)), PNot(PAnd(just.r, just.p))),
-        )
-    raise ValueError(f"no propositional axiom {just.number}")
-
-
-def check_prop_proof(
-    steps: Sequence[PropStep], hypotheses: Sequence[PropTerm] = ()
-) -> CheckResult:
-    """Certificate check: every step must be exactly what its justification builds."""
+    Every step must be exactly what its justification builds, with the
+    schemata of ``proofs``.  Unlike ``check_proof`` there is no language
+    to check the formulas against: any atom is a letter.
+    """
+    steps = proof.steps
     for i, step in enumerate(steps):
         by = step.by
         match by:
-            case PropAxiom():
-                try:
-                    expected = build_prop_axiom(by)
-                except ValueError as exc:
-                    return CheckResult(False, i, str(exc))
-                if expected != step.formula:
+            case ByAxiom(spec):
+                gap = _prop_axiom_gap(spec)
+                if gap is not None:
+                    return CheckResult(False, i, gap)
+                if build_prime_axiom(spec) != step.formula:
                     return CheckResult(False, i, "formula is not that axiom instance")
-            case PropHyp(index):
+            case ByHyp(index):
                 if not 0 <= index < len(hypotheses):
                     return CheckResult(False, i, f"hypothesis {index} out of range")
                 if hypotheses[index] != step.formula:
                     return CheckResult(False, i, f"formula is not hypothesis {index}")
-            case PropMP(premise, implication):
+            case ByMP(premise, implication):
                 if not (0 <= premise < i and 0 <= implication < i):
                     return CheckResult(False, i, "modus ponens must cite earlier steps")
-                if steps[implication].formula != pimp(steps[premise].formula, step.formula):
+                if steps[implication].formula != f_imp(steps[premise].formula, step.formula):
                     return CheckResult(False, i, "cited implication does not match")
             case _:
                 return CheckResult(False, i, f"unknown justification {by!r}")

@@ -21,6 +21,7 @@ perfect valuations.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .errors import BoundExceeded, LogicError
@@ -58,6 +59,10 @@ DEFAULT_CELLS_CAP = 64
 # holds n**r rows per bit plane.  It also caps the m**2-entry tables of
 # zmod_structure(m).
 DEFAULT_ROWS_CAP = 1 << 20
+# Candidate structures the countermodel search may try at one domain
+# size: every function table times every 0/1 filling of the relation
+# cells, over the symbols the formula uses.
+CANDIDATES_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -769,8 +774,10 @@ def countermodel_search(
     per lane (see the notes on tables above): the last relation cells in
     enumeration order are the lanes, so a block is a run of consecutive
     candidates, and the lowest lane that fails is the first countermodel
-    in the block.  ``threads`` is accepted for compatibility and
-    ignored: the search runs on the calling thread.
+    in the block.  A size with more than ``CANDIDATES_CAP`` candidates
+    raises ``BoundExceeded`` before any is tried.  ``threads`` is
+    accepted for compatibility and ignored: the search runs on the
+    calling thread.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
@@ -816,6 +823,12 @@ def _search_size(language: Language, formula: Formula, size: int) -> Structure |
     for name, arity in rel_free:
         start[name] = cells
         cells += size ** arity
+    candidates = math.prod(size ** size ** a for _, a in fn_free) << cells
+    if candidates > CANDIDATES_CAP:
+        raise BoundExceeded(
+            f"size {size} has {candidates} candidate structures, over the cap "
+            f"of {CANDIDATES_CAP}"
+        )
     widest = max(program.rows(rank) for rank in program.full)
     inner = 0
     while inner < cells and (2 << inner) * widest <= _LANE_BITS:

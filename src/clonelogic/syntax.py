@@ -29,20 +29,7 @@ from .formulas import (
     forall_xi,
     exists,
 )
-from .propositional import (
-    FinitePropAlgebra,
-    PAnd,
-    PNot,
-    PropAxiom,
-    PropHyp,
-    PropMP,
-    PropStep,
-    PropTerm,
-    PVar,
-    piff,
-    pimp,
-    por,
-)
+from .propositional import FinitePropAlgebra
 from .proofs import (
     AXIOM_IDS,
     AxiomInstanceSpec,
@@ -84,13 +71,8 @@ _TOKEN_RE = re.compile(
 # also a word or an integer, so the parser tests punctuation by text alone.
 Token = tuple[str, str, int]
 
-# Binary connective text -> (formula builder, propositional builder).
-_CONNECTIVES = {
-    "&": (FAnd, PAnd),
-    "|": (f_or, por),
-    "->": (f_imp, pimp),
-    "<->": (f_iff, piff),
-}
+# Binary connective text -> formula builder.
+_CONNECTIVES = {"&": FAnd, "|": f_or, "->": f_imp, "<->": f_iff}
 
 
 def _position(source: str, start_line: int, offset: int) -> tuple[int, int]:
@@ -114,16 +96,19 @@ class _Parser:
     """Recursive-descent cursor over the token tuples of one source text.
 
     The cursor never moves past the end token: every step forward follows
-    a test that the current token is not the end.
+    a test that the current token is not the end.  ``letters`` maps each
+    propositional letter read so far to its one ``Atom``; parsers of the
+    lines of one file share it.
     """
 
-    __slots__ = ("source", "start_line", "tokens", "pos")
+    __slots__ = ("source", "start_line", "tokens", "pos", "letters")
 
-    def __init__(self, source: str, start_line: int = 1):
+    def __init__(self, source: str, start_line: int = 1, letters: dict | None = None):
         self.source = source
         self.start_line = start_line
         self.tokens = tokenize(source, start_line)
         self.pos = 0
+        self.letters = {} if letters is None else letters
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -207,12 +192,12 @@ class _Parser:
         if text == "(":
             self.pos += 1
             left = self.formula(language)
-            builders = _CONNECTIVES.get(tokens[self.pos][1])
-            if builders is not None:
+            builder = _CONNECTIVES.get(tokens[self.pos][1])
+            if builder is not None:
                 self.pos += 1
                 right = self.formula(language)
                 self.expect_punct(")")
-                return builders[0](left, right)
+                return builder(left, right)
             self.expect_punct(")")
             return left
         if kind != "word":
@@ -289,28 +274,31 @@ class _Parser:
         except ValueError as err:
             raise self.error(str(err), opener) from err
 
-    # ----- propositional terms -----
+    # ----- propositions: formulas over letters -----
 
-    def prop(self) -> PropTerm:
+    def prop(self) -> Formula:
         tokens = self.tokens
         kind, text, offset = tokens[self.pos]
         if text == "~":
             self.pos += 1
-            return PNot(self.prop())
+            return FNot(self.prop())
         if text == "(":
             self.pos += 1
             left = self.prop()
-            builders = _CONNECTIVES.get(tokens[self.pos][1])
-            if builders is not None:
+            builder = _CONNECTIVES.get(tokens[self.pos][1])
+            if builder is not None:
                 self.pos += 1
                 right = self.prop()
                 self.expect_punct(")")
-                return builders[1](left, right)
+                return builder(left, right)
             self.expect_punct(")")
             return left
         if kind == "word":
             self.pos += 1
-            return PVar(text)
+            letter = self.letters.get(text)
+            if letter is None:
+                letter = self.letters[text] = Atom(text, ())
+            return letter
         raise self.error("expected a propositional term", offset)
 
     # ----- axiom instance recipes -----
@@ -342,11 +330,11 @@ class _Parser:
             self.expect_punct(")")
         return AxiomInstanceSpec(axiom, **fields)
 
-    def prop_axiom(self) -> PropAxiom:
+    def prop_axiom(self) -> AxiomInstanceSpec:
         _, axiom, offset = self.expect_word()
         if axiom not in ("A1", "A2", "A3"):
             raise self.error(f"unknown propositional axiom {axiom!r}", offset)
-        fields: dict[str, PropTerm] = {}
+        fields: dict[str, Formula] = {}
         self.expect_punct("(")
         while not self.at_punct(")"):
             _, field, field_offset = self.expect_word()
@@ -359,7 +347,7 @@ class _Parser:
             elif not self.at_punct(")"):
                 raise self.fail("expected ',' or ')'")
         self.expect_punct(")")
-        return PropAxiom(int(axiom[1]), **fields)
+        return AxiomInstanceSpec(axiom, **fields)
 
 
 def _parse_all(text: str, grab) -> object:
@@ -385,7 +373,7 @@ def parse_env(text: str) -> Env:
     return _parse_all(text, lambda p: p.env())
 
 
-def parse_prop(text: str) -> PropTerm:
+def parse_prop(text: str) -> Formula:
     return _parse_all(text, lambda p: p.prop())
 
 
@@ -441,15 +429,9 @@ def format_env(env: Env) -> str:
     return f"[; {env.default}]"
 
 
-def format_prop_term(term: PropTerm) -> str:
-    match term:
-        case PVar(name):
-            return name
-        case PNot(body):
-            return f"~{format_prop_term(body)}"
-        case PAnd(left, right):
-            return f"({format_prop_term(left)} & {format_prop_term(right)})"
-    raise TypeError(f"not a propositional term: {term!r}")
+# Propositions are formulas; the old name stays because
+# perfbench/tracer.py wraps it by name.
+format_prop_term = format_formula
 
 
 def format_axiom_spec(spec: AxiomInstanceSpec) -> str:
@@ -498,17 +480,13 @@ def _content_lines(text: str):
             yield number, stripped
 
 
-def _line_parser(line: str, number: int) -> _Parser:
-    return _Parser(line, number)
-
-
 def load_signature(text: str) -> Language:
     """Language from `fn name/arity` and `rel name/arity [equality]` lines."""
     functions: dict[str, int] = {}
     predicates: dict[str, int] = {}
     equality = None
     for number, line in _content_lines(text):
-        parser = _line_parser(line, number)
+        parser = _Parser(line, number)
         _, head, offset = parser.expect_word()
         if head not in ("fn", "rel"):
             raise parser.error("expected 'fn' or 'rel'", offset)
@@ -540,7 +518,7 @@ def load_structure(text: str, language: Language) -> Structure:
     rel_tables: dict[str, tuple[int, ...]] = {}
     identity_flag = False
     for number, line in _content_lines(text):
-        parser = _line_parser(line, number)
+        parser = _Parser(line, number)
         _, head, offset = parser.expect_word()
         if head == "domain":
             size = parser.expect_int()
@@ -573,7 +551,7 @@ def load_prop_algebra(text: str) -> FinitePropAlgebra:
     not_table: tuple[int, ...] | None = None
     and_rows: dict[int, tuple[int, ...]] = {}
     for number, line in _content_lines(text):
-        parser = _line_parser(line, number)
+        parser = _Parser(line, number)
         _, head, offset = parser.expect_word()
         if head == "size":
             size = parser.expect_int()
@@ -616,7 +594,7 @@ def load_theory(text: str, language: Language) -> Theory:
     name = None
     formulas = []
     for number, line in _content_lines(text):
-        parser = _line_parser(line, number)
+        parser = _Parser(line, number)
         if name is None:
             parser.expect_word("theory")
             name = parser.expect_word()[1]
@@ -651,7 +629,7 @@ def load_proof(text: str, language: Language) -> tuple[Proof, str | None]:
         return value - 1
 
     for number, line in _content_lines(text):
-        parser = _line_parser(line, number)
+        parser = _Parser(line, number)
         if kind is None:
             _, head, offset = parser.expect_word()
             if head not in ("local", "global"):
@@ -698,11 +676,12 @@ def load_proof(text: str, language: Language) -> tuple[Proof, str | None]:
     return Proof(kind, tuple(steps)), theory_name
 
 
-def load_prop_proof(text: str) -> list[PropStep]:
-    """Propositional proof: numbered steps with A1/A2/A3, hyp, and mp."""
-    steps: list[PropStep] = []
+def load_prop_proof(text: str) -> Proof:
+    """Local proof over letters: numbered steps with A1/A2/A3, hyp, and mp."""
+    steps: list[ProofStep] = []
+    letters: dict[str, Atom] = {}
     for number, line in _content_lines(text):
-        parser = _line_parser(line, number)
+        parser = _Parser(line, number, letters)
         offset = parser.peek()[2]
         index = parser.expect_int()
         if index != len(steps) + 1:
@@ -712,7 +691,7 @@ def load_prop_proof(text: str) -> list[PropStep]:
         parser.expect_word("by")
         kind, keyword, _ = parser.peek()
         if kind == "word" and keyword in ("A1", "A2", "A3"):
-            by = parser.prop_axiom()
+            by = ByAxiom(parser.prop_axiom())
         else:
             _, keyword, offset = parser.expect_word()
             if keyword == "hyp":
@@ -720,7 +699,7 @@ def load_prop_proof(text: str) -> list[PropStep]:
                 value = parser.expect_int()
                 if value < 1:
                     raise parser.error("hypothesis references are 1-based", offset)
-                by = PropHyp(value - 1)
+                by = ByHyp(value - 1)
             elif keyword == "mp":
                 refs = []
                 for _ in range(2):
@@ -729,11 +708,11 @@ def load_prop_proof(text: str) -> list[PropStep]:
                     if not 1 <= value <= len(steps):
                         raise parser.error(f"step reference {value} out of range", offset)
                     refs.append(value - 1)
-                by = PropMP(refs[0], refs[1])
+                by = ByMP(refs[0], refs[1])
             else:
                 raise parser.error(
                     "expected 'A1', 'A2', 'A3', 'hyp', or 'mp'", offset
                 )
         parser.expect_end()
-        steps.append(PropStep(formula, by))
-    return steps
+        steps.append(ProofStep(formula, by))
+    return Proof("local", tuple(steps))

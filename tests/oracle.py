@@ -4,7 +4,9 @@ The evaluator walks the formula tree once per environment, as the
 package did before formulas were evaluated as whole tables, and each
 ``oracle_*`` function restates a library entry point on top of it.
 ``oracle_check_formula`` is the well-formedness check as it was before
-it became an explicit-stack walk over shared nodes.
+it became an explicit-stack walk over shared nodes, and
+``oracle_consequence`` is the truth-table route propositional
+tautologies took before they became the countermodel search at size 1.
 """
 
 from __future__ import annotations
@@ -169,3 +171,40 @@ def oracle_perfect_check(structure, algebra, env: Env, candidates, sample) -> Pe
             inconclusive=witness is None,
         ))
     return PerfectReport(tuple(entries))
+
+
+def _prop_value(formula, row: dict[str, bool]) -> bool:
+    match formula:
+        case Atom(letter, ()):
+            return row[letter]
+        case FNot(body):
+            return not _prop_value(body, row)
+        case FAnd(left, right):
+            return _prop_value(left, row) and _prop_value(right, row)
+    raise TypeError(f"not a proposition: {formula!r}")
+
+
+def _prop_letters(formula, out: set[str]) -> set[str]:
+    match formula:
+        case Atom(letter, ()):
+            out.add(letter)
+        case FNot(body):
+            _prop_letters(body, out)
+        case FAnd(left, right):
+            _prop_letters(left, out)
+            _prop_letters(right, out)
+    return out
+
+
+def oracle_consequence(hypotheses, formula) -> bool:
+    """Every row of the truth table that makes all hypotheses true makes
+    the formula true; with no hypotheses, the formula is a tautology."""
+    letters = set()
+    for p in (*hypotheses, formula):
+        _prop_letters(p, letters)
+    order = sorted(letters)
+    for values in itertools.product((False, True), repeat=len(order)):
+        row = dict(zip(order, values))
+        if all(_prop_value(h, row) for h in hypotheses) and not _prop_value(formula, row):
+            return False
+    return True

@@ -10,7 +10,7 @@ edits that would accidentally produce another valid proof.
 
 import dataclasses
 
-from clonelogic.formulas import FNot, Forall
+from clonelogic.formulas import FAnd, FNot, Forall
 from clonelogic.proofs import (
     ByAxiom,
     ByGen,
@@ -20,7 +20,6 @@ from clonelogic.proofs import (
     Proof,
     Theory,
 )
-from clonelogic.propositional import PAnd, PNot, PropAxiom, PropHyp, PropMP
 from clonelogic.syntax import load_proof, load_prop_proof, load_signature, load_theory
 from clonelogic.terms import SHIFT_UP
 
@@ -198,14 +197,14 @@ def load_predicate_corpus():
 
 
 def load_propositional_corpus():
-    """List of (name, steps, hypotheses) with real objects."""
+    """List of (name, proof, hypotheses) with real objects."""
     from clonelogic.syntax import parse_prop
 
     out = []
     for name, text, hyp_texts in PROPOSITIONAL_PROOFS:
-        steps = load_prop_proof(text)
+        proof = load_prop_proof(text)
         hypotheses = tuple(parse_prop(h) for h in hyp_texts)
-        out.append((name, steps, hypotheses))
+        out.append((name, proof, hypotheses))
     return out
 
 
@@ -276,41 +275,43 @@ def predicate_mutants(proof, theory):
         yield "kind demoted to local", Proof("local", steps)
 
 
-def propositional_mutants(steps, hypotheses):
-    """Yield (description, broken step list) pairs, one edit each."""
+def propositional_mutants(proof, hypotheses):
+    """Yield (description, broken proof) pairs, one edit each."""
+    steps = proof.steps
+
     def with_step(index, step):
-        out = list(steps)
-        out[index] = step
-        return out
+        return _with_step(proof, index, step)
 
     for i, step in enumerate(steps):
         label = f"step {i + 1}"
         yield (
             f"{label} formula negated",
-            with_step(i, dataclasses.replace(step, formula=PNot(step.formula))),
+            with_step(i, dataclasses.replace(step, formula=FNot(step.formula))),
         )
         yield (
             f"{label} formula self-conjoined",
-            with_step(i, dataclasses.replace(step, formula=PAnd(step.formula, step.formula))),
+            with_step(i, dataclasses.replace(step, formula=FAnd(step.formula, step.formula))),
         )
 
         def rejust(by, note):
             return (f"{label} {note}", with_step(i, dataclasses.replace(step, by=by)))
 
         by = step.by
-        if isinstance(by, PropAxiom):
-            yield rejust(dataclasses.replace(by, p=PNot(by.p)), "axiom parameter negated")
-            yield rejust(dataclasses.replace(by, number=by.number % 3 + 1), "axiom renumbered")
-        elif isinstance(by, PropHyp):
-            yield rejust(PropHyp(len(hypotheses)), "hypothesis index out of range")
+        if isinstance(by, ByAxiom):
+            spec = by.spec
+            renumbered = f"A{int(spec.axiom[1]) % 3 + 1}"
+            yield rejust(ByAxiom(dataclasses.replace(spec, p=FNot(spec.p))), "axiom parameter negated")
+            yield rejust(ByAxiom(dataclasses.replace(spec, axiom=renumbered)), "axiom renumbered")
+        elif isinstance(by, ByHyp):
+            yield rejust(ByHyp(len(hypotheses)), "hypothesis index out of range")
             for j, candidate in enumerate(hypotheses):
                 if j != by.index and candidate != hypotheses[by.index]:
-                    yield rejust(PropHyp(j), f"hypothesis retargeted to {j + 1}")
-        elif isinstance(by, PropMP):
-            yield rejust(PropMP(i, by.implication), "premise references itself")
-            yield rejust(PropMP(by.premise, len(steps)), "implication references past the end")
+                    yield rejust(ByHyp(j), f"hypothesis retargeted to {j + 1}")
+        elif isinstance(by, ByMP):
+            yield rejust(ByMP(i, by.implication), "premise references itself")
+            yield rejust(ByMP(by.premise, len(steps)), "implication references past the end")
             for j in range(i):
                 if j != by.premise and steps[j].formula != steps[by.premise].formula:
-                    yield rejust(PropMP(j, by.implication), f"premise retargeted to {j + 1}")
+                    yield rejust(ByMP(j, by.implication), f"premise retargeted to {j + 1}")
                 if j != by.implication and steps[j].formula != steps[by.implication].formula:
-                    yield rejust(PropMP(by.premise, j), f"implication retargeted to {j + 1}")
+                    yield rejust(ByMP(by.premise, j), f"implication retargeted to {j + 1}")

@@ -42,20 +42,7 @@ from clonelogic.proofs import (
     ProofStep,
     Theory,
 )
-from clonelogic.propositional import (
-    FinitePropAlgebra,
-    PAnd,
-    PNot,
-    PropAxiom,
-    PropHyp,
-    PropMP,
-    PropStep,
-    PropTerm,
-    PVar,
-    piff,
-    pimp,
-    por,
-)
+from clonelogic.propositional import FinitePropAlgebra
 from clonelogic.semantics import Env, Structure
 from clonelogic.terms import (
     App,
@@ -315,11 +302,11 @@ class _Parser:
 
     # ----- propositional terms -----
 
-    def prop(self) -> PropTerm:
+    def prop(self) -> Formula:
         token = self.peek()
         if self.at_punct("~"):
             self.advance()
-            return PNot(self.prop())
+            return FNot(self.prop())
         if self.at_punct("("):
             self.advance()
             left = self.prop()
@@ -328,13 +315,13 @@ class _Parser:
                 self.advance()
                 right = self.prop()
                 self.expect_punct(")")
-                builder = {"&": PAnd, "|": por, "->": pimp, "<->": piff}
+                builder = {"&": FAnd, "|": f_or, "->": f_imp, "<->": f_iff}
                 return builder[connective.text](left, right)
             self.expect_punct(")")
             return left
         if token.kind == "word":
             self.advance()
-            return PVar(token.text)
+            return Atom(token.text, ())
         raise self.fail("expected a propositional term")
 
     # ----- axiom instance recipes -----
@@ -371,13 +358,13 @@ class _Parser:
             self.expect_punct(")")
         return AxiomInstanceSpec(token.text, **fields)
 
-    def prop_axiom(self) -> PropAxiom:
+    def prop_axiom(self) -> AxiomInstanceSpec:
         token = self.expect_word()
         if token.text not in ("A1", "A2", "A3"):
             raise ParseError(
                 f"unknown propositional axiom {token.text!r}", token.line, token.col
             )
-        fields: dict[str, PropTerm] = {}
+        fields: dict[str, Formula] = {}
         self.expect_punct("(")
         while not self.at_punct(")"):
             name_token = self.expect_word()
@@ -394,7 +381,7 @@ class _Parser:
             elif not self.at_punct(")"):
                 raise self.fail("expected ',' or ')'")
         self.expect_punct(")")
-        return PropAxiom(int(token.text[1]), **fields)
+        return AxiomInstanceSpec(token.text, **fields)
 
 
 def _parse_all(text: str, grab) -> object:
@@ -420,7 +407,7 @@ def parse_env(text: str) -> Env:
     return _parse_all(text, lambda p: p.env())
 
 
-def parse_prop(text: str) -> PropTerm:
+def parse_prop(text: str) -> Formula:
     return _parse_all(text, lambda p: p.prop())
 
 
@@ -643,9 +630,9 @@ def load_proof(text: str, language: Language) -> tuple[Proof, str | None]:
     return Proof(kind, tuple(steps)), theory_name
 
 
-def load_prop_proof(text: str) -> list[PropStep]:
+def load_prop_proof(text: str) -> Proof:
     """Propositional proof: numbered steps with A1/A2/A3, hyp, and mp."""
-    steps: list[PropStep] = []
+    steps: list[ProofStep] = []
     for number, line in _content_lines(text):
         parser = _line_parser(line, number)
         index_token = parser.peek()
@@ -661,7 +648,7 @@ def load_prop_proof(text: str) -> list[PropStep]:
         parser.expect_word("by")
         keyword = parser.peek()
         if keyword.kind == "word" and keyword.text in ("A1", "A2", "A3"):
-            by = parser.prop_axiom()
+            by = ByAxiom(parser.prop_axiom())
         else:
             keyword = parser.expect_word()
             if keyword.text == "hyp":
@@ -671,7 +658,7 @@ def load_prop_proof(text: str) -> list[PropStep]:
                     raise ParseError(
                         "hypothesis references are 1-based", token.line, token.col
                     )
-                by = PropHyp(value - 1)
+                by = ByHyp(value - 1)
             elif keyword.text == "mp":
                 refs = []
                 for _ in range(2):
@@ -684,7 +671,7 @@ def load_prop_proof(text: str) -> list[PropStep]:
                             token.col,
                         )
                     refs.append(value - 1)
-                by = PropMP(refs[0], refs[1])
+                by = ByMP(refs[0], refs[1])
             else:
                 raise ParseError(
                     "expected 'A1', 'A2', 'A3', 'hyp', or 'mp'",
@@ -692,5 +679,5 @@ def load_prop_proof(text: str) -> list[PropStep]:
                     keyword.col,
                 )
         parser.expect_end()
-        steps.append(PropStep(formula, by))
-    return steps
+        steps.append(ProofStep(formula, by))
+    return Proof("local", tuple(steps))

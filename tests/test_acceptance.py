@@ -232,7 +232,7 @@ def test_criterion_6_proof_checker_corpus_and_mutants(capsys):
     accepted = all(
         check_proof(proof, theory).ok for _, proof, theory in predicate
     ) and all(
-        check_prop_proof(steps, hyps).ok for _, steps, hyps in propositional
+        check_prop_proof(proof, hyps).ok for _, proof, hyps in propositional
     )
     mutants = 0
     rejected = 0
@@ -240,8 +240,8 @@ def test_criterion_6_proof_checker_corpus_and_mutants(capsys):
         for _, mutant in predicate_mutants(proof, theory):
             mutants += 1
             rejected += not check_proof(mutant, theory).ok
-    for _, steps, hyps in propositional:
-        for _, mutant in propositional_mutants(steps, hyps):
+    for _, proof, hyps in propositional:
+        for _, mutant in propositional_mutants(proof, hyps):
             mutants += 1
             rejected += not check_prop_proof(mutant, hyps).ok
     total = len(predicate) + len(propositional)

@@ -19,13 +19,7 @@ import re
 
 from clonelogic.cli import main
 from clonelogic.proofs import ByAxiom, ByGen, ByHyp, ByMP, BySubst
-from clonelogic.propositional import PropAxiom, PropHyp, PropMP
-from clonelogic.syntax import (
-    format_axiom_spec,
-    format_formula,
-    format_prop_term,
-    format_subst,
-)
+from clonelogic.syntax import format_axiom_spec, format_formula, format_subst
 from proof_corpus import (
     MONADIC,
     MONIC,
@@ -47,18 +41,14 @@ def _justification(by) -> str:
     match by:
         case ByAxiom(spec):
             return f"axiom {format_axiom_spec(spec)}"
-        case ByHyp(index) | PropHyp(index):
+        case ByHyp(index):
             return f"hyp {index + 1}"
-        case ByMP(premise, implication) | PropMP(premise, implication):
+        case ByMP(premise, implication):
             return f"mp {premise + 1} {implication + 1}"
         case BySubst(source, sub):
             return f"subst {source + 1} {format_subst(sub)}"
         case ByGen(source):
             return f"gen {source + 1}"
-        case PropAxiom(number, p, q, r):
-            fields = [f"{name}={format_prop_term(value)}"
-                      for name, value in (("p", p), ("q", q), ("r", r)) if value is not None]
-            return f"A{number}({', '.join(fields)})"
     raise TypeError(f"no file form for {by!r}")
 
 
@@ -69,10 +59,15 @@ def _proof_text(proof, theory_name) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _prop_proof_text(steps) -> str:
+def _prop_justification(by) -> str:
+    # Propositional files name an axiom bare: A1(p=..), not axiom A1(p=..).
+    return format_axiom_spec(by.spec) if isinstance(by, ByAxiom) else _justification(by)
+
+
+def _prop_proof_text(proof) -> str:
     return "".join(
-        f"{number}. {format_prop_term(step.formula)} by {_justification(step.by)}\n"
-        for number, step in enumerate(steps, start=1)
+        f"{number}. {format_formula(step.formula)} by {_prop_justification(step.by)}\n"
+        for number, step in enumerate(proof.steps, start=1)
     )
 
 
@@ -99,9 +94,9 @@ def build_cases(directory: str) -> list[tuple[str, list[str]]]:
             path = write(f"p{k}_{j}.proof", _proof_text(variant, theory_name))
             cases.append((f"{name}: {edit}", ["check_proof", path] + flags))
     propositional = zip(PROPOSITIONAL_PROOFS, load_propositional_corpus())
-    for k, ((name, _, hyp_texts), (_, steps, hyps)) in enumerate(propositional):
+    for k, ((name, _, hyp_texts), (_, proof, hyps)) in enumerate(propositional):
         flags = ["--prop"] + [arg for text in hyp_texts for arg in ("--hyp", text)]
-        edits = [("as written", steps)] + list(propositional_mutants(steps, hyps))
+        edits = [("as written", proof)] + list(propositional_mutants(proof, hyps))
         for j, (edit, variant) in enumerate(edits):
             path = write(f"q{k}_{j}.proof", _prop_proof_text(variant))
             cases.append((f"{name}: {edit}", ["check_proof", path] + flags))

@@ -318,6 +318,67 @@ def test_check_proof_propositional(tmp_path, capsys):
     assert rejected[1].startswith("REJECTED step 2:")
 
 
+@pytest.mark.parametrize(
+    "step, reason",
+    [
+        ("1. a by A1()", "axiom 1 needs p"),
+        ("1. a by A2(q=a)", "axiom 2 needs p"),
+        ("1. a by A3(q=a, r=a)", "axiom 3 needs p"),
+        ("1. a by A2(p=a)", "axiom 2 needs q"),
+        ("1. a by A3(p=a, q=a)", "axiom 3 needs q and r"),
+    ],
+)
+def test_check_proof_propositional_axiom_without_parameter(tmp_path, capsys, step, reason):
+    # A recipe missing a parameter is a rejected step, not a crash.
+    proof = tmp_path / "prop.txt"
+    proof.write_text(step + "\n")
+    argv = ["check_proof", str(proof), "--prop"]
+    assert run(capsys, argv) == (1, f"REJECTED step 1: {reason}\n", "")
+
+
+def test_propositional_letters_shaped_like_variables(tmp_path, capsys):
+    # taut reads letters as nullary predicate symbols, which must not look
+    # like variables; a propositional proof needs no language and takes them.
+    code, out, err = run(capsys, ["taut", "(x1 -> x1)"])
+    assert (code, out) == (2, "")
+    assert err == "error: symbol name 'x1' would collide with a variable\n"
+    proof = tmp_path / "prop.txt"
+    proof.write_text(PROP_PROOF.replace("a", "x1"))
+    assert run(capsys, ["check_proof", str(proof), "--prop", "--hyp", "x1"]) == (0, "ACCEPTED\n", "")
+
+
+def _conjunction(letters):
+    text = letters[0]
+    for letter in letters[1:]:
+        text = f"({text} & {letter})"
+    return text
+
+
+def test_taut_over_candidate_cap_exits_2_promptly(capsys):
+    # 21 letters: 2^21 rows, over the search's 2^20 candidates per size.
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["taut", _conjunction([f"a{i}" for i in range(21)])])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "candidate" in err
+
+
+def test_countermodel_over_candidate_cap_exits_2_promptly(tmp_path, capsys):
+    # 40 nullary predicates fit the 64-cell cap but make 2^40 candidates at size 1.
+    letters = [f"p{i}" for i in range(40)]
+    path = tmp_path / "sig40.txt"
+    path.write_text("".join(f"rel {name}/0\n" for name in letters))
+    argv = ["countermodel", "--signature", str(path), "--formula", _conjunction(letters),
+            "--max-size", "1"]
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "candidate" in err
+
+
 def test_countermodel_found_structure_frozen(sig, capsys):
     code, out, _ = run(
         capsys,

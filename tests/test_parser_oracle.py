@@ -17,15 +17,15 @@ from hypothesis import given, strategies as st
 
 import syntax_oracle as old
 from clonelogic import syntax as new
+from clonelogic.formulas import Atom, FAnd, FNot
 from clonelogic.proofs import AXIOM_IDS, AxiomInstanceSpec
-from clonelogic.propositional import PAnd, PNot, PVar, algebra_two
+from clonelogic.propositional import algebra_two
 from clonelogic.semantics import Env
 from clonelogic.syntax import (
     format_axiom_spec,
     format_env,
     format_formula,
     format_prop_algebra,
-    format_prop_term,
     format_subst,
     format_term,
 )
@@ -103,8 +103,8 @@ def assert_same(kind: str, text: str) -> None:
 
 def _prop_terms():
     return st.recursive(
-        st.sampled_from([PVar("a"), PVar("b"), PVar("x1")]),
-        lambda inner: st.one_of(inner.map(PNot), st.builds(PAnd, inner, inner)),
+        st.sampled_from([Atom("a", ()), Atom("b", ()), Atom("x1", ())]),
+        lambda inner: st.one_of(inner.map(FNot), st.builds(FAnd, inner, inner)),
         max_leaves=6,
     )
 
@@ -172,7 +172,7 @@ SOURCES = {
     "subst": substitutions(max_index=4).map(format_subst),
     "env": _envs(),
     "prop": st.one_of(
-        _prop_terms().map(format_prop_term),
+        _prop_terms().map(format_formula),
         _surface(st.sampled_from(["a", "b", "x1"]), binders=False),
     ),
     "axiom_spec": _axiom_specs().map(format_axiom_spec),

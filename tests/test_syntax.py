@@ -27,16 +27,7 @@ from clonelogic.proofs import (
     BySubst,
     check_proof,
 )
-from clonelogic.propositional import (
-    PAnd,
-    PNot,
-    PropAxiom,
-    PropHyp,
-    PropMP,
-    PVar,
-    algebra_two,
-    check_prop_proof,
-)
+from clonelogic.propositional import algebra_two, check_prop_proof
 from clonelogic.sampling import random_prop_algebra
 from clonelogic.semantics import Env, zmod_structure
 from clonelogic.syntax import (
@@ -44,7 +35,6 @@ from clonelogic.syntax import (
     format_env,
     format_formula,
     format_prop_algebra,
-    format_prop_term,
     format_structure,
     format_subst,
     format_term,
@@ -92,10 +82,10 @@ def test_env_round_trip(prefix, default) -> None:
 
 
 _prop_terms = st.recursive(
-    st.sampled_from([PVar("a"), PVar("b"), PVar("c")]),
+    st.sampled_from([Atom("a", ()), Atom("b", ()), Atom("c", ()), Atom("x1", ())]),
     lambda inner: st.one_of(
-        inner.map(PNot),
-        st.tuples(inner, inner).map(lambda pair: PAnd(*pair)),
+        inner.map(FNot),
+        st.tuples(inner, inner).map(lambda pair: FAnd(*pair)),
     ),
     max_leaves=8,
 )
@@ -103,7 +93,14 @@ _prop_terms = st.recursive(
 
 @given(_prop_terms)
 def test_prop_round_trip(p) -> None:
-    assert parse_prop(format_prop_term(p)) == p
+    assert parse_prop(format_formula(p)) == p
+
+
+def test_prop_letters_are_shared_nullary_atoms() -> None:
+    # A letter is any word, variable-shaped ones included: no language is involved.
+    p = parse_prop("(x1 -> (forall & x1))")
+    assert p == f_imp(Atom("x1", ()), FAnd(Atom("forall", ()), Atom("x1", ())))
+    assert p.body.left.body.body is p.body.right.body.right
 
 
 def test_axiom_spec_round_trip() -> None:
@@ -302,11 +299,17 @@ PROP_PROOF_TEXT = """1. a by hyp 1
 
 
 def test_prop_proof_file_checks() -> None:
-    steps = load_prop_proof(PROP_PROOF_TEXT)
-    assert steps[0].by == PropHyp(0)
-    assert steps[1].by == PropAxiom(1, PVar("a"))
-    assert steps[2].by == PropMP(0, 1)
-    assert check_prop_proof(steps, [PVar("a")]).ok
+    proof = load_prop_proof(PROP_PROOF_TEXT)
+    a = Atom("a", ())
+    assert proof.kind == "local"
+    assert proof.steps[0].by == ByHyp(0)
+    assert proof.steps[1].by == ByAxiom(AxiomInstanceSpec("A1", p=a))
+    assert proof.steps[2].by == ByMP(0, 1)
+    assert check_prop_proof(proof, [a]).ok
+    # one Atom per letter across the lines of a file
+    assert proof.steps[0].formula is proof.steps[1].by.spec.p
+    renamed = load_prop_proof(PROP_PROOF_TEXT.replace("a", "x1"))
+    assert check_prop_proof(renamed, [Atom("x1", ())]).ok
 
 
 def test_prop_proof_file_errors() -> None:
