@@ -213,6 +213,12 @@ def cmd_qa_laws(args) -> int:
         for indices in itertools.product(range(1, args.rank_bound + 1), repeat=arity):
             atoms.append(Atom(name, tuple(Var(i) for i in indices)))
     sample = enumerate_formulas(atoms, args.depth)
+    # A negative bound also leaves no atom; qa_law_check refuses it by name.
+    if not sample and args.rank_bound >= 0:
+        raise ValueError(
+            f"the law sample is empty: no atom fits coordinates up to "
+            f"--rank-bound {args.rank_bound}"
+        )
     report = qa_law_check(structure, algebra, sample, args.rank_bound)
     for law in report.laws:
         if law.ok:
@@ -379,7 +385,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # The parser, printers and fsubst recurse once per nesting level.
+        # Parsing and checking do not recurse, but the printers
+        # (format_term, format_formula), fsubst, frank and terms.apply/rank
+        # still recurse once per nesting level.
         print("error: formula nested too deeply", file=sys.stderr)
         return 2
 

@@ -8,11 +8,13 @@ named variable ``forall xi. p`` is sugar: rotate coordinate i into position
 
 Disjunction, implication and equivalence are not node types; they expand
 into the negation/conjunction core at construction time.
+
+Formula nodes are interned like terms (see :class:`clonelogic.terms.Interned`):
+structurally equal formulas are one object, so ``==`` is ``is``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import ArityMismatch, BoundExceeded
@@ -20,10 +22,15 @@ from . import terms
 from .terms import (
     App,
     FunctionType,
+    Interned,
     Substitution,
     Term,
     Var,
+    _new,
+    _set,
     check_term,
+    intern_table,
+    interned,
 )
 
 __all__ = [
@@ -60,33 +67,80 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Atom:
+_ATOMS, _drop_atom = intern_table()
+_NOTS, _drop_not = intern_table()
+_ANDS, _drop_and = intern_table()
+_FORALLS, _drop_forall = intern_table()
+
+
+class Atom(Interned):
     """A predicate symbol applied to argument terms."""
 
-    symbol: str
-    args: tuple[Term, ...]
+    __slots__ = ("symbol", "args")
+    __match_args__ = ("symbol", "args")
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
+    def __new__(cls, symbol: str, args: tuple[Term, ...]):
+        if type(args) is not tuple:
+            args = tuple(args)
+        key = (symbol, args)
+        ref = _ATOMS.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new(cls)
+        _set(node, "symbol", symbol)
+        _set(node, "args", args)
+        return interned(_ATOMS, _drop_atom, node, key)
 
 
-@dataclass(frozen=True)
-class FNot:
-    body: "Formula"
+class FNot(Interned):
+    __slots__ = ("body",)
+    __match_args__ = ("body",)
+
+    def __new__(cls, body: "Formula"):
+        ref = _NOTS.get(body)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new(cls)
+        _set(node, "body", body)
+        return interned(_NOTS, _drop_not, node, body)
 
 
-@dataclass(frozen=True)
-class FAnd:
-    left: "Formula"
-    right: "Formula"
+class FAnd(Interned):
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left: "Formula", right: "Formula"):
+        key = (left, right)
+        ref = _ANDS.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new(cls)
+        _set(node, "left", left)
+        _set(node, "right", right)
+        return interned(_ANDS, _drop_and, node, key)
 
 
-@dataclass(frozen=True)
-class Forall:
+class Forall(Interned):
     """Binds coordinate 1 of its body."""
 
-    body: "Formula"
+    __slots__ = ("body",)
+    __match_args__ = ("body",)
+
+    def __new__(cls, body: "Formula"):
+        ref = _FORALLS.get(body)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new(cls)
+        _set(node, "body", body)
+        return interned(_FORALLS, _drop_forall, node, body)
 
 
 Formula = Union[Atom, FNot, FAnd, Forall]
@@ -163,18 +217,23 @@ class Language:
         return f"Language({self.functions!r}, {self.predicates!r})"
 
 
-def check_formula(formula: Formula, language: Language) -> None:
+def check_formula(
+    formula: Formula, language: Language, seen: set[int] | None = None
+) -> None:
     """Raise if the formula uses undeclared symbols or wrong arities.
 
     An explicit-stack walk, depth first and left to right, so the first
     error raised is the one a recursive walk meets first.  Each distinct
-    node object is checked once: nodes are immutable and the formula keeps
-    them alive, so their ids are stable for the call, and a subformula or
-    term shared several times over, as axiom instances share their
-    parameters, is checked once.
+    node is checked once: nodes are immutable and the formula keeps them
+    alive, so their ids are stable for the call, and a subformula or term
+    shared several times over, as axiom instances share their parameters,
+    is checked once.  ``seen`` holds the ids of nodes already checked; a
+    caller that keeps those nodes alive may share it across calls, as
+    ``check_proof`` does across the steps of a proof.
     """
     predicates, functions = language.predicates, language.functions
-    seen: set[int] = set()
+    if seen is None:
+        seen = set()
     stack = [formula]
     push = stack.append
     while stack:

@@ -8,8 +8,9 @@ generalize an earlier step.
 
 The checker is a certificate verifier: each step carries the formula it
 claims plus the exact recipe for it, and the checker rebuilds the recipe
-and compares for structural equality.  It never searches and never
-pattern-matches a formula against a schema.
+and compares for structural equality, which on interned formulas is
+identity.  It never searches and never pattern-matches a formula
+against a schema.
 """
 
 from __future__ import annotations
@@ -134,18 +135,23 @@ def build_prime_axiom(spec: AxiomInstanceSpec, language: Language | None = None)
     return out
 
 
-def instantiate_prime_axiom(spec: AxiomInstanceSpec, language: Language) -> Formula:
-    """Build the prime instance of the schema and check it against the language."""
+def instantiate_prime_axiom(
+    spec: AxiomInstanceSpec, language: Language, seen: set[int] | None = None
+) -> Formula:
+    """Build the prime instance of the schema and check it against the
+    language; ``seen`` is passed on to ``check_formula``."""
     out = build_prime_axiom(spec, language)
-    check_formula(out, language)
+    check_formula(out, language, seen)
     return out
 
 
-def instantiate_axiom(spec: AxiomInstanceSpec, language: Language) -> Formula:
+def instantiate_axiom(
+    spec: AxiomInstanceSpec, language: Language, seen: set[int] | None = None
+) -> Formula:
     """The prime instance wrapped in ``gen_count`` outer binders."""
     if spec.gen_count < 0:
         raise ValueError("generalization count must be >= 0")
-    out = instantiate_prime_axiom(spec, language)
+    out = instantiate_prime_axiom(spec, language, seen)
     for _ in range(spec.gen_count):
         out = Forall(out)
     return out
@@ -224,47 +230,57 @@ class CheckResult:
 
 
 def check_proof(proof: Proof, theory: Theory) -> CheckResult:
-    """Verify every step; reports the first failing 0-based step and why."""
+    """Verify every step; reports the first failing 0-based step and why.
+
+    Formulas are interned, so each comparison of a rebuilt formula with
+    a step is one identity test.  One ``check_formula`` seen-set serves
+    every step: the proof keeps the checked nodes alive, so their ids
+    stay unique, and a subformula restated on many steps is checked once.
+    An axiom instance is checked with the same set; it adds nodes the
+    proof does not hold only when the instance differs from its step,
+    and then the check stops at that step.
+    """
     language = theory.language
     steps = proof.steps
+    seen: set[int] = set()
     for i, step in enumerate(steps):
         try:
-            check_formula(step.formula, language)
+            check_formula(step.formula, language, seen)
         except LogicError as exc:
             return CheckResult(False, i, f"ill-formed formula: {exc}")
         by = step.by
         match by:
             case ByAxiom(spec):
                 try:
-                    expected = instantiate_axiom(spec, language)
+                    expected = instantiate_axiom(spec, language, seen)
                 except (ValueError, LogicError) as exc:
                     return CheckResult(False, i, f"bad axiom recipe: {exc}")
-                if expected != step.formula:
+                if expected is not step.formula:
                     return CheckResult(False, i, "formula is not that axiom instance")
             case ByHyp(index):
                 if not 0 <= index < len(theory.formulas):
                     return CheckResult(False, i, f"hypothesis {index} out of range")
-                if theory.formulas[index] != step.formula:
+                if theory.formulas[index] is not step.formula:
                     return CheckResult(False, i, f"formula is not hypothesis {index}")
             case ByMP(premise, implication):
                 if not (0 <= premise < i and 0 <= implication < i):
                     return CheckResult(False, i, "modus ponens must cite earlier steps")
                 expected = f_imp(steps[premise].formula, step.formula)
-                if steps[implication].formula != expected:
+                if steps[implication].formula is not expected:
                     return CheckResult(False, i, "cited implication does not match")
             case BySubst(source, sub):
                 if proof.kind != "global":
                     return CheckResult(False, i, "substitution step in a local proof")
                 if not 0 <= source < i:
                     return CheckResult(False, i, "substitution must cite an earlier step")
-                if fsubst(steps[source].formula, sub) != step.formula:
+                if fsubst(steps[source].formula, sub) is not step.formula:
                     return CheckResult(False, i, "formula is not that substitution instance")
             case ByGen(source):
                 if proof.kind != "global":
                     return CheckResult(False, i, "generalization step in a local proof")
                 if not 0 <= source < i:
                     return CheckResult(False, i, "generalization must cite an earlier step")
-                if Forall(steps[source].formula) != step.formula:
+                if Forall(steps[source].formula) is not step.formula:
                     return CheckResult(False, i, "formula is not the cited step generalized")
             case _:
                 return CheckResult(False, i, f"unknown justification {by!r}")

@@ -63,6 +63,9 @@ DEFAULT_ROWS_CAP = 1 << 20
 # size: every function table times every 0/1 filling of the relation
 # cells, over the symbols the formula uses.
 CANDIDATES_CAP = 1 << 20
+# Truth bits of a Boolean-valued structure: the atoms of its
+# FiniteBooleanAlg, and the widest relation tables a structure file holds.
+MAX_TRUTH_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -103,8 +106,8 @@ class FiniteBooleanAlg:
     atom_count: int
 
     def __post_init__(self):
-        if self.atom_count < 1 or self.atom_count > 16:
-            raise ValueError("atom_count must be between 1 and 16")
+        if self.atom_count < 1 or self.atom_count > MAX_TRUTH_BITS:
+            raise ValueError(f"atom_count must be between 1 and {MAX_TRUTH_BITS}")
 
     @property
     def size(self) -> int:

@@ -11,6 +11,8 @@ substitution, and environment.
 from __future__ import annotations
 
 import re
+import string
+from functools import partial
 from operator import itemgetter
 
 from .errors import ParseError
@@ -42,7 +44,7 @@ from .proofs import (
     ProofStep,
     Theory,
 )
-from .semantics import Env, Structure
+from .semantics import MAX_TRUTH_BITS, Env, Structure
 from .terms import (
     App,
     Const,
@@ -54,25 +56,38 @@ from .terms import (
     _VARIABLE_SHAPE,
 )
 
-# One pass over the text: punctuation (longest first), negative integers,
-# words, and, last, any other visible character, which is an error.
-# Whitespace matches no alternative, so finditer skips it.
+# The token alternatives: punctuation (longest first), negative integers,
+# words.  Any other visible character is an error; whitespace matches no
+# alternative, so a scan skips it.
+_PUNCT = r"<->|->|[()\[\],;.~&|/:=]"
+_INT = r"-[0-9]+"
+_WORD = r"[A-Za-z0-9_']+"
 _TOKEN_RE = re.compile(
-    r"""(?P<punct><->|->|[()\[\],;.~&|/:=])
-      | (?P<int>-[0-9]+)
-      | (?P<word>[A-Za-z0-9_']+)
-      | (?P<bad>\S)
-    """,
-    re.VERBOSE,
+    rf"(?P<punct>{_PUNCT})|(?P<int>{_INT})|(?P<word>{_WORD})|(?P<bad>\S)"
 )
+# The same alternatives without names: ``findall`` returns the token
+# texts alone, which is all a parse needs until it reports an error.
+_TEXT_RE = re.compile(rf"{_PUNCT}|{_INT}|{_WORD}|\S")
+# A bad token is a character outside the grammar's alphabet, or a '-',
+# '<' or '>' that is no part of `<->`, `->` or a negative integer, which
+# the texts then hold alone.
+_ALIEN_RE = re.compile(r"[^\sA-Za-z0-9_'()\[\],;.~&|/:=<>-]")
+_STRAY = frozenset(("-", "<", ">"))
+_WORD_START = frozenset(string.ascii_letters + string.digits + "_'")
 
-# A token is a (kind, text, offset) tuple; kind is "punct", "int", "word"
-# or "end", and offset indexes the source text.  No punctuation text is
-# also a word or an integer, so the parser tests punctuation by text alone.
+# A token of ``tokenize`` is a (kind, text, offset) tuple; kind is
+# "punct", "int", "word" or "end", and offset indexes the source text.
+# No punctuation text is also a word or an integer, so the parser tests
+# punctuation by text alone.
 Token = tuple[str, str, int]
 
 # Binary connective text -> formula builder.
 _CONNECTIVES = {"&": FAnd, "|": f_or, "->": f_imp, "<->": f_iff}
+
+# Group frames nested deeper than this inside other groups are read
+# without the memo: each group's key is built from its tokens, so the keys
+# of one stack of nested groups hold at most this many copies of the line.
+_MEMO_NESTING = 32
 
 
 def _position(source: str, start_line: int, offset: int) -> tuple[int, int]:
@@ -82,6 +97,9 @@ def _position(source: str, start_line: int, offset: int) -> tuple[int, int]:
 
 
 def tokenize(text: str, start_line: int = 1) -> list[Token]:
+    """The text's tokens with their kinds and offsets, ending with the end
+    token; raises a ParseError at the first bad character.  The parser
+    reads token texts alone and calls this only to report an error."""
     tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
     if "bad" in map(itemgetter(0), tokens):
         _, char, offset = next(token for token in tokens if token[0] == "bad")
@@ -92,71 +110,107 @@ def tokenize(text: str, start_line: int = 1) -> list[Token]:
     return tokens
 
 
-class _Parser:
-    """Recursive-descent cursor over the token tuples of one source text.
+def _match_groups(texts: list[str]) -> dict[int, int]:
+    """Index of each '(' token -> index of the ')' that closes it; an
+    unclosed '(' is absent."""
+    closers: dict[int, int] = {}
+    opens: list[int] = []
+    for i, text in enumerate(texts):
+        if text == "(":
+            opens.append(i)
+        elif text == ")" and opens:
+            closers[opens.pop()] = i
+    return closers
 
-    The cursor never moves past the end token: every step forward follows
-    a test that the current token is not the end.  ``letters`` maps each
-    propositional letter read so far to its one ``Atom``; parsers of the
-    lines of one file share it.
+
+class _Parser:
+    """Cursor over the token texts of one source text.
+
+    ``texts`` holds each token's text and ends with the end token, whose
+    text is empty; no other token's is.  A token's kind follows from its
+    text, and the tokens' source offsets are found only when an error
+    needs one.  The cursor never moves past the end token: every
+    step forward follows a test that the current token is not the end.
+
+    Formulas, propositions and terms are read by explicit-stack loops, so
+    nesting costs no recursion.  ``memo`` maps every parenthesized formula
+    group ``( … )`` read successfully so far, keyed by its token texts,
+    to its node, and each propositional letter to its ``Atom``; parsers
+    of the lines of one file share it, so a group restated on many lines
+    is read once and later occurrences skip to their closing token.  Only
+    successful reads enter it, so errors keep their messages and
+    positions.  One memo serves one grammar: formulas over one language,
+    or propositions.  Argument lists never consult it.
     """
 
-    __slots__ = ("source", "start_line", "tokens", "pos", "letters")
+    __slots__ = ("source", "start_line", "texts", "pos", "memo", "closers")
 
-    def __init__(self, source: str, start_line: int = 1, letters: dict | None = None):
+    def __init__(self, source: str, start_line: int = 1, memo: dict | None = None):
         self.source = source
         self.start_line = start_line
-        self.tokens = tokenize(source, start_line)
+        self.texts = _TEXT_RE.findall(source)
+        if not _STRAY.isdisjoint(self.texts) or _ALIEN_RE.search(source):
+            tokenize(source, start_line)  # raises at the first bad token
+        self.texts.append("")
         self.pos = 0
-        self.letters = {} if letters is None else letters
+        self.memo = {} if memo is None else memo
+        self.closers: dict[int, int] | None = None
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def text(self) -> str:
+        """Text of the current token."""
+        return self.texts[self.pos]
 
-    def error(self, message: str, offset: int) -> ParseError:
+    def error(self, message: str, pos: int) -> ParseError:
+        """A ParseError at the token with index ``pos``; only here are the
+        tokens' offsets worked out."""
+        offset = tokenize(self.source, self.start_line)[pos][2]
         return ParseError(message, *_position(self.source, self.start_line, offset))
 
     def fail(self, message: str) -> ParseError:
-        return self.error(message, self.tokens[self.pos][2])
+        return self.error(message, self.pos)
 
     def at_punct(self, text: str) -> bool:
-        return self.tokens[self.pos][1] == text
+        return self.texts[self.pos] == text
 
-    def expect_punct(self, text: str) -> Token:
-        token = self.tokens[self.pos]
-        if token[1] != text:
-            raise self.error(f"expected {text!r}", token[2])
+    def at_end(self) -> bool:
+        return self.texts[self.pos] == ""
+
+    def at_word(self) -> bool:
+        return self.texts[self.pos][:1] in _WORD_START
+
+    def expect_punct(self, text: str) -> None:
+        if self.texts[self.pos] != text:
+            raise self.fail(f"expected {text!r}")
         self.pos += 1
-        return token
 
-    def expect_word(self, text: str | None = None) -> Token:
-        token = self.tokens[self.pos]
-        if token[0] != "word" or (text is not None and token[1] != text):
+    def expect_word(self, text: str | None = None) -> str:
+        found = self.texts[self.pos]
+        if found[:1] not in _WORD_START or (text is not None and found != text):
             what = repr(text) if text is not None else "a name"
-            raise self.error(f"expected {what}", token[2])
+            raise self.fail(f"expected {what}")
         self.pos += 1
-        return token
+        return found
 
     def expect_int(self) -> int:
-        kind, text, offset = self.tokens[self.pos]
-        if kind == "int" or (kind == "word" and text.isdigit()):
+        text = self.texts[self.pos]
+        if text.isdigit() or (text[:1] == "-" and text[1:].isdigit()):
             self.pos += 1
             return int(text)
-        raise self.error("expected an integer", offset)
+        raise self.fail("expected an integer")
 
     def expect_end(self) -> None:
-        if self.tokens[self.pos][0] != "end":
+        if self.texts[self.pos] != "":
             raise self.fail("expected end of input")
 
     def args(self, functions: FunctionType) -> list[Term]:
         """An optional parenthesized, comma-separated term list."""
-        tokens = self.tokens
+        texts = self.texts
         args: list[Term] = []
-        if tokens[self.pos][1] == "(":
+        if texts[self.pos] == "(":
             self.pos += 1
-            if tokens[self.pos][1] != ")":
+            if texts[self.pos] != ")":
                 args.append(self.term(functions))
-                while tokens[self.pos][1] == ",":
+                while texts[self.pos] == ",":
                     self.pos += 1
                     args.append(self.term(functions))
             self.expect_punct(")")
@@ -164,74 +218,162 @@ class _Parser:
 
     # ----- terms -----
 
-    def term(self, functions: FunctionType) -> Term:
-        kind, name, offset = self.tokens[self.pos]
-        if kind != "word":
-            raise self.error("expected a term", offset)
-        self.pos += 1
-        if _VARIABLE_SHAPE.match(name):
-            return Var(int(name[1:]))
-        if name not in functions:
-            raise self.error(f"unknown function symbol {name!r}", offset)
-        args = self.args(functions)
+    def application(self, functions: FunctionType, name: str, at: int, args) -> App:
+        """The application of ``name``, read at token ``at``, to ``args``."""
         want = functions.arity(name)
         if len(args) != want:
-            raise self.error(
-                f"{name!r} expects {want} argument(s), got {len(args)}", offset
-            )
+            raise self.error(f"{name!r} expects {want} argument(s), got {len(args)}", at)
         return App(name, tuple(args))
 
-    # ----- formulas -----
+    def term(self, functions: FunctionType) -> Term:
+        """A term.  Each stack frame is an application whose argument
+        list is being read: its symbol, the symbol's token index and the
+        arguments read so far."""
+        texts = self.texts
+        pos = self.pos
+        stack: list[tuple[str, int, list[Term]]] = []
+        while True:
+            name = texts[pos]
+            if name[:1] not in _WORD_START:
+                raise self.error("expected a term", pos)
+            at = pos
+            pos += 1
+            if _VARIABLE_SHAPE.match(name):
+                value = Var(int(name[1:]))
+            elif name not in functions:
+                raise self.error(f"unknown function symbol {name!r}", at)
+            elif texts[pos] == "(" and texts[pos + 1] != ")":
+                stack.append((name, at, []))
+                pos += 1
+                continue
+            else:
+                if texts[pos] == "(":
+                    pos += 2  # an empty argument list
+                value = self.application(functions, name, at, ())
+            # Hand the finished term to the applications waiting for it.
+            while stack:
+                name, at, args = stack[-1]
+                args.append(value)
+                text = texts[pos]
+                if text == ",":
+                    pos += 1
+                    break
+                if text != ")":
+                    raise self.error("expected ')'", pos)
+                pos += 1
+                stack.pop()
+                value = self.application(functions, name, at, args)
+            else:
+                self.pos = pos
+                return value
+
+    # ----- formulas and propositions -----
 
     def formula(self, language: Language) -> Formula:
-        tokens = self.tokens
-        kind, text, offset = tokens[self.pos]
-        if text == "~":
-            self.pos += 1
-            return FNot(self.formula(language))
-        if text == "(":
-            self.pos += 1
-            left = self.formula(language)
-            builder = _CONNECTIVES.get(tokens[self.pos][1])
-            if builder is not None:
-                self.pos += 1
-                right = self.formula(language)
-                self.expect_punct(")")
-                return builder(left, right)
-            self.expect_punct(")")
-            return left
-        if kind != "word":
-            raise self.error("expected a formula", offset)
-        self.pos += 1
-        if text == "forall" or text == "exists":
-            index = None
-            next_kind, next_text, _ = tokens[self.pos]
-            # A word is never the last token, so pos + 1 is in range.
-            if (
-                next_kind == "word"
-                and _VARIABLE_SHAPE.match(next_text)
-                and tokens[self.pos + 1][1] == "."
-            ):
-                index = int(next_text[1:])
-                self.pos += 2
-            body = self.formula(language)
-            if text == "forall":
-                return Forall(body) if index is None else forall_xi(index, body)
-            return exists(body) if index is None else exists_xi(index, body)
-        if text not in language.predicates:
-            raise self.error(f"unknown predicate symbol {text!r}", offset)
-        args = self.args(language.functions)
-        want = language.predicates.arity(text)
-        if len(args) != want:
-            raise self.error(
-                f"{text!r} expects {want} argument(s), got {len(args)}", offset
-            )
-        return Atom(text, tuple(args))
+        return self._connectives(language)
+
+    def prop(self) -> Formula:
+        """A proposition: a formula over letters, without binders."""
+        return self._connectives(None)
+
+    def _connectives(self, language: Language | None) -> Formula:
+        """A formula over ``language``, or a proposition when it is None.
+
+        Prefix operators (``~`` and the binders) push a one-argument
+        builder; an open group pushes a list frame ``[key]`` that becomes
+        ``[key, builder, left]`` once its connective is read.  Binary
+        connectives are always parenthesized, so no precedence is needed.
+        """
+        texts, memo, closers = self.texts, self.memo, self.closers
+        pos = self.pos
+        stack: list = []
+        groups = 0
+        while True:
+            # Read prefixes down to an atom, a letter or a memoized group.
+            while True:
+                text = texts[pos]
+                if text == "~":
+                    pos += 1
+                    stack.append(FNot)
+                    continue
+                if text == "(":
+                    key = None
+                    if groups < _MEMO_NESTING:
+                        if closers is None:
+                            closers = self.closers = _match_groups(texts)
+                        close = closers.get(pos)
+                        if close is not None:
+                            key = " ".join(texts[pos:close + 1])
+                            value = memo.get(key)
+                            if value is not None:
+                                pos = close + 1
+                                break
+                    pos += 1
+                    stack.append([key])
+                    groups += 1
+                    continue
+                if text[:1] not in _WORD_START:
+                    what = "a formula" if language is not None else "a propositional term"
+                    raise self.error(f"expected {what}", pos)
+                pos += 1
+                if language is None:
+                    value = memo.get(text)
+                    if value is None:
+                        value = memo[text] = Atom(text, ())
+                    break
+                if text == "forall" or text == "exists":
+                    # A word is never the last token, so pos + 1 is in range.
+                    if _VARIABLE_SHAPE.match(texts[pos]) and texts[pos + 1] == ".":
+                        named = forall_xi if text == "forall" else exists_xi
+                        stack.append(partial(named, int(texts[pos][1:])))
+                        pos += 2
+                    else:
+                        stack.append(Forall if text == "forall" else exists)
+                    continue
+                if text not in language.predicates:
+                    raise self.error(f"unknown predicate symbol {text!r}", pos - 1)
+                self.pos = pos
+                args = self.args(language.functions)
+                want = language.predicates.arity(text)
+                if len(args) != want:
+                    raise self.error(
+                        f"{text!r} expects {want} argument(s), got {len(args)}", pos - 1
+                    )
+                pos = self.pos
+                value = Atom(text, tuple(args))
+                break
+            # Hand the finished formula to the frames waiting for it.
+            while stack:
+                frame = stack[-1]
+                if type(frame) is not list:
+                    stack.pop()
+                    value = frame(value)
+                    continue
+                text = texts[pos]
+                if len(frame) == 1:
+                    builder = _CONNECTIVES.get(text)
+                    if builder is not None:
+                        pos += 1
+                        frame += (builder, value)
+                        break
+                if text != ")":
+                    raise self.error("expected ')'", pos)
+                pos += 1
+                stack.pop()
+                groups -= 1
+                if len(frame) == 3:
+                    value = frame[1](frame[2], value)
+                if frame[0] is not None:
+                    memo[frame[0]] = value
+            else:
+                self.pos = pos
+                return value
 
     # ----- substitutions and environments -----
 
     def subst(self, functions: FunctionType) -> Substitution:
-        opener = self.expect_punct("[")[2]
+        opener = self.pos
+        self.expect_punct("[")
         prefix: list[Term] = []
         if not self.at_punct(";") and not self.at_punct("]"):
             prefix.append(self.term(functions))
@@ -241,13 +383,14 @@ class _Parser:
         tail = None
         if self.at_punct(";"):
             self.pos += 1
-            _, keyword, offset = self.expect_word()
+            at = self.pos
+            keyword = self.expect_word()
             if keyword == "shift":
                 tail = Shift(self.expect_int())
             elif keyword == "const":
                 tail = Const(self.term(functions))
             else:
-                raise self.error("substitution tail must be 'shift' or 'const'", offset)
+                raise self.error("substitution tail must be 'shift' or 'const'", at)
         self.expect_punct("]")
         if tail is None:
             if not prefix:
@@ -259,7 +402,8 @@ class _Parser:
             raise self.error(str(err), opener) from err
 
     def env(self) -> Env:
-        opener = self.expect_punct("[")[2]
+        opener = self.pos
+        self.expect_punct("[")
         values: list[int] = []
         if not self.at_punct(";"):
             values.append(self.expect_int())
@@ -274,44 +418,19 @@ class _Parser:
         except ValueError as err:
             raise self.error(str(err), opener) from err
 
-    # ----- propositions: formulas over letters -----
-
-    def prop(self) -> Formula:
-        tokens = self.tokens
-        kind, text, offset = tokens[self.pos]
-        if text == "~":
-            self.pos += 1
-            return FNot(self.prop())
-        if text == "(":
-            self.pos += 1
-            left = self.prop()
-            builder = _CONNECTIVES.get(tokens[self.pos][1])
-            if builder is not None:
-                self.pos += 1
-                right = self.prop()
-                self.expect_punct(")")
-                return builder(left, right)
-            self.expect_punct(")")
-            return left
-        if kind == "word":
-            self.pos += 1
-            letter = self.letters.get(text)
-            if letter is None:
-                letter = self.letters[text] = Atom(text, ())
-            return letter
-        raise self.error("expected a propositional term", offset)
-
     # ----- axiom instance recipes -----
 
     def axiom_spec(self, language: Language) -> AxiomInstanceSpec:
-        _, axiom, offset = self.expect_word()
+        at = self.pos
+        axiom = self.expect_word()
         if axiom not in AXIOM_IDS:
-            raise self.error(f"unknown axiom {axiom!r}", offset)
+            raise self.error(f"unknown axiom {axiom!r}", at)
         fields: dict[str, object] = {}
         if self.at_punct("("):
             self.pos += 1
             while not self.at_punct(")"):
-                _, field, field_offset = self.expect_word()
+                at = self.pos
+                field = self.expect_word()
                 self.expect_punct("=")
                 if field in ("p", "q", "r"):
                     fields[field] = self.formula(language)
@@ -322,7 +441,7 @@ class _Parser:
                 elif field == "n":
                     fields["gen_count"] = self.expect_int()
                 else:
-                    raise self.error(f"unknown axiom parameter {field!r}", field_offset)
+                    raise self.error(f"unknown axiom parameter {field!r}", at)
                 if self.at_punct(","):
                     self.pos += 1
                 elif not self.at_punct(")"):
@@ -331,15 +450,17 @@ class _Parser:
         return AxiomInstanceSpec(axiom, **fields)
 
     def prop_axiom(self) -> AxiomInstanceSpec:
-        _, axiom, offset = self.expect_word()
+        at = self.pos
+        axiom = self.expect_word()
         if axiom not in ("A1", "A2", "A3"):
-            raise self.error(f"unknown propositional axiom {axiom!r}", offset)
+            raise self.error(f"unknown propositional axiom {axiom!r}", at)
         fields: dict[str, Formula] = {}
         self.expect_punct("(")
         while not self.at_punct(")"):
-            _, field, field_offset = self.expect_word()
+            at = self.pos
+            field = self.expect_word()
             if field not in ("p", "q", "r"):
-                raise self.error(f"unknown axiom parameter {field!r}", field_offset)
+                raise self.error(f"unknown axiom parameter {field!r}", at)
             self.expect_punct("=")
             fields[field] = self.prop()
             if self.at_punct(","):
@@ -452,8 +573,11 @@ def format_axiom_spec(spec: AxiomInstanceSpec) -> str:
 
 
 def format_structure(structure: Structure) -> str:
-    """Structure in file form, deterministic line order."""
+    """Structure in file form, deterministic line order; the `bits` line
+    only for multi-bit tables."""
     lines = [f"domain {structure.size}"]
+    if structure.truth_bits > 1:
+        lines.append(f"bits {structure.truth_bits}")
     for name in structure.language.functions:
         row = " ".join(str(v) for v in structure.fn_tables[name])
         lines.append(f"fn {name}: {row}")
@@ -487,19 +611,21 @@ def load_signature(text: str) -> Language:
     equality = None
     for number, line in _content_lines(text):
         parser = _Parser(line, number)
-        _, head, offset = parser.expect_word()
+        at = parser.pos
+        head = parser.expect_word()
         if head not in ("fn", "rel"):
-            raise parser.error("expected 'fn' or 'rel'", offset)
-        _, name, offset = parser.expect_word()
+            raise parser.error("expected 'fn' or 'rel'", at)
+        at = parser.pos
+        name = parser.expect_word()
         if name in functions or name in predicates:
-            raise parser.error(f"duplicate symbol {name!r}", offset)
+            raise parser.error(f"duplicate symbol {name!r}", at)
         parser.expect_punct("/")
         arity = parser.expect_int()
         if head == "fn":
             functions[name] = arity
         else:
             predicates[name] = arity
-            if parser.peek()[0] == "word":
+            if parser.at_word():
                 parser.expect_word("equality")
                 equality = name
         parser.expect_end()
@@ -512,21 +638,30 @@ def load_signature(text: str) -> Language:
 
 
 def load_structure(text: str, language: Language) -> Structure:
-    """Structure from `domain`, `fn`, `rel`, and `equality identity` lines."""
+    """Structure from `domain`, `bits`, `fn`, `rel`, and `equality identity`
+    lines.  `bits N` makes relation tables N-bit masks, for the
+    2^N-element Boolean algebra; without it they hold 0 or 1."""
     size = None
+    bits = 1
     fn_tables: dict[str, tuple[int, ...]] = {}
     rel_tables: dict[str, tuple[int, ...]] = {}
     identity_flag = False
     for number, line in _content_lines(text):
         parser = _Parser(line, number)
-        _, head, offset = parser.expect_word()
+        at = parser.pos
+        head = parser.expect_word()
         if head == "domain":
             size = parser.expect_int()
+        elif head == "bits":
+            at = parser.pos
+            bits = parser.expect_int()
+            if not 1 <= bits <= MAX_TRUTH_BITS:
+                raise parser.error(f"bits must be between 1 and {MAX_TRUTH_BITS}", at)
         elif head in ("fn", "rel"):
-            name = parser.expect_word()[1]
+            name = parser.expect_word()
             parser.expect_punct(":")
             values = []
-            while parser.peek()[0] != "end":
+            while not parser.at_end():
                 values.append(parser.expect_int())
             if head == "fn":
                 fn_tables[name] = tuple(values)
@@ -536,13 +671,17 @@ def load_structure(text: str, language: Language) -> Structure:
             parser.expect_word("identity")
             identity_flag = True
         else:
-            raise parser.error("expected 'domain', 'fn', 'rel', or 'equality'", offset)
+            raise parser.error(
+                "expected 'domain', 'bits', 'fn', 'rel', or 'equality'", at
+            )
         parser.expect_end()
     if size is None:
         raise ParseError("missing 'domain' line", 1, 1)
     eq = language.equality
     eq_identity = eq is not None and (identity_flag or eq not in rel_tables)
-    return Structure(language, size, fn_tables, rel_tables, eq_identity=eq_identity)
+    return Structure(
+        language, size, fn_tables, rel_tables, eq_identity=eq_identity, truth_bits=bits
+    )
 
 
 def load_prop_algebra(text: str) -> FinitePropAlgebra:
@@ -552,24 +691,25 @@ def load_prop_algebra(text: str) -> FinitePropAlgebra:
     and_rows: dict[int, tuple[int, ...]] = {}
     for number, line in _content_lines(text):
         parser = _Parser(line, number)
-        _, head, offset = parser.expect_word()
+        at = parser.pos
+        head = parser.expect_word()
         if head == "size":
             size = parser.expect_int()
         elif head == "not":
             parser.expect_punct(":")
             values = []
-            while parser.peek()[0] != "end":
+            while not parser.at_end():
                 values.append(parser.expect_int())
             not_table = tuple(values)
         elif head == "and":
             row = parser.expect_int()
             parser.expect_punct(":")
             values = []
-            while parser.peek()[0] != "end":
+            while not parser.at_end():
                 values.append(parser.expect_int())
             and_rows[row] = tuple(values)
         else:
-            raise parser.error("expected 'size', 'not', or 'and'", offset)
+            raise parser.error("expected 'size', 'not', or 'and'", at)
         parser.expect_end()
     if size is None or not_table is None:
         raise ParseError("algebra file needs 'size' and 'not' lines", 1, 1)
@@ -593,11 +733,12 @@ def load_theory(text: str, language: Language) -> Theory:
     """Theory from a `theory NAME` header and one formula per line."""
     name = None
     formulas = []
+    memo: dict = {}
     for number, line in _content_lines(text):
-        parser = _Parser(line, number)
+        parser = _Parser(line, number, memo)
         if name is None:
             parser.expect_word("theory")
-            name = parser.expect_word()[1]
+            name = parser.expect_word()
             parser.expect_end()
             continue
         formulas.append(parser.formula(language))
@@ -616,47 +757,50 @@ def load_proof(text: str, language: Language) -> tuple[Proof, str | None]:
     kind = None
     theory_name = None
     steps: list[ProofStep] = []
+    memo: dict = {}
 
     def step_ref(parser: _Parser) -> int:
-        offset = parser.peek()[2]
+        at = parser.pos
         value = parser.expect_int()
         if not 1 <= value <= len(steps):
             raise parser.error(
                 f"step reference {value} out of range (references are 1-based "
                 f"and must point at an earlier step)",
-                offset,
+                at,
             )
         return value - 1
 
     for number, line in _content_lines(text):
-        parser = _Parser(line, number)
+        parser = _Parser(line, number, memo)
         if kind is None:
-            _, head, offset = parser.expect_word()
+            at = parser.pos
+            head = parser.expect_word()
             if head not in ("local", "global"):
-                raise parser.error("expected 'local' or 'global'", offset)
+                raise parser.error("expected 'local' or 'global'", at)
             kind = head
             parser.expect_end()
             continue
-        if theory_name is None and not steps and parser.peek()[1] == "theory":
+        if theory_name is None and not steps and parser.text() == "theory":
             parser.expect_word("theory")
-            theory_name = parser.expect_word()[1]
+            theory_name = parser.expect_word()
             parser.expect_end()
             continue
-        offset = parser.peek()[2]
+        at = parser.pos
         index = parser.expect_int()
         if index != len(steps) + 1:
-            raise parser.error(f"expected step number {len(steps) + 1}", offset)
+            raise parser.error(f"expected step number {len(steps) + 1}", at)
         parser.expect_punct(".")
         formula = parser.formula(language)
         parser.expect_word("by")
-        _, keyword, offset = parser.expect_word()
+        at = parser.pos
+        keyword = parser.expect_word()
         if keyword == "axiom":
             by = ByAxiom(parser.axiom_spec(language))
         elif keyword == "hyp":
-            offset = parser.peek()[2]
+            at = parser.pos
             value = parser.expect_int()
             if value < 1:
-                raise parser.error("hypothesis references are 1-based", offset)
+                raise parser.error("hypothesis references are 1-based", at)
             by = ByHyp(value - 1)
         elif keyword == "mp":
             by = ByMP(step_ref(parser), step_ref(parser))
@@ -667,7 +811,7 @@ def load_proof(text: str, language: Language) -> tuple[Proof, str | None]:
             by = ByGen(step_ref(parser))
         else:
             raise parser.error(
-                "expected 'axiom', 'hyp', 'mp', 'subst', or 'gen'", offset
+                "expected 'axiom', 'hyp', 'mp', 'subst', or 'gen'", at
             )
         parser.expect_end()
         steps.append(ProofStep(formula, by))
@@ -679,39 +823,39 @@ def load_proof(text: str, language: Language) -> tuple[Proof, str | None]:
 def load_prop_proof(text: str) -> Proof:
     """Local proof over letters: numbered steps with A1/A2/A3, hyp, and mp."""
     steps: list[ProofStep] = []
-    letters: dict[str, Atom] = {}
+    memo: dict = {}
     for number, line in _content_lines(text):
-        parser = _Parser(line, number, letters)
-        offset = parser.peek()[2]
+        parser = _Parser(line, number, memo)
+        at = parser.pos
         index = parser.expect_int()
         if index != len(steps) + 1:
-            raise parser.error(f"expected step number {len(steps) + 1}", offset)
+            raise parser.error(f"expected step number {len(steps) + 1}", at)
         parser.expect_punct(".")
         formula = parser.prop()
         parser.expect_word("by")
-        kind, keyword, _ = parser.peek()
-        if kind == "word" and keyword in ("A1", "A2", "A3"):
+        if parser.text() in ("A1", "A2", "A3"):
             by = ByAxiom(parser.prop_axiom())
         else:
-            _, keyword, offset = parser.expect_word()
+            at = parser.pos
+            keyword = parser.expect_word()
             if keyword == "hyp":
-                offset = parser.peek()[2]
+                at = parser.pos
                 value = parser.expect_int()
                 if value < 1:
-                    raise parser.error("hypothesis references are 1-based", offset)
+                    raise parser.error("hypothesis references are 1-based", at)
                 by = ByHyp(value - 1)
             elif keyword == "mp":
                 refs = []
                 for _ in range(2):
-                    offset = parser.peek()[2]
+                    at = parser.pos
                     value = parser.expect_int()
                     if not 1 <= value <= len(steps):
-                        raise parser.error(f"step reference {value} out of range", offset)
+                        raise parser.error(f"step reference {value} out of range", at)
                     refs.append(value - 1)
                 by = ByMP(refs[0], refs[1])
             else:
                 raise parser.error(
-                    "expected 'A1', 'A2', 'A3', 'hyp', or 'mp'", offset
+                    "expected 'A1', 'A2', 'A3', 'hyp', or 'mp'", at
                 )
         parser.expect_end()
         steps.append(ProofStep(formula, by))

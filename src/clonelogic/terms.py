@@ -11,11 +11,17 @@ coordinates plus a tail rule for the rest: either ``Shift(d)`` (coordinate
 coordinate maps to ``t``).  The constructor canonicalizes the prefix, so
 two substitutions are structurally equal exactly when they agree at every
 coordinate.
+
+Terms are interned: building a ``Var`` or ``App`` returns the one live
+node with those fields, so structurally equal terms are the same object,
+``==`` is ``is`` and hashing is the identity hash.  The formula nodes of
+:mod:`clonelogic.formulas` are interned the same way.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -55,26 +61,112 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Var:
+class _Ref(weakref.ref):
+    """A weak reference to an interned node that remembers its table key."""
+
+    __slots__ = ("key",)
+
+
+def intern_table():
+    """An empty intern table (key -> ``_Ref`` of the live node) and the one
+    callback its references share, which drops the entry of a dead node."""
+    table: dict = {}
+
+    def drop(ref, table=table):
+        if table.get(ref.key) is ref:
+            del table[ref.key]
+
+    return table, drop
+
+
+def interned(table: dict, drop, node, key):
+    """Enter a new node in its table under ``key``; returns the node."""
+    ref = table[key] = _Ref(node, drop)
+    ref.key = key
+    return node
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+class Interned:
+    """Base of the kernel's interned nodes.
+
+    A subclass lists its fields in ``__match_args__`` and builds in
+    ``__new__``: it looks its fields up in its own weak intern table and
+    makes a node only on a miss.  Children are interned before their
+    parents, so a table key hashes and compares by identity in C, and the
+    table forgets a node once the last reference to it is dropped.
+    Equality and hashing are object identity; nodes are immutable, and
+    copying or pickling returns the canonical node.
+    """
+
+    __slots__ = ("__weakref__",)
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+_VARS, _drop_var = intern_table()
+_APPS, _drop_app = intern_table()
+
+
+class Var(Interned):
     """Variable with 1-based index."""
 
-    index: int
+    __slots__ = ("index",)
+    __match_args__ = ("index",)
 
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.index}")
+    def __new__(cls, index: int):
+        ref = _VARS.get(index)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        if index < 1:
+            raise ValueError(f"variable index must be >= 1, got {index}")
+        node = _new(cls)
+        _set(node, "index", index)
+        return interned(_VARS, _drop_var, node, index)
 
 
-@dataclass(frozen=True)
-class App:
+class App(Interned):
     """Application of a function symbol to argument terms."""
 
-    symbol: str
-    args: tuple["Term", ...]
+    __slots__ = ("symbol", "args")
+    __match_args__ = ("symbol", "args")
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
+    def __new__(cls, symbol: str, args: tuple["Term", ...]):
+        if type(args) is not tuple:
+            args = tuple(args)
+        key = (symbol, args)
+        ref = _APPS.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new(cls)
+        _set(node, "symbol", symbol)
+        _set(node, "args", args)
+        return interned(_APPS, _drop_app, node, key)
 
 
 Term = Union[Var, App]

@@ -7,6 +7,9 @@ package did before formulas were evaluated as whole tables, and each
 it became an explicit-stack walk over shared nodes, and
 ``oracle_consequence`` is the truth-table route propositional
 tautologies took before they became the countermodel search at size 1.
+``structurally_equal`` is term and formula equality as it was before
+nodes were interned, field by field down the tree, and ``rebuild``
+makes a node again from its fields, bottom up.
 """
 
 from __future__ import annotations
@@ -37,6 +40,33 @@ from clonelogic.semantics import (
     table_index,
 )
 from clonelogic.terms import App, Var, cons_subst
+
+
+_FIELDS = {Var: ("index",), App: ("symbol", "args"), Atom: ("symbol", "args"),
+           FNot: ("body",), FAnd: ("left", "right"), Forall: ("body",)}
+
+
+def structurally_equal(a, b) -> bool:
+    """Same node type and equal fields, recursively; tuples elementwise."""
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return (
+            isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b)
+            and all(structurally_equal(x, y) for x, y in zip(a, b))
+        )
+    if type(a) in _FIELDS or type(b) in _FIELDS:
+        return type(a) is type(b) and all(
+            structurally_equal(getattr(a, name), getattr(b, name)) for name in _FIELDS[type(a)]
+        )
+    return a == b
+
+
+def rebuild(node):
+    """The node built again from its fields, children first."""
+    if isinstance(node, tuple):
+        return tuple(rebuild(x) for x in node)
+    if type(node) in _FIELDS:
+        return type(node)(*(rebuild(getattr(node, name)) for name in _FIELDS[type(node)]))
+    return node
 
 
 def oracle_check_term(term, functions) -> None:

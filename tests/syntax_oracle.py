@@ -43,7 +43,7 @@ from clonelogic.proofs import (
     Theory,
 )
 from clonelogic.propositional import FinitePropAlgebra
-from clonelogic.semantics import Env, Structure
+from clonelogic.semantics import MAX_TRUTH_BITS, Env, Structure
 from clonelogic.terms import (
     App,
     Const,
@@ -465,6 +465,7 @@ def load_signature(text: str) -> Language:
 def load_structure(text: str, language: Language) -> Structure:
     """Structure from `domain`, `fn`, `rel`, and `equality identity` lines."""
     size = None
+    bits = 1
     fn_tables: dict[str, tuple[int, ...]] = {}
     rel_tables: dict[str, tuple[int, ...]] = {}
     identity_flag = False
@@ -473,6 +474,13 @@ def load_structure(text: str, language: Language) -> Structure:
         head = parser.expect_word()
         if head.text == "domain":
             size = parser.expect_int()
+        elif head.text == "bits":
+            token = parser.peek()
+            bits = parser.expect_int()
+            if not 1 <= bits <= MAX_TRUTH_BITS:
+                raise ParseError(
+                    f"bits must be between 1 and {MAX_TRUTH_BITS}", token.line, token.col
+                )
         elif head.text in ("fn", "rel"):
             name = parser.expect_word().text
             parser.expect_punct(":")
@@ -488,14 +496,18 @@ def load_structure(text: str, language: Language) -> Structure:
             identity_flag = True
         else:
             raise ParseError(
-                "expected 'domain', 'fn', 'rel', or 'equality'", head.line, head.col
+                "expected 'domain', 'bits', 'fn', 'rel', or 'equality'",
+                head.line,
+                head.col,
             )
         parser.expect_end()
     if size is None:
         raise ParseError("missing 'domain' line", 1, 1)
     eq = language.equality
     eq_identity = eq is not None and (identity_flag or eq not in rel_tables)
-    return Structure(language, size, fn_tables, rel_tables, eq_identity=eq_identity)
+    return Structure(
+        language, size, fn_tables, rel_tables, eq_identity=eq_identity, truth_bits=bits
+    )
 
 
 def load_prop_algebra(text: str) -> FinitePropAlgebra:

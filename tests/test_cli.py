@@ -6,7 +6,10 @@ import pytest
 
 from clonelogic.cli import build_parser, main
 from clonelogic.errors import BoundExceeded
-from clonelogic.semantics import zmod_structure
+from clonelogic.formulas import Atom, enumerate_formulas
+from clonelogic.semantics import FiniteBooleanAlg, Structure, qa_law_check, zmod_structure
+from clonelogic.syntax import format_structure, load_signature
+from clonelogic.terms import Var
 
 SIG = """\
 fn f/1
@@ -458,6 +461,25 @@ def test_qa_laws_broken_equality_fails_q4(tmp_path, capsys):
     assert any(line.startswith("Q4 fail env=") for line in lines)
 
 
+def test_qa_laws_on_a_multi_bit_structure_file(tmp_path, capsys):
+    # The CLI reaches the 4-valued algebra through a `bits 2` structure
+    # file and reports what qa_law_check reports on the same structure.
+    signature = tmp_path / "sig.txt"
+    signature.write_text("rel r/2\nrel e/2 equality\n")
+    language = load_signature(signature.read_text())
+    structure = Structure(language, 2, {}, {"r": (0, 1, 3, 2)}, truth_bits=2)
+    model = tmp_path / "m.txt"
+    model.write_text(format_structure(structure))
+    assert "bits 2" in model.read_text()
+    code, out, err = run(capsys, [
+        "qa_laws", "--signature", str(signature), "--structure", str(model), "--depth", "1",
+    ])
+    atoms = [Atom(name, (Var(i), Var(j))) for name in ("r", "e") for i in (1, 2) for j in (1, 2)]
+    report = qa_law_check(structure, FiniteBooleanAlg(2), enumerate_formulas(atoms, 1), 2)
+    assert report.ok and (code, err) == (0, "")
+    assert out == "".join(f"{law.law} pass checked={law.checked}\n" for law in report.laws)
+
+
 def test_soundness_restricted_schema(capsys):
     code, out, _ = run(capsys, ["soundness", "--count", "3", "--schema", "A4"])
     assert code == 0
@@ -493,15 +515,32 @@ def test_out_of_range_numeric_flags_exit_2(sig, capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
-def test_qa_laws_rank_bound_zero_still_runs(capsys):
-    # No atom of e fits coordinates 1..0, so the sample is empty; Q4 is
-    # compared at prefix length 1.
-    code, out, _ = run(capsys, ["qa_laws", "--structure", "zmod2", "--rank-bound", "0"])
-    assert code == 0
-    assert out == (
-        "Q1 pass checked=0\nQ2 pass checked=0\nQ3 pass checked=0\n"
-        "Q4 pass checked=2\nQ5 pass checked=0\n"
+def test_qa_laws_rank_bound_zero_refuses_empty_sample(capsys):
+    # No atom of e fits coordinates 1..0, so the sample is empty: Q1-Q3
+    # and Q5 would pass with checked=0, so the command refuses it.
+    code, out, err = run(capsys, ["qa_laws", "--structure", "zmod2", "--rank-bound", "0"])
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: the law sample is empty: no atom fits coordinates up to --rank-bound 0\n"
     )
+
+
+def test_qa_laws_rank_bound_zero_runs_with_a_nullary_predicate(tmp_path, capsys):
+    signature = tmp_path / "sig.txt"
+    signature.write_text("rel p/0\nrel e/2 equality\n")
+    model = tmp_path / "m.txt"
+    model.write_text("domain 2\nrel p: 1\nequality identity\n")
+    code, out, _ = run(capsys, [
+        "qa_laws", "--signature", str(signature), "--structure", str(model),
+        "--rank-bound", "0", "--depth", "1",
+    ])
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        [law, "pass"] for law in ("Q1", "Q2", "Q3", "Q4", "Q5")
+    ]
+    assert all(int(line.split("checked=")[1]) > 0 for line in lines)
 
 
 def test_qa_laws_depth_3_runs(capsys):

@@ -329,3 +329,31 @@ def test_fixed_error_positions_agree() -> None:
     ]
     for kind, text in cases:
         assert_same(kind, text)
+
+
+def test_repeated_groups_agree() -> None:
+    """Files that restate a group: the per-file memo must give what a
+    fresh parse gives, and failed groups must not enter it."""
+    cases = [
+        # The same ill-formed group on two lines reports the first one.
+        ("proof", "local\n1. (r(x1) & r(x1, x2)) by hyp 1\n2. (r(x1) & r(x1, x2)) by hyp 1\n"),
+        ("theory", "theory t\n(s(x1, x2) & q(x1))\n~(s(x1, x2) & q(x1))\n"),
+        ("prop_proof", "1. (a & ) by hyp 1\n2. (a & ) by hyp 1\n"),
+        # A group in a step formula and again in its axiom parameters.
+        ("proof", "local\n1. ((r(x1) & r(x1)) -> ((r(x1) & r(x1)) & (r(x1) & r(x1)))) "
+                  "by axiom A1(p=(r(x1) & r(x1)))\n"),
+        ("proof", "local\n1. ((r(x1) & r(x1)) -> ((r(x1) & r(x1)) & (r(x1) & r(x1)))) "
+                  "by axiom A1(p=(r(x1) & r(x1))\n"),
+        ("prop_proof", "1. ((a | b) -> ((a | b) & (a | b))) by A1(p=(a | b))\n"
+                       "2. (a | b) by hyp 1\n3. ((a | b) & (a | b)) by mp 2 1\n"),
+        # A group's text again as an argument list, where the memo is not
+        # consulted: r is no function symbol.
+        ("proof", "local\n1. (r(x1)) by hyp 1\n2. s(c, f(r(x1))) by hyp 1\n"),
+        ("proof", "local\n1. r(f(x1)) by hyp 1\n2. (f(x1)) by hyp 1\n"),
+        ("theory", "theory t\n(r(x1))\nr((r(x1)))\n"),
+        # A hit followed by an error on the same line.
+        ("proof", "local\n1. (r(x1) & r(x2)) by hyp 1\n2. ((r(x1) & r(x2)) & ) by hyp 1\n"),
+        ("proof", "local\n1. (r(x1) & r(x2)) by hyp 1\n2. ((r(x1) & r(x2)) r(x1)) by hyp 1\n"),
+    ]
+    for kind, text in cases:
+        assert_same(kind, text)

@@ -29,7 +29,7 @@ from clonelogic.proofs import (
 )
 from clonelogic.propositional import algebra_two, check_prop_proof
 from clonelogic.sampling import random_prop_algebra
-from clonelogic.semantics import Env, zmod_structure
+from clonelogic.semantics import MAX_TRUTH_BITS, Env, Structure, zmod_structure
 from clonelogic.syntax import (
     format_axiom_spec,
     format_env,
@@ -228,6 +228,33 @@ def test_structure_file_errors() -> None:
         load_structure("rel r: 1 0", lang)
     with pytest.raises(ValueError, match="missing relation table"):
         load_structure("domain 2", lang)
+
+
+def test_multi_bit_structure_round_trip() -> None:
+    lang = load_signature("fn h/1\nrel r/2\nrel e/2 equality")
+    four = Structure(lang, 2, {"h": (1, 0)}, {"r": (0, 1, 2, 3)}, truth_bits=2)
+    text = format_structure(four)
+    assert text == "domain 2\nbits 2\nfn h: 1 0\nrel r: 0 1 2 3\nequality identity\n"
+    again = load_structure(text, lang)
+    assert again == four and again.truth_bits == 2
+    assert again.rel_tables["e"] == (3, 0, 0, 3)
+    loose = Structure(lang, 2, {"h": (0, 0)}, {"r": (3, 3, 3, 3), "e": (3, 1, 2, 3)},
+                      eq_identity=False, truth_bits=2)
+    assert load_structure(format_structure(loose), lang) == loose
+    # One-bit structures print no bits line, as before the line existed.
+    assert "bits" not in format_structure(zmod_structure(3))
+    assert load_structure("domain 1\nbits 1\nfn h: 0\nrel r: 1\n", lang) == load_structure(
+        "domain 1\nfn h: 0\nrel r: 1\n", lang
+    )
+
+
+@pytest.mark.parametrize("line", ["bits 0", "bits -2", f"bits {MAX_TRUTH_BITS + 1}"])
+def test_structure_bits_outside_the_cap(line) -> None:
+    lang = load_signature("rel r/1")
+    with pytest.raises(ParseError, match=f"line 2, column 6: bits must be between 1 and {MAX_TRUTH_BITS}"):
+        load_structure(f"domain 2\n{line}\nrel r: 0 1\n", lang)
+    with pytest.raises(ValueError, match="outside 0..3"):
+        load_structure("domain 2\nbits 2\nrel r: 0 4\n", lang)
 
 
 # ------------- proposition algebra files -------------
