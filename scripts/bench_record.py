@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
 """Record benchmark runs in a repo-root ``BENCH_<pr>.json``.
 
-    python3 scripts/bench_record.py --pr 7 --runs 5
-    python3 scripts/bench_record.py --pr 7 --runs 5 --parent ../parent-checkout --parent-commit f4c8af9
-    python3 scripts/bench_record.py --pr 7 --runs 3 --workload proof_check --seconds 10
+    python3 scripts/bench_record.py --pr 7 --runs 10
+    python3 scripts/bench_record.py --pr 7 --runs 10 --parent ../parent-checkout
+    python3 scripts/bench_record.py --pr 7 --runs 10 --workload proof_check --seed 7919
 
 Runs each checkout's own, unchanged ``perfbench/run.py --trace 0`` once
-per run and workload, and keeps the JSON object it prints last.  With
-``--parent`` the runs alternate between the parent checkout and this one,
-the order swapped every run, so that a slow spell of the machine falls
-on both.  For every end-to-end metric the file holds the values of all
-runs and their median, minimum and interquartile range, beside the
-operations attempted and failed and whether every verdict was correct.
-It also names the Python version and the number of processors.
+per run and workload, for the ``run_seconds`` that ``BENCHMARK.json``
+sets, and keeps the JSON object it prints last.  With ``--parent`` (a
+git checkout of the parent commit) the runs alternate between the parent
+checkout and this one, the order swapped every run, so that a slow spell
+of the machine falls on both.  Each checkout is named by ``git describe``,
+so record from committed code.  For every end-to-end metric the file
+holds the values of all runs and their median, minimum and interquartile
+range, beside the operations attempted and failed and whether every
+verdict was correct.  It also names the Python version and the number
+of processors.
 """
 
 from __future__ import annotations
@@ -77,17 +80,16 @@ def summarize(results: list[dict]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
-    parser.add_argument("--runs", type=int, default=5, help="runs per workload and checkout")
-    parser.add_argument("--seconds", type=int, default=30, help="run seconds, as in BENCHMARK.json")
+    parser.add_argument("--runs", type=int, default=10, help="runs per workload and checkout")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workload", choices=WORKLOADS, action="append",
                         help="workload to run (repeatable; default all)")
     parser.add_argument("--parent", help="a checkout of the parent commit to run alternately")
-    parser.add_argument("--parent-commit", help="the parent's commit, when its checkout is no git tree")
-    parser.add_argument("--out", help="output path (default BENCH_<pr>.json at the repo root)")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be >= 1")
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
+        seconds = json.load(handle)["run_seconds"]
 
     checkouts = {"change": ROOT}
     if args.parent is not None:
@@ -97,7 +99,7 @@ def main(argv=None) -> int:
         for run in range(args.runs):
             order = list(checkouts) if run % 2 == 0 else list(reversed(checkouts))
             for label in order:
-                result = run_once(checkouts[label], workload, args.seed, args.seconds)
+                result = run_once(checkouts[label], workload, args.seed, seconds)
                 results[label][workload].append(result)
                 ops = result["metrics"]["ops_per_s"]["value"]
                 print(f"{workload} run {run + 1}/{args.runs} {label}: ops_per_s {ops:.4g}",
@@ -108,20 +110,17 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "runs": args.runs,
         "command": "python3 perfbench/run.py --workload W --seed SEED --seconds SECONDS --trace 0",
         "checkouts": {},
     }
     for label, path in checkouts.items():
-        commit = describe(path)
-        if label == "parent" and args.parent_commit is not None:
-            commit = args.parent_commit
         record["checkouts"][label] = {
-            "commit": commit,
+            "commit": describe(path),
             "workloads": {w: summarize(rs) for w, rs in results[label].items()},
         }
-    out = args.out or os.path.join(ROOT, f"BENCH_{args.pr}.json")
+    out = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(out, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=1)
         handle.write("\n")

@@ -23,6 +23,7 @@ from .terms import (
     App,
     FunctionType,
     Interned,
+    Shift,
     Substitution,
     Term,
     Var,
@@ -277,16 +278,42 @@ def f_iff(p: Formula, q: Formula) -> Formula:
 # ------------------------------------------------------------------
 
 def fsubst(formula: Formula, sub: Substitution) -> Formula:
-    """Apply a substitution to every free coordinate of the formula."""
+    """Apply a substitution to every free coordinate of the formula.
+
+    Under ``depth`` binders the substitution acts as its ``depth``-fold
+    :func:`~clonelogic.terms.lift`: coordinates up to ``depth`` stay, and
+    coordinate j above it reads coordinate j - depth of ``sub`` shifted up
+    by ``depth``.  Each variable reads that coordinate directly, so the
+    lifted prefix, one entry longer per binder, is never built and the
+    cost is linear in the size of the formula.
+    """
+    return _fsubst(formula, sub, 0, None)
+
+
+def _fsubst(formula: Formula, sub: Substitution, depth: int, shift: Substitution | None) -> Formula:
+    """``formula`` under the ``depth``-fold lift of ``sub``; ``shift`` is
+    the shift by ``depth``."""
     match formula:
         case Atom(symbol, args):
-            return Atom(symbol, tuple(terms.apply(t, sub) for t in args))
+            if depth == 0:
+                return Atom(symbol, tuple(terms.apply(t, sub) for t in args))
+            return Atom(symbol, tuple(_apply_lifted(t, sub, depth, shift) for t in args))
         case FNot(body):
-            return FNot(fsubst(body, sub))
+            return FNot(_fsubst(body, sub, depth, shift))
         case FAnd(left, right):
-            return FAnd(fsubst(left, sub), fsubst(right, sub))
+            return FAnd(_fsubst(left, sub, depth, shift), _fsubst(right, sub, depth, shift))
         case Forall(body):
-            return Forall(fsubst(body, terms.lift(sub)))
+            return Forall(_fsubst(body, sub, depth + 1, Substitution((), Shift(depth + 1))))
+
+
+def _apply_lifted(term: Term, sub: Substitution, depth: int, shift: Substitution) -> Term:
+    match term:
+        case Var(j):
+            if j <= depth:
+                return term
+            return terms.apply(terms.sigma_at(sub, j - depth), shift)
+        case App(symbol, args):
+            return App(symbol, tuple(_apply_lifted(a, sub, depth, shift) for a in args))
 
 
 def fplus(formula: Formula) -> Formula:

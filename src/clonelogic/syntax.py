@@ -65,14 +65,11 @@ _WORD = r"[A-Za-z0-9_']+"
 _TOKEN_RE = re.compile(
     rf"(?P<punct>{_PUNCT})|(?P<int>{_INT})|(?P<word>{_WORD})|(?P<bad>\S)"
 )
-# The same alternatives without names: ``findall`` returns the token
-# texts alone, which is all a parse needs until it reports an error.
-_TEXT_RE = re.compile(rf"{_PUNCT}|{_INT}|{_WORD}|\S")
-# A bad token is a character outside the grammar's alphabet, or a '-',
-# '<' or '>' that is no part of `<->`, `->` or a negative integer, which
-# the texts then hold alone.
-_ALIEN_RE = re.compile(r"[^\sA-Za-z0-9_'()\[\],;.~&|/:=<>-]")
-_STRAY = frozenset(("-", "<", ">"))
+# The good alternatives alone: ``findall`` returns the token texts, which
+# is all a parse needs until it reports an error.  It skips a bad
+# character, so the texts then hold fewer characters than the source
+# holds outside whitespace.
+_TEXT_RE = re.compile(rf"{_PUNCT}|{_INT}|{_WORD}")
 _WORD_START = frozenset(string.ascii_letters + string.digits + "_'")
 
 # A token of ``tokenize`` is a (kind, text, offset) tuple; kind is
@@ -149,7 +146,7 @@ class _Parser:
         self.source = source
         self.start_line = start_line
         self.texts = _TEXT_RE.findall(source)
-        if not _STRAY.isdisjoint(self.texts) or _ALIEN_RE.search(source):
+        if len("".join(self.texts)) != len("".join(source.split())):
             tokenize(source, start_line)  # raises at the first bad token
         self.texts.append("")
         self.pos = 0

@@ -9,7 +9,9 @@ it became an explicit-stack walk over shared nodes, and
 tautologies took before they became the countermodel search at size 1.
 ``structurally_equal`` is term and formula equality as it was before
 nodes were interned, field by field down the tree, and ``rebuild``
-makes a node again from its fields, bottom up.
+makes a node again from its fields, bottom up.  ``oracle_fsubst`` is
+substitution as it was before ``fsubst`` read the lifted substitution
+per variable: it builds ``lift(sub)`` at every binder.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from clonelogic.semantics import (
     eval_term,
     table_index,
 )
-from clonelogic.terms import App, Var, cons_subst
+from clonelogic.terms import App, Var, apply, cons_subst, lift
 
 
 _FIELDS = {Var: ("index",), App: ("symbol", "args"), Atom: ("symbol", "args"),
@@ -67,6 +69,19 @@ def rebuild(node):
     if type(node) in _FIELDS:
         return type(node)(*(rebuild(getattr(node, name)) for name in _FIELDS[type(node)]))
     return node
+
+
+def oracle_fsubst(formula, sub):
+    """``fsubst`` by the definition: lift the substitution under each binder."""
+    match formula:
+        case Atom(symbol, args):
+            return Atom(symbol, tuple(apply(t, sub) for t in args))
+        case FNot(body):
+            return FNot(oracle_fsubst(body, sub))
+        case FAnd(left, right):
+            return FAnd(oracle_fsubst(left, sub), oracle_fsubst(right, sub))
+        case Forall(body):
+            return Forall(oracle_fsubst(body, lift(sub)))
 
 
 def oracle_check_term(term, functions) -> None:

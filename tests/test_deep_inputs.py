@@ -13,6 +13,7 @@ import contextlib
 import io
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -96,6 +97,21 @@ def test_deep_terms_parse() -> None:
     assert node is App("c", ())
 
 
+@pytest.mark.parametrize("depth", [1_500, 3_000])
+def test_deep_named_binder_chain_exits_2_promptly(tmp_path, depth) -> None:
+    # Each named binder substitutes into the whole chain below it, so the
+    # chain costs time quadratic in its depth until fsubst overflows the
+    # stack; a cubic cost took 95 s at depth 1,500.
+    signature = tmp_path / "signature.txt"
+    signature.write_text(SIGNATURE)
+    start = time.perf_counter()
+    code, out, err = run_main(
+        ["parse", "formula", "--signature", str(signature), "--", "exists x1. " * depth + "r(x1)"]
+    )
+    assert time.perf_counter() - start < 2.0
+    assert (code, out, err) == (2, "", "error: formula nested too deeply\n")
+
+
 # ----- the exit-code contract under random and deep input -----
 
 TOKENS = [
@@ -105,13 +121,13 @@ TOKENS = [
     "subst", "axiom", "A1", "A2", "A3", "A5", "A7", "A8", "A9", "local", "global",
     "theory", "shift", "const", "$", "-", "<", ">", "\n",
 ]
-# Deep chains.  Named binders stay shallow (WELL_FORMED): each one
-# substitutes into the body below it, which costs cubic time in the depth.
+# Deep chains.
 DEEP_TEXTS = [
     lambda n: "~" * n + "r(x1)",
     lambda n: "(" * n + "r(x1)" + ")" * n,
     lambda n: "forall " * n + "r(x1)",
     lambda n: "exists " * n + "r(x1)",
+    lambda n: "exists x1. " * n + "r(x1)",
     lambda n: "r(" + "h(" * n + "x1" + ")" * n + ")",
     lambda n: "~" * n + "a",
     lambda n: "(" * n + "a" + ")" * n,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -49,7 +51,7 @@ from clonelogic.terms import (
     touch_subst,
 )
 
-from oracle import oracle_check_formula
+from oracle import oracle_check_formula, oracle_fsubst
 from strategies import LANG, formulas, substitutions, terms
 
 x1, x2, x3 = Var(1), Var(2), Var(3)
@@ -192,6 +194,22 @@ def test_fsubst_on_atom() -> None:
 @given(formulas(), substitutions(), substitutions())
 def test_fsubst_respects_composition(p, first, second) -> None:
     assert fsubst(fsubst(p, first), second) == fsubst(p, compose(first, second))
+
+
+@given(formulas(max_index=7), substitutions(max_index=7))
+def test_fsubst_agrees_with_lifting_oracle(p, sub) -> None:
+    assert fsubst(p, sub) is oracle_fsubst(p, sub)
+
+
+def test_named_binder_chain_costs_quadratic_time() -> None:
+    # Each named binder substitutes into the chain below it; reading the
+    # lifted rotation per variable keeps each step linear in the body.
+    start = time.perf_counter()
+    formula = r(x1)
+    for _ in range(300):
+        formula = exists_xi(1, formula)
+    assert time.perf_counter() - start < 2.0
+    assert frank(formula) == 0
 
 
 @given(formulas())
