@@ -386,8 +386,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except RecursionError:
         # Parsing and checking do not recurse, but the printers
-        # (format_term, format_formula), fsubst, frank and terms.apply/rank
-        # still recurse once per nesting level.
+        # (format_term, format_formula), fsubst (which also builds the
+        # shifted and collapsed sides of qa_laws), frank and
+        # terms.apply/rank still recurse once per nesting level.
         print("error: formula nested too deeply", file=sys.stderr)
         return 2
 

@@ -31,7 +31,7 @@ from .formulas import (
     f_imp,
     fsubst,
 )
-from .terms import Substitution, Var
+from .terms import Interned, Substitution, Var
 
 __all__ = [
     "AXIOM_IDS",
@@ -136,7 +136,7 @@ def build_prime_axiom(spec: AxiomInstanceSpec, language: Language | None = None)
 
 
 def instantiate_prime_axiom(
-    spec: AxiomInstanceSpec, language: Language, seen: set[int] | None = None
+    spec: AxiomInstanceSpec, language: Language, seen: set[Interned] | None = None
 ) -> Formula:
     """Build the prime instance of the schema and check it against the
     language; ``seen`` is passed on to ``check_formula``."""
@@ -146,7 +146,7 @@ def instantiate_prime_axiom(
 
 
 def instantiate_axiom(
-    spec: AxiomInstanceSpec, language: Language, seen: set[int] | None = None
+    spec: AxiomInstanceSpec, language: Language, seen: set[Interned] | None = None
 ) -> Formula:
     """The prime instance wrapped in ``gen_count`` outer binders."""
     if spec.gen_count < 0:
@@ -234,15 +234,12 @@ def check_proof(proof: Proof, theory: Theory) -> CheckResult:
 
     Formulas are interned, so each comparison of a rebuilt formula with
     a step is one identity test.  One ``check_formula`` seen-set serves
-    every step: the proof keeps the checked nodes alive, so their ids
-    stay unique, and a subformula restated on many steps is checked once.
-    An axiom instance is checked with the same set; it adds nodes the
-    proof does not hold only when the instance differs from its step,
-    and then the check stops at that step.
+    every step and the axiom instances, so a subformula restated on many
+    steps is checked once.
     """
     language = theory.language
     steps = proof.steps
-    seen: set[int] = set()
+    seen: set[Interned] = set()
     for i, step in enumerate(steps):
         try:
             check_formula(step.formula, language, seen)

@@ -63,13 +63,13 @@ def tautology(formula: Formula) -> bool:
     as nullary predicate symbols, falsifies it: the countermodel search at
     size 1, whose candidates are the rows of the truth table."""
     letters: dict[str, int] = {}
-    seen: set[int] = set()
+    seen: set[Formula] = set()
     stack = [formula]
     while stack:
         node = stack.pop()
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         if isinstance(node, Atom):
             letters[node.symbol] = 0
         elif isinstance(node, FAnd):

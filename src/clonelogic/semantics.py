@@ -46,10 +46,8 @@ from .terms import (
     Substitution,
     Term,
     Var,
-    apply as term_apply,
     cons_subst,
     is_closed,
-    lift as term_lift,
     rank as term_rank,
     sigma_at,
 )
@@ -327,14 +325,11 @@ class _Program:
     constructors ``atom``, ``not_``, ``and_`` and ``forall`` hash-cons
     on the key (kind, a, b), the atom itself and its rank standing in
     for a and b, so structurally equal formulas get one node and no key
-    hashes a whole subtree; ``add`` compiles a formula object through
-    them.  Every node's rank is checked against the row cap when the
-    node is made, before any table is built.
-
-    The clone acts on the nodes: ``subst`` maps a node through a
-    substitution, applying it to the atoms' terms and lifting it under
-    each binder, to the node ``add`` would give the substituted formula.
-    ``lanes`` is the number of lanes per plane.
+    hashes a whole subtree; ``add`` compiles a formula through them and
+    remembers the node of each (formula, depth) pair it compiled.  Every
+    node's rank is checked against the row cap when the node is made,
+    before any table is built.  ``lanes`` is the number of lanes per
+    plane.
     """
 
     def __init__(self, size: int):
@@ -344,13 +339,8 @@ class _Program:
         self.atoms: list[tuple[Atom, int]] = []
         self.full: dict[int, int] = {}
         self._keys: dict = {}
-        self._by_id: dict[tuple[int, int | None], tuple[int, Formula]] = {}
+        self._index: dict[tuple[Formula, int | None], int] = {}
         self._spreaders: dict[int, dict[int, str]] = {}
-        # Substitutions numbered as first met, the number and value of
-        # each one's lift, and the image of each (node, number) pair.
-        self._subs: dict[Substitution, int] = {}
-        self._lifts: dict[int, tuple[int, Substitution]] = {}
-        self._images: dict[tuple[int, int], int] = {}
 
     def rank(self, node: int) -> int:
         return self.nodes[node][3]
@@ -391,84 +381,44 @@ class _Program:
 
         With a depth, the formula sits below that many binders and each
         table keeps only the rows an environment reaches (see above);
-        without one, tables are whole.  Formula objects already compiled
-        at a depth are found by id(); the memo holds each one, so its id
-        stays unique while the program lives.
+        without one, tables are whole.  Formulas are interned and hash by
+        identity, so a (formula, depth) pair compiled before is one
+        lookup.
         """
-        by_id = self._by_id
+        index = self._index
         stack = [(formula, depth)]
         while stack:
-            phi, d = stack[-1]
-            if (id(phi), d) in by_id:
+            key = stack[-1]
+            if key in index:
                 stack.pop()
                 continue
-            inner = None if d is None else d + 1
-            match phi:
-                case Atom():
-                    node = self.atom(phi, d)
-                case FNot(body) if (id(body), d) not in by_id:
-                    stack.append((body, d))
+            phi, d = key
+            kind = type(phi)
+            if kind is Atom:
+                node = self.atom(phi, d)
+            elif kind is FAnd:
+                left, right = (phi.left, d), (phi.right, d)
+                if left not in index or right not in index:
+                    stack.extend(p for p in (left, right) if p not in index)
                     continue
-                case Forall(body) if (id(body), inner) not in by_id:
-                    stack.append((body, inner))
+                node = self.and_(index[left], index[right])
+            elif kind is FNot:
+                body = (phi.body, d)
+                if body not in index:
+                    stack.append(body)
                     continue
-                case FNot(body):
-                    node = self.not_(by_id[id(body), d][0])
-                case Forall(body):
-                    node = self.forall(by_id[id(body), inner][0])
-                case FAnd(left, right) if (
-                    (id(left), d) not in by_id or (id(right), d) not in by_id
-                ):
-                    stack.extend((p, d) for p in (left, right) if (id(p), d) not in by_id)
+                node = self.not_(index[body])
+            elif kind is Forall:
+                body = (phi.body, None if d is None else d + 1)
+                if body not in index:
+                    stack.append(body)
                     continue
-                case FAnd(left, right):
-                    node = self.and_(by_id[id(left), d][0], by_id[id(right), d][0])
-                case _:
-                    raise TypeError(f"not a formula: {phi!r}")
-            stack.pop()
-            by_id[id(phi), d] = (node, phi)
-        return by_id[id(formula), depth][0]
-
-    def subst(self, node: int, sigma: Substitution) -> int:
-        """Node of the formula at ``node`` with ``sigma`` applied, for
-        whole tables.  Each atom's terms go through ``terms.apply``, and
-        under a binder the walk goes on with ``terms.lift(sigma)``.
-        Images are memoized per (node, substitution), so shared
-        subformulas and repeated calls are mapped once."""
-        subs, lifts, images, nodes = self._subs, self._lifts, self._images, self.nodes
-        s = subs.setdefault(sigma, len(subs))
-        stack = [(node, s, sigma)]
-        while stack:
-            n, s, sigma = stack[-1]
-            if (n, s) in images:
-                stack.pop()
-                continue
-            kind, a, b, _ = nodes[n]
-            if kind == _ATOM:
-                phi = self.atoms[a][0]
-                image = self.atom(Atom(phi.symbol, tuple(term_apply(t, sigma) for t in phi.args)))
-            elif kind == _FORALL:
-                if s not in lifts:
-                    lifted = term_lift(sigma)
-                    lifts[s] = (subs.setdefault(lifted, len(subs)), lifted)
-                inner, lifted = lifts[s]
-                if (a, inner) not in images:
-                    stack.append((a, inner, lifted))
-                    continue
-                image = self.forall(images[a, inner])
-            elif (a, s) not in images:
-                stack.append((a, s, sigma))
-                continue
-            elif kind == _NOT:
-                image = self.not_(images[a, s])
-            elif (b, s) not in images:
-                stack.append((b, s, sigma))
-                continue
+                node = self.forall(index[body])
             else:
-                image = self.and_(images[a, s], images[b, s])
+                raise TypeError(f"not a formula: {phi!r}")
             stack.pop()
-            images[n, s] = image
-        return images[node, subs[sigma]]
+            index[key] = node
+        return index[formula, depth]
 
     def rows(self, rank: int) -> int:
         """Rows of a rank-``rank`` table; BoundExceeded past the cap."""
@@ -970,12 +920,14 @@ def qa_law_check(
     positions.  The sample holds at most 2^13 formulas; a larger one
     raises BoundExceeded before any work.
 
-    The laws are built in the compiled program, not as formulas: each
-    sampled formula is compiled once, and each side is a node made by
-    the program's constructors, with p+ and p* as the clone's action
-    ``subst`` on p's node.  Structurally equal sides, such as p inside
-    Q1, Q2 and Q5, share one node, and the program is evaluated once
-    per truth bit before the pairs are compared in law order.
+    The laws are built in the compiled program: each sampled formula is
+    compiled once, p+ and p* are the clone's action ``fsubst`` by the
+    shift and the collapse, compiled in turn, and every other side is a
+    node made by the program's constructors.  Each substitution keeps
+    one ``fsubst`` memo across the sample, whose formulas share
+    subformulas.  Structurally equal sides, such as p inside Q1, Q2 and
+    Q5, share one node, and the program is evaluated once per truth bit
+    before the pairs are compared in law order.
     """
     if rank_bound < 0:
         raise ValueError("rank_bound must be >= 0")
@@ -987,20 +939,22 @@ def qa_law_check(
     tables = _Tables(structure)
     program = tables.program
     nodes = []
+    seen = set()
     for p in sample:
         node = program.add(p)
         if program.rank(node) > rank_bound:
             raise ValueError(
                 f"sample formula has rank {program.rank(node)}, over the bound {rank_bound}"
             )
-        check_formula(p, structure.language)
+        check_formula(p, structure.language, seen)
         nodes.append(node)
     if structure.truth_bits != algebra.atom_count:
         raise ValueError(
             f"mask width mismatch: relation tables use {structure.truth_bits} "
             f"bits but the algebra has {algebra.atom_count} atoms"
         )
-    forall, and_, subst = program.forall, program.and_, program.subst
+    forall, and_, add = program.forall, program.and_, program.add
+    shifted, collapsed = {}, {}
     laws = []
     m = len(sample)
     q1 = []
@@ -1010,20 +964,21 @@ def qa_law_check(
             b = nodes[j]
             q1.append((p, sample[j], forall(and_(a, b)), and_(forall(a), forall(b))))
     laws.append(("Q1", q1))
-    halves = [subst(forall(a), SHIFT_UP) for a in nodes]
+    halves = [add(fsubst(Forall(p), SHIFT_UP, shifted)) for p in sample]
     laws.append(("Q2", [
         (p, None, half, and_(half, a)) for p, a, half in zip(sample, nodes, halves)
     ]))
     laws.append(("Q3", [
-        (p, None, forall(subst(a, SHIFT_UP)), a) for p, a in zip(sample, nodes)
+        (p, None, forall(add(fsubst(p, SHIFT_UP, shifted))), a) for p, a in zip(sample, nodes)
     ]))
     if structure.language.equality is not None:
         e_atom = equality_atom(structure.language)
         e = program.atom(e_atom)
         top = program.not_(and_(e, program.not_(e)))
-        laws.append(("Q4", [(e_atom, None, subst(e, STAR), top)]))
+        laws.append(("Q4", [(e_atom, None, add(fsubst(e_atom, STAR)), top)]))
         laws.append(("Q5", [
-            (p, None, and_(e, a), and_(e, subst(a, STAR))) for p, a in zip(sample, nodes)
+            (p, None, and_(e, a), and_(e, add(fsubst(p, STAR, collapsed))))
+            for p, a in zip(sample, nodes)
         ]))
     tables.evaluate()
     n = structure.size

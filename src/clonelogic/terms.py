@@ -227,13 +227,13 @@ class FunctionType:
 
 
 def check_term(
-    term: Term, functions: FunctionType, seen: set[int] | None = None
+    term: Term, functions: FunctionType, seen: set[Interned] | None = None
 ) -> None:
     """Raise if ``term`` uses a symbol not declared in ``functions``.
 
     An explicit-stack walk, depth first and left to right, so the first
     error raised is the one a recursive walk meets first.  ``seen`` holds
-    the ids of applications already checked, which are skipped; a caller
+    the applications already checked, which are skipped; a caller
     checking many terms of one formula shares it across calls.
     """
     if seen is None:
@@ -241,8 +241,8 @@ def check_term(
     stack = [term]
     while stack:
         node = stack.pop()
-        if isinstance(node, App) and id(node) not in seen:
-            seen.add(id(node))
+        if isinstance(node, App) and node not in seen:
+            seen.add(node)
             symbol, args = node.symbol, node.args
             expected = functions.arity(symbol)
             if len(args) != expected:

@@ -196,9 +196,16 @@ def test_fsubst_respects_composition(p, first, second) -> None:
     assert fsubst(fsubst(p, first), second) == fsubst(p, compose(first, second))
 
 
-@given(formulas(max_index=7), substitutions(max_index=7))
-def test_fsubst_agrees_with_lifting_oracle(p, sub) -> None:
-    assert fsubst(p, sub) is oracle_fsubst(p, sub)
+@given(st.lists(formulas(max_index=7), min_size=1, max_size=4), substitutions(max_index=7))
+def test_fsubst_agrees_with_lifting_oracle(ps, sub) -> None:
+    # One images dict serves every formula, twice over, so the images
+    # memoized for one formula are read back for the next and the repeat.
+    expected = [oracle_fsubst(p, sub) for p in ps]
+    assert [fsubst(p, sub) for p in ps] == expected
+    images = {}
+    for _ in range(2):
+        for p, image in zip(ps, expected):
+            assert fsubst(p, sub, images) is image
 
 
 def test_named_binder_chain_costs_quadratic_time() -> None:

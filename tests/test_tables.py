@@ -17,7 +17,6 @@ from clonelogic.formulas import (
     equality_atom,
     f_imp,
     frank,
-    fsubst,
 )
 from clonelogic import semantics
 from clonelogic.errors import BoundExceeded
@@ -35,7 +34,7 @@ from clonelogic.semantics import (
     qa_law_check,
     zmod_structure,
 )
-from clonelogic.terms import MINUS, SHIFT_UP, STAR, App, Var, cons_subst, forall_rotation
+from clonelogic.terms import App, Var
 
 from oracle import (
     oracle_counterexample_env,
@@ -43,6 +42,7 @@ from oracle import (
     oracle_eval,
     oracle_perfect_check,
     oracle_qa_law_check,
+    rebuild,
 )
 from strategies import LANG, formulas
 
@@ -211,32 +211,6 @@ def test_qa_law_check_matches_oracle(d, sample, rank_bound) -> None:
     assert qa_law_check(d, algebra, sample, rank_bound) == expected
 
 
-# The clone acting on compiled nodes: the substitutions the laws use, and
-# the ones that bind named coordinates and instantiate the first one.
-clone_actions = st.one_of(
-    st.sampled_from([SHIFT_UP, STAR, MINUS]),
-    closed_terms.map(cons_subst),
-    st.integers(1, 3).map(forall_rotation),
-)
-
-
-@settings(deadline=None)
-@given(formulas(max_index=3), st.lists(clone_actions, min_size=1, max_size=3), st.integers(1, 3))
-def test_node_subst_matches_fsubst(p, sigmas, size) -> None:
-    # One program serves every substitution, so memoized images of one
-    # substitution must not leak into another; in the second program the
-    # substituted formula is compiled before its image is asked for.
-    program = semantics._Program(size)
-    node = program.add(p)
-    for sigma in sigmas:
-        assert program.subst(node, sigma) == program.add(fsubst(p, sigma))
-        assert program.subst(node, sigma) == program.add(fsubst(p, sigma))
-    other = semantics._Program(size)
-    expected = [other.add(fsubst(p, sigma)) for sigma in sigmas]
-    node = other.add(p)
-    assert [other.subst(node, sigma) for sigma in sigmas] == expected
-
-
 @settings(deadline=None)
 @given(formulas(max_index=3), formulas(max_index=3))
 def test_constructors_match_add(p, q) -> None:
@@ -250,21 +224,17 @@ def test_constructors_match_add(p, q) -> None:
     assert len(program.nodes) == len(program._keys)
 
 
-def test_node_subst_walks_deep_chains_without_recursion() -> None:
-    # 5,000 levels, a binder every 50th: x150 sits below 100 binders, so
-    # the shift reaches it through 100 lifts as x151.  Over one element
-    # every table has one row, whatever the rank.
-    def chain(far):
-        phi = Atom("s", (x1, Var(far)))
-        for level in range(5000):
-            phi = Forall(phi) if level % 50 == 0 else FNot(phi)
-        return phi
-
-    program = semantics._Program(1)
-    node = program.add(chain(150))
-    assert program.subst(node, SHIFT_UP) == program.add(chain(151))
-    assert program.rank(program.subst(node, SHIFT_UP)) == 51
-    assert program.subst(node, STAR) == node
+@settings(deadline=None)
+@given(formulas(max_index=3))
+def test_add_finds_a_rebuilt_formula_without_new_entries(p) -> None:
+    # Formulas are interned, so a formula built again is the object the
+    # program compiled, and its (formula, depth) pair is one lookup.
+    program = semantics._Program(2)
+    for depth in (None, 0, 1, 2):
+        node = program.add(p, depth)
+        entries = (len(program._index), len(program.nodes))
+        assert program.add(rebuild(p), depth) == node
+        assert (len(program._index), len(program.nodes)) == entries
 
 
 def test_qa_law_check_truncates_sides_past_the_rank_bound() -> None:
