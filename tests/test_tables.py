@@ -237,6 +237,17 @@ def test_add_finds_a_rebuilt_formula_without_new_entries(p) -> None:
         assert (len(program._index), len(program.nodes)) == entries
 
 
+def test_add_compiles_deep_chains_without_recursion() -> None:
+    # 5,000 levels, a binder every 50th: x150 sits below 100 binders, so
+    # the root has rank 50.  Over one element every table has one row,
+    # whatever the rank.
+    phi = Atom("s", (x1, Var(150)))
+    for level in range(5000):
+        phi = Forall(phi) if level % 50 == 0 else FNot(phi)
+    program = semantics._Program(1)
+    assert program.rank(program.add(phi)) == 50
+
+
 def test_qa_law_check_truncates_sides_past_the_rank_bound() -> None:
     # With rank bound 0 both sides of Q4 have rank 2, over the compared
     # prefix length 1; coordinate 2 then reads the default 0.
