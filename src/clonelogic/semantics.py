@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 
 from .errors import BoundExceeded, LogicError
@@ -48,6 +49,7 @@ from .terms import (
     Var,
     cons_subst,
     is_closed,
+    lift as lift_subst,
     rank as term_rank,
     sigma_at,
 )
@@ -317,6 +319,17 @@ def _value(planes: tuple[int, ...], row: int) -> int:
     return sum(((plane >> row) & 1) << k for k, plane in enumerate(planes))
 
 
+def _rows(size: int, rank: int) -> int:
+    """Rows of a rank-``rank`` table over a domain of ``size`` elements;
+    BoundExceeded past the cap."""
+    cap = DEFAULT_ROWS_CAP
+    if size > 1 and (rank >= cap.bit_length() or size ** rank > cap):
+        raise BoundExceeded(
+            f"a formula table needs {size}^{rank} rows, over the cap of {cap}"
+        )
+    return size ** rank
+
+
 class _Program:
     """A formula DAG compiled for tables over domains of one size.
 
@@ -329,7 +342,8 @@ class _Program:
     remembers the node of each (formula, depth) pair it compiled.  Every
     node's rank is checked against the row cap when the node is made,
     before any table is built.  ``lanes`` is the number of lanes per
-    plane.
+    plane.  A node's shape does not depend on the size or the lanes, so
+    ``set_shape`` moves a program to others.
     """
 
     def __init__(self, size: int):
@@ -422,17 +436,17 @@ class _Program:
 
     def rows(self, rank: int) -> int:
         """Rows of a rank-``rank`` table; BoundExceeded past the cap."""
-        n, cap = self.size, DEFAULT_ROWS_CAP
-        if n > 1 and (rank >= cap.bit_length() or n ** rank > cap):
-            raise BoundExceeded(
-                f"a formula table needs {n}^{rank} rows, over the cap of {cap}"
-            )
-        return n ** rank
+        return _rows(self.size, rank)
 
-    def set_lanes(self, lanes: int) -> None:
-        """Evaluate with ``lanes`` lanes per plane from now on."""
-        self.lanes = lanes
-        self.full = {rank: (1 << self.rows(rank) * lanes) - 1 for rank in self.full}
+    def set_shape(self, size: int, lanes: int) -> None:
+        """Evaluate over domains of ``size`` elements with ``lanes`` lanes
+        per plane from now on.  The nodes do not depend on either; only
+        the all-ones planes do, and they are made again under the row cap
+        in the order their ranks first appeared, so the rank named by
+        BoundExceeded is that of the first node over the cap, as when the
+        nodes were made.  On BoundExceeded the program is unchanged."""
+        full = {rank: (1 << _rows(size, rank) * lanes) - 1 for rank in self.full}
+        self.size, self.lanes, self.full = size, lanes, full
 
     def lift(self, plane: int, rank: int, to: int) -> int:
         """The same plane read at a higher rank: each row of the lower
@@ -526,11 +540,13 @@ class _Columns:
 class _Tables:
     """Tables of formulas in one structure, one compiled program for all,
     so structurally equal subformulas are evaluated once.  ``env`` is
-    the environment that ``value`` evaluates under."""
+    the environment that ``value`` evaluates under.  ``program`` is a
+    program compiled before, shaped for this structure's size with one
+    lane; by default the tables start with an empty one."""
 
-    def __init__(self, structure: Structure, env: Env = Env()):
+    def __init__(self, structure: Structure, env: Env = Env(), program: _Program | None = None):
         self.structure = structure
-        self.program = _Program(structure.size)
+        self.program = _Program(structure.size) if program is None else program
         self.planes: list[list[int]] = [[] for _ in range(structure.truth_bits)]
         self.atom_planes: list[list[int]] = [[] for _ in range(structure.truth_bits)]
         self.columns = _Columns(structure.size, structure.fn_tables, env)
@@ -563,6 +579,14 @@ class _Tables:
         return _value(self.table(formula, 0)[1], 0)
 
 
+def _check_width(structure: Structure, algebra: FiniteBooleanAlg) -> None:
+    if structure.truth_bits != algebra.atom_count:
+        raise ValueError(
+            f"mask width mismatch: relation tables use {structure.truth_bits} "
+            f"bits but the algebra has {algebra.atom_count} atoms"
+        )
+
+
 def _check_two_valued(structure: Structure, formula: Formula) -> None:
     if structure.truth_bits != 1:
         raise ValueError("two-valued evaluation needs 1-bit relation tables")
@@ -588,11 +612,7 @@ def eval_formula_B(
     Negation is complement, conjunction is meet, and the binder is the
     meet of the body's values over all domain elements.
     """
-    if structure.truth_bits != algebra.atom_count:
-        raise ValueError(
-            f"mask width mismatch: relation tables use {structure.truth_bits} "
-            f"bits but the algebra has {algebra.atom_count} atoms"
-        )
+    _check_width(structure, algebra)
     check_formula(formula, structure.language)
     structure.check_env(env)
     return _Tables(structure, env).value(formula)
@@ -788,7 +808,7 @@ def _search_size(language: Language, formula: Formula, size: int) -> Structure |
         inner += 1
     outer = cells - inner
     lanes = 1 << inner
-    program.set_lanes(lanes)
+    program.set_shape(size, lanes)
     ones = (1 << lanes) - 1
     chunks = [_lane_pattern(inner - 1 - j, lanes) for j in range(inner)]
     root_rank = program.rank(root)
@@ -898,6 +918,16 @@ class QAReport:
 _MAX_LAW_SAMPLE = 1 << 13
 
 
+# The compiled Q1–Q5 program of the last sample checked, at most one
+# entry: {(tuple(sample), rank_bound, equality symbol): (program, laws)}.
+# Formulas are interned, so the key hashes and compares by identity.
+# One entry bounds the memory the cache holds to one compiled sample.
+# The lock is held from the lookup to the last comparison, since a call
+# reshapes the shared program for its own structure.
+_LAW_SLOT: dict = {}
+_LAW_LOCK = threading.Lock()
+
+
 def qa_law_check(
     structure: Structure,
     algebra: FiniteBooleanAlg,
@@ -920,14 +950,21 @@ def qa_law_check(
     positions.  The sample holds at most 2^13 formulas; a larger one
     raises BoundExceeded before any work.
 
-    The laws are built in the compiled program: each sampled formula is
-    compiled once, p+ and p* are the clone's action ``fsubst`` by the
-    shift and the collapse, compiled in turn, and every other side is a
-    node made by the program's constructors.  Each substitution keeps
-    one ``fsubst`` memo across the sample, whose formulas share
-    subformulas.  Structurally equal sides, such as p inside Q1, Q2 and
-    Q5, share one node, and the program is evaluated once per truth bit
-    before the pairs are compared in law order.
+    The sides of the laws depend only on the sample, the rank bound and
+    the equality symbol, not on the structure, which supplies only the
+    values of the atoms.  So they are compiled once per sample (see
+    ``_compile_laws``) and kept in a one-entry cache: a call with the
+    same sample, bound and equality symbol moves the compiled program
+    to this structure's size and evaluates it, and a call with another
+    key drops the entry before compiling its own.  Every call still
+    refuses what a first call would, with the same error in the same
+    order: a negative bound and the sample cap; then, formula by
+    formula, a table over the row cap at this size, a rank over the
+    bound and an undeclared symbol; then a truth-bit width other than
+    the algebra's, and a law side over the row cap.
+
+    The program is evaluated once per truth bit, and then each
+    instance's sides are compared in law order, all truth bits at once.
     """
     if rank_bound < 0:
         raise ValueError("rank_bound must be >= 0")
@@ -936,8 +973,54 @@ def qa_law_check(
             f"the law sample holds {len(sample)} formulas, over the cap of "
             f"{_MAX_LAW_SAMPLE}"
         )
-    tables = _Tables(structure)
-    program = tables.program
+    key = (tuple(sample), rank_bound, structure.language.equality)
+    with _LAW_LOCK:
+        compiled = _LAW_SLOT.get(key)
+        if compiled is not None:
+            try:
+                compiled[0].set_shape(structure.size, 1)
+            except BoundExceeded:
+                # Compiling again refuses at the node a first call refuses at.
+                compiled = None
+            else:
+                # The ranks fit rank_bound, which is part of the key; the
+                # symbols and the width belong to this structure.
+                seen = set()
+                for p in sample:
+                    check_formula(p, structure.language, seen)
+                _check_width(structure, algebra)
+        if compiled is None:
+            _LAW_SLOT.clear()
+            compiled = _compile_laws(structure, algebra, sample, rank_bound)
+            _LAW_SLOT[key] = compiled
+        program, laws = compiled
+        tables = _Tables(structure, program=program)
+        tables.evaluate()
+        return QAReport(tuple(_run_law(law, instances, tables) for law, instances in laws))
+
+
+def _compile_laws(
+    structure: Structure,
+    algebra: FiniteBooleanAlg,
+    sample: list[Formula],
+    rank_bound: int,
+) -> tuple[_Program, list[tuple[str, list[tuple]]]]:
+    """The program of the Q1–Q5 sides for the sample, checked against
+    the structure as qa_law_check describes, and each law's instances as
+    (p, q, left node, right node, left rank, right rank, depth, width):
+    the sides are compared over the rows of a rank-``depth`` table whose
+    coordinates past ``width`` are 0.
+
+    Each sampled formula is compiled once, p+ and p* are the clone's
+    action ``fsubst`` by the shift and the collapse, compiled in turn,
+    and every other side is a node made by the program's constructors.
+    The Q2 side (forall p)+ is built through the binder, as the forall
+    of p under the lifted shift, so no kernel Forall is made for it.
+    Each substitution keeps one ``fsubst`` memo across the sample, whose
+    formulas share subformulas, and structurally equal sides, such as p
+    inside Q1, Q2 and Q5, share one node.
+    """
+    program = _Program(structure.size)
     nodes = []
     seen = set()
     for p in sample:
@@ -948,13 +1031,16 @@ def qa_law_check(
             )
         check_formula(p, structure.language, seen)
         nodes.append(node)
-    if structure.truth_bits != algebra.atom_count:
-        raise ValueError(
-            f"mask width mismatch: relation tables use {structure.truth_bits} "
-            f"bits but the algebra has {algebra.atom_count} atoms"
-        )
-    forall, and_, add = program.forall, program.and_, program.add
-    shifted, collapsed = {}, {}
+    _check_width(structure, algebra)
+    forall, and_, add, rank = program.forall, program.and_, program.add, program.rank
+
+    def instance(p, q, left, right):
+        left_rank, right_rank = rank(left), rank(right)
+        depth = max(left_rank, right_rank)
+        return p, q, left, right, left_rank, right_rank, depth, min(depth, rank_bound + 1)
+
+    shifted, lifted, collapsed = {}, {}, {}
+    lifted_shift = lift_subst(SHIFT_UP)
     laws = []
     m = len(sample)
     q1 = []
@@ -962,65 +1048,67 @@ def qa_law_check(
         for i, (p, a) in enumerate(zip(sample, nodes)):
             j = (i + offset) % m
             b = nodes[j]
-            q1.append((p, sample[j], forall(and_(a, b)), and_(forall(a), forall(b))))
+            q1.append(instance(p, sample[j], forall(and_(a, b)), and_(forall(a), forall(b))))
     laws.append(("Q1", q1))
-    halves = [add(fsubst(Forall(p), SHIFT_UP, shifted)) for p in sample]
+    halves = [forall(add(fsubst(p, lifted_shift, lifted))) for p in sample]
     laws.append(("Q2", [
-        (p, None, half, and_(half, a)) for p, a, half in zip(sample, nodes, halves)
+        instance(p, None, half, and_(half, a)) for p, a, half in zip(sample, nodes, halves)
     ]))
     laws.append(("Q3", [
-        (p, None, forall(add(fsubst(p, SHIFT_UP, shifted))), a) for p, a in zip(sample, nodes)
+        instance(p, None, forall(add(fsubst(p, SHIFT_UP, shifted))), a)
+        for p, a in zip(sample, nodes)
     ]))
     if structure.language.equality is not None:
         e_atom = equality_atom(structure.language)
         e = program.atom(e_atom)
         top = program.not_(and_(e, program.not_(e)))
-        laws.append(("Q4", [(e_atom, None, add(fsubst(e_atom, STAR)), top)]))
+        laws.append(("Q4", [instance(e_atom, None, add(fsubst(e_atom, STAR)), top)]))
         laws.append(("Q5", [
-            (p, None, and_(e, a), and_(e, add(fsubst(p, STAR, collapsed))))
+            instance(p, None, and_(e, a), and_(e, add(fsubst(p, STAR, collapsed))))
             for p, a in zip(sample, nodes)
         ]))
-    tables.evaluate()
-    n = structure.size
-    lift = program.lift
+    return program, laws
 
-    def at_width(planes, rank, depth, width):
-        """The table lifted to rank depth, restricted to the rows whose
-        coordinates past width are 0."""
-        planes = tuple(lift(p, rank, depth) for p in planes)
-        if width == depth:
-            return planes
-        rows, stride = n ** depth, n ** (depth - width)
-        return tuple(
-            int(format(p, f"0{rows}b")[::-1][::stride][::-1], 2) for p in planes
+
+def _run_law(law: str, instances: list[tuple], tables: _Tables) -> LawReport:
+    """The report of one law: its instances compared in order up to the
+    first that fails.
+
+    Both sides ignore env coordinates beyond their rank, so comparing
+    over prefixes of the larger side rank decides equality over every
+    longer environment as well.  Environments are compared in ascending
+    prefix order, each with default 0.  The sides differ at a row when
+    some truth bit does, so the XOR of their planes, ORed over the truth
+    bits, is restricted to ``width`` once; restriction keeps every
+    stride-th bit, which commutes with XOR and OR.
+    """
+    n = tables.structure.size
+    lift, bits = tables.program.lift, tables.planes
+    checked = 0
+    for p, q, left, right, left_rank, right_rank, depth, width in instances:
+        differ = 0
+        for planes in bits:
+            differ |= lift(planes[left], left_rank, depth) ^ lift(planes[right], right_rank, depth)
+        stride = n ** (depth - width)
+        if differ and stride > 1:
+            # Keep the rows whose coordinates past width are 0.
+            differ = int(format(differ, f"0{n ** depth}b")[::-1][::stride][::-1], 2)
+        if not differ:
+            checked += n ** width
+            continue
+        row = (differ & -differ).bit_length() - 1
+        checked += row + 1
+        # Row ``row`` of the restricted table is row row * stride of the
+        # rank-depth one, which a rank-r side reads at its own row
+        # row * stride // n^(depth - r).
+        at = row * stride
+        failure = LawFailure(
+            p, q, Env(_digits(row, n, width), 0),
+            _value(tables.node_planes(left), at // n ** (depth - left_rank)),
+            _value(tables.node_planes(right), at // n ** (depth - right_rank)),
         )
-
-    def run_law(law: str, instances) -> LawReport:
-        # Both sides ignore env coordinates beyond their rank, so
-        # comparing over prefixes of the larger side rank decides
-        # equality over every longer environment as well.  Environments
-        # are compared in ascending prefix order, each with default 0.
-        checked = 0
-        for p, q, left, right in instances:
-            left_rank, right_rank = program.rank(left), program.rank(right)
-            depth = max(left_rank, right_rank)
-            width = min(depth, rank_bound + 1)
-            lv = at_width(tables.node_planes(left), left_rank, depth, width)
-            rv = at_width(tables.node_planes(right), right_rank, depth, width)
-            differ = 0
-            for a, b in zip(lv, rv):
-                differ |= a ^ b
-            if not differ:
-                checked += n ** width
-                continue
-            row = (differ & -differ).bit_length() - 1
-            checked += row + 1
-            env = Env(_digits(row, n, width), 0)
-            failure = LawFailure(p, q, env, _value(lv, row), _value(rv, row))
-            return LawReport(law, False, checked, failure)
-        return LawReport(law, True, checked)
-
-    return QAReport(tuple(run_law(law, instances) for law, instances in laws))
+        return LawReport(law, False, checked, failure)
+    return LawReport(law, True, checked)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import re
+import sys
+import threading
+import weakref
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -17,9 +23,10 @@ from clonelogic.formulas import (
     equality_atom,
     f_imp,
     frank,
+    fsubst,
 )
 from clonelogic import semantics
-from clonelogic.errors import BoundExceeded
+from clonelogic.errors import BoundExceeded, UndeclaredSymbol
 from clonelogic.semantics import (
     DEFAULT_ROWS_CAP,
     Env,
@@ -34,7 +41,7 @@ from clonelogic.semantics import (
     qa_law_check,
     zmod_structure,
 )
-from clonelogic.terms import App, Var
+from clonelogic.terms import SHIFT_UP, App, Var, lift
 
 from oracle import (
     oracle_counterexample_env,
@@ -205,10 +212,170 @@ e12 = Atom("e", (x1, Var(2)))
     2,
 )
 def test_qa_law_check_matches_oracle(d, sample, rank_bound) -> None:
-    algebra = FiniteBooleanAlg(d.truth_bits)
+    # A structure of another size and truth-bit width checks the sample
+    # first, so d is checked on the program compiled for the other one.
     rank_bound = max(rank_bound, *(frank(p) for p in sample))
+    other = other_structure(d)
+    other_algebra = FiniteBooleanAlg(other.truth_bits)
+    first = qa_law_check(other, other_algebra, sample, rank_bound)
+    algebra = FiniteBooleanAlg(d.truth_bits)
     expected = oracle_qa_law_check(d, algebra, sample, rank_bound)
     assert qa_law_check(d, algebra, sample, rank_bound) == expected
+    assert first == oracle_qa_law_check(other, other_algebra, sample, rank_bound)
+
+
+def other_structure(d):
+    """A structure over LANG of another size and truth-bit width than d,
+    with arbitrary but fixed relation tables and broken equality."""
+    size, bits = d.size % 3 + 1, 3 - d.truth_bits
+    return lang_structure(size, bits, {
+        name: tuple((7 * i + 3) % (1 << bits) for i in range(size ** arity))
+        for name, arity in LANG.predicates.items()
+    }, eq_identity=False)
+
+
+def test_qa_law_check_warm_slot_matches_cold_calls() -> None:
+    # Two samples and three sizes, alternated: whether the sample's
+    # program was compiled for another structure or not at all, the
+    # reports are the same.  Broken equality and two truth bits make
+    # some laws fail.
+    structures = [other_structure(lang_structure(size, 2, {})) for size in (3, 1, 2)]
+    structures += [lang_structure(2, 2, {"s": (3, 1, 2, 0), "r": (2, 1)})]
+    a = [s12, r1, Forall(s12), FNot(FAnd(r1, e12)), Atom("e", (Var(2), c))]
+    b = [FNot(Atom("s", (Var(2), x1))), FAnd(r1, Forall(e12))]
+    calls = [(d, sample) for d in structures for sample in (a, b, a)]
+    calls += [(d, sample) for sample in (a, b) for d in structures]
+    semantics._LAW_SLOT.clear()
+    warm, programs = [], []
+    for d, sample in calls:
+        warm.append(qa_law_check(d, FiniteBooleanAlg(d.truth_bits), sample, 2))
+        ((_, (program, _)),) = semantics._LAW_SLOT.items()
+        programs.append(program)
+    cold = []
+    for d, sample in calls:
+        semantics._LAW_SLOT.clear()
+        cold.append(qa_law_check(d, FiniteBooleanAlg(d.truth_bits), sample, 2))
+    assert warm == cold
+    assert not all(report.ok for report in cold)
+    # A sample checked right after itself is not compiled again.
+    again = [i for i in range(1, len(calls)) if calls[i][1] is calls[i - 1][1]]
+    assert again and all(programs[i] is programs[i - 1] for i in again)
+
+
+def test_qa_law_check_from_threads_matches_one_thread() -> None:
+    # Threads share the slot and reshape its program for their own
+    # structures; each still gets the report of its own structure.
+    structures = [other_structure(lang_structure(size, 2, {})) for size in (3, 1, 2)]
+    sample = [s12, FNot(FAnd(r1, e12)), Forall(Atom("s", (x1, Var(2))))]
+    expected = [qa_law_check(d, FiniteBooleanAlg(d.truth_bits), sample, 2) for d in structures]
+    errors = []
+
+    def work(start):
+        for k in range(30):
+            i = (start + k) % len(structures)
+            d = structures[i]
+            if qa_law_check(d, FiniteBooleanAlg(d.truth_bits), sample, 2) != expected[i]:
+                errors.append((start, k))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(start,)) for start in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
+def _refusal(call):
+    """Type and message of the exception the call raises."""
+    with pytest.raises(Exception) as caught:
+        call()
+    return caught.type, str(caught.value)
+
+
+TWO_VALUED = FiniteBooleanAlg(1)
+# LANG with one more predicate, t, and the same equality symbol, so a
+# sample that reads t compiles into the program a LANG structure uses.
+WIDE_LANG = Language(
+    LANG.functions, PredicateType({"r": 1, "s": 2, "t": 1, "e": 2}, equality="e")
+)
+t1 = Atom("t", (x1,))
+
+
+def _wide_structure(size):
+    fn_tables = {name: (0,) * size ** arity for name, arity in LANG.functions.items()}
+    rel_tables = {"r": (0,) * size, "s": (0,) * size ** 2, "t": (1,) * size}
+    return Structure(WIDE_LANG, size, fn_tables, rel_tables)
+
+
+@pytest.mark.parametrize("prime, call, error, match", [
+    # The rank bound is part of the key: the slot holds the sample at a
+    # larger bound.
+    (lambda: qa_law_check(lang_structure(2, 1, {}), TWO_VALUED, [s12, r1], 2),
+     lambda: qa_law_check(lang_structure(2, 1, {}), TWO_VALUED, [s12, r1], 1),
+     ValueError, "rank 2, over the bound 1"),
+    (lambda: qa_law_check(_wide_structure(2), TWO_VALUED, [r1, FAnd(s12, t1)], 2),
+     lambda: qa_law_check(lang_structure(3, 1, {}), TWO_VALUED, [r1, FAnd(s12, t1)], 2),
+     UndeclaredSymbol, "'t'"),
+    # Both the symbol and the width are wrong; the symbol is named.
+    (lambda: qa_law_check(_wide_structure(1), TWO_VALUED, [t1], 2),
+     lambda: qa_law_check(lang_structure(2, 2, {}), TWO_VALUED, [t1], 2),
+     UndeclaredSymbol, "'t'"),
+    (lambda: qa_law_check(lang_structure(2, 1, {}), TWO_VALUED, [s12], 2),
+     lambda: qa_law_check(lang_structure(3, 2, {}), TWO_VALUED, [s12], 2),
+     ValueError, "mask width mismatch"),
+    # Compiled over one element, where every table has one row; over two,
+    # a rank-21 formula is over the cap of 2^20 rows ...
+    (lambda: qa_law_check(lang_structure(1, 1, {}), TWO_VALUED, [r1, Atom("r", (Var(21),))], 21),
+     lambda: qa_law_check(lang_structure(2, 1, {}), TWO_VALUED, [r1, Atom("r", (Var(21),))], 21),
+     BoundExceeded, r"2\^21 rows"),
+    # ... and so is the shift of a rank-20 one, a law side ...
+    (lambda: qa_law_check(lang_structure(1, 1, {}), TWO_VALUED, [Atom("r", (Var(20),))], 20),
+     lambda: qa_law_check(lang_structure(2, 1, {}), TWO_VALUED, [Atom("r", (Var(20),))], 20),
+     BoundExceeded, r"2\^21 rows"),
+    # ... but an undeclared symbol in an earlier formula comes first.
+    (lambda: qa_law_check(_wide_structure(1), TWO_VALUED, [t1, Atom("r", (Var(21),))], 21),
+     lambda: qa_law_check(lang_structure(2, 1, {}), TWO_VALUED, [t1, Atom("r", (Var(21),))], 21),
+     UndeclaredSymbol, "'t'"),
+])
+def test_warm_and_cold_slots_refuse_alike(prime, call, error, match) -> None:
+    semantics._LAW_SLOT.clear()
+    cold = _refusal(call)
+    assert semantics._LAW_SLOT == {}
+    prime()
+    assert len(semantics._LAW_SLOT) == 1
+    assert _refusal(call) == cold
+    assert cold[0] is error and re.search(match, cold[1])
+
+
+def test_a_new_sample_frees_the_previous_one() -> None:
+    # The slot holds one compiled sample: once sample B is checked, a
+    # formula that only sample A held is gone.
+    d = lang_structure(2, 1, {})
+    sample = [FNot(Forall(Atom("s", (App("f", (Var(3),)), App("f", (c,))))))]
+    probe = weakref.ref(sample[0])
+    qa_law_check(d, TWO_VALUED, sample, 3)
+    del sample
+    gc.collect()
+    assert probe() is not None
+    qa_law_check(d, TWO_VALUED, [r1], 3)
+    gc.collect()
+    assert probe() is None
+
+
+@settings(deadline=None)
+@given(formulas(max_index=3))
+def test_q2_side_through_the_binder_is_the_same_node(p) -> None:
+    # (forall p)+ built as the shift of a kernel Forall, or as the
+    # forall of p under the lifted shift: one formula, one node.
+    program = semantics._Program(2)
+    through_kernel = program.add(fsubst(Forall(p), SHIFT_UP))
+    assert program.forall(program.add(fsubst(p, lift(SHIFT_UP)))) == through_kernel
 
 
 @settings(deadline=None)
@@ -312,13 +479,13 @@ def test_lane_count_follows_the_widest_table(monkeypatch, lane_bits) -> None:
     # there are candidates (2^2 at size 1, 2^6 at size 2).
     monkeypatch.setattr(semantics, "_LANE_BITS", lane_bits)
     seen = []
-    set_lanes = semantics._Program.set_lanes
+    set_shape = semantics._Program.set_shape
 
-    def spy(program, lanes):
-        seen.append((program.size, lanes))
-        set_lanes(program, lanes)
+    def spy(program, size, lanes):
+        seen.append((size, lanes))
+        set_shape(program, size, lanes)
 
-    monkeypatch.setattr(semantics._Program, "set_lanes", spy)
+    monkeypatch.setattr(semantics._Program, "set_shape", spy)
     # Both use r and s; the widest table at size 2 has 1 row, then 2.
     for p, rows in ((FAnd(r_c, s_cc), 1), (FAnd(r_c, Atom("s", (x1, c))), 2)):
         seen.clear()
