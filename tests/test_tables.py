@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import gc
-import re
 import sys
 import threading
 import weakref
@@ -291,13 +290,6 @@ def test_qa_law_check_from_threads_matches_one_thread() -> None:
     assert errors == []
 
 
-def _refusal(call):
-    """Type and message of the exception the call raises."""
-    with pytest.raises(Exception) as caught:
-        call()
-    return caught.type, str(caught.value)
-
-
 TWO_VALUED = FiniteBooleanAlg(1)
 # LANG with one more predicate, t, and the same equality symbol, so a
 # sample that reads t compiles into the program a LANG structure uses.
@@ -313,44 +305,45 @@ def _wide_structure(size):
     return Structure(WIDE_LANG, size, fn_tables, rel_tables)
 
 
-@pytest.mark.parametrize("prime, call, error, match", [
+r20, r21 = Atom("r", (Var(20),)), Atom("r", (Var(21),))
+
+
+# Each case primes the slot with the sample checked in one structure at
+# one bound, then checks it in another, which must refuse as it does
+# with an empty slot.
+@pytest.mark.parametrize("sample, primer, primer_bound, d, bound, error, match", [
     # The rank bound is part of the key: the slot holds the sample at a
     # larger bound.
-    (lambda: qa_law_check(lang_structure(2, 1, {}), TWO_VALUED, [s12, r1], 2),
-     lambda: qa_law_check(lang_structure(2, 1, {}), TWO_VALUED, [s12, r1], 1),
+    ([s12, r1], lang_structure(2, 1, {}), 2, lang_structure(2, 1, {}), 1,
      ValueError, "rank 2, over the bound 1"),
-    (lambda: qa_law_check(_wide_structure(2), TWO_VALUED, [r1, FAnd(s12, t1)], 2),
-     lambda: qa_law_check(lang_structure(3, 1, {}), TWO_VALUED, [r1, FAnd(s12, t1)], 2),
+    ([r1, FAnd(s12, t1)], _wide_structure(2), 2, lang_structure(3, 1, {}), 2,
      UndeclaredSymbol, "'t'"),
     # Both the symbol and the width are wrong; the symbol is named.
-    (lambda: qa_law_check(_wide_structure(1), TWO_VALUED, [t1], 2),
-     lambda: qa_law_check(lang_structure(2, 2, {}), TWO_VALUED, [t1], 2),
-     UndeclaredSymbol, "'t'"),
-    (lambda: qa_law_check(lang_structure(2, 1, {}), TWO_VALUED, [s12], 2),
-     lambda: qa_law_check(lang_structure(3, 2, {}), TWO_VALUED, [s12], 2),
+    ([t1], _wide_structure(1), 2, lang_structure(2, 2, {}), 2, UndeclaredSymbol, "'t'"),
+    ([s12], lang_structure(2, 1, {}), 2, lang_structure(3, 2, {}), 2,
      ValueError, "mask width mismatch"),
     # Compiled over one element, where every table has one row; over two,
     # a rank-21 formula is over the cap of 2^20 rows ...
-    (lambda: qa_law_check(lang_structure(1, 1, {}), TWO_VALUED, [r1, Atom("r", (Var(21),))], 21),
-     lambda: qa_law_check(lang_structure(2, 1, {}), TWO_VALUED, [r1, Atom("r", (Var(21),))], 21),
+    ([r1, r21], lang_structure(1, 1, {}), 21, lang_structure(2, 1, {}), 21,
      BoundExceeded, r"2\^21 rows"),
     # ... and so is the shift of a rank-20 one, a law side ...
-    (lambda: qa_law_check(lang_structure(1, 1, {}), TWO_VALUED, [Atom("r", (Var(20),))], 20),
-     lambda: qa_law_check(lang_structure(2, 1, {}), TWO_VALUED, [Atom("r", (Var(20),))], 20),
+    ([r20], lang_structure(1, 1, {}), 20, lang_structure(2, 1, {}), 20,
      BoundExceeded, r"2\^21 rows"),
     # ... but an undeclared symbol in an earlier formula comes first.
-    (lambda: qa_law_check(_wide_structure(1), TWO_VALUED, [t1, Atom("r", (Var(21),))], 21),
-     lambda: qa_law_check(lang_structure(2, 1, {}), TWO_VALUED, [t1, Atom("r", (Var(21),))], 21),
-     UndeclaredSymbol, "'t'"),
+    ([t1, r21], _wide_structure(1), 21, lang_structure(2, 1, {}), 21, UndeclaredSymbol, "'t'"),
 ])
-def test_warm_and_cold_slots_refuse_alike(prime, call, error, match) -> None:
+def test_warm_and_cold_slots_refuse_alike(
+    sample, primer, primer_bound, d, bound, error, match
+) -> None:
     semantics._LAW_SLOT.clear()
-    cold = _refusal(call)
+    with pytest.raises(error, match=match) as cold:
+        qa_law_check(d, TWO_VALUED, sample, bound)
     assert semantics._LAW_SLOT == {}
-    prime()
+    qa_law_check(primer, TWO_VALUED, sample, primer_bound)
     assert len(semantics._LAW_SLOT) == 1
-    assert _refusal(call) == cold
-    assert cold[0] is error and re.search(match, cold[1])
+    with pytest.raises(Exception) as warm:
+        qa_law_check(d, TWO_VALUED, sample, bound)
+    assert (warm.type, str(warm.value)) == (cold.type, str(cold.value))
 
 
 def test_a_new_sample_frees_the_previous_one() -> None:
