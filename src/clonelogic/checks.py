@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .errors import BoundExceeded
 from .formulas import (
     Atom,
     FNot,
@@ -35,9 +36,9 @@ from .propositional import (
 )
 from .sampling import random_axiom_spec, random_prop_algebra, random_structure
 from .semantics import (
+    DEFAULT_ROWS_CAP,
     FOUR,
     TWO,
-    FiniteBooleanAlg,
     Structure,
     counterexample_env,
     enumerate_structures,
@@ -74,13 +75,17 @@ class SoundnessReport:
         return not self.failures
 
 
+# Random structures drawn per instance at each size above 1, and the
+# connective depth of the formulas in each random axiom recipe (whose
+# variables and substitutions use coordinates 1..3).
+_SAMPLED_PER_SIZE = 4
+_SPEC_DEPTH = 2
+
+
 def soundness_survey(
     seed: int = 0,
     per_schema: int = 200,
     max_size: int = 3,
-    sampled_per_size: int = 4,
-    max_index: int = 3,
-    depth: int = 2,
     schemas: tuple[str, ...] = AXIOM_IDS,
 ) -> SoundnessReport:
     """Randomized axiom instances evaluated over small structures.
@@ -102,14 +107,14 @@ def soundness_survey(
     for axiom in schemas:
         checked = 0
         for _ in range(per_schema):
-            spec = random_axiom_spec(rng, axiom, language, max_index, depth)
+            spec = random_axiom_spec(rng, axiom, language, depth=_SPEC_DEPTH)
             instance = instantiate_axiom(spec, language)
             checked += 1
             candidates = list(small)
             for size in range(2, max_size + 1):
                 candidates.extend(
                     random_structure(rng, language, size)
-                    for _ in range(sampled_per_size)
+                    for _ in range(_SAMPLED_PER_SIZE)
                 )
             structures_checked += len(candidates)
             for structure in candidates:
@@ -146,17 +151,22 @@ class CompletenessReport:
         return all(v.ok for v in self.verdicts)
 
 
-def prop_corpus(seed: int = 0, total: int = 20, min_non_boolean: int = 5):
+_MIN_NON_BOOLEAN = 5
+
+
+def prop_corpus(seed: int = 0, total: int = 20):
     """Proposition algebras with carrier at most 8: the two-element
     algebra, the free Boolean algebra on one generator, the eight
-    element Boolean algebra, and seeded random tables with at least
-    min_non_boolean verified non-Boolean among them."""
+    element Boolean algebra, and seeded random tables, at least five of
+    them verified non-Boolean, so the corpus may exceed total."""
+    if total < 1:
+        raise ValueError("total must be >= 1")
     rng = random.Random(seed)
     corpus = [algebra_two(), free_boolean_algebra(1), bitmask_algebra(3)]
     non_boolean = 0
     size_cycle = (2, 3, 4, 5, 6, 7, 8)
     attempt = 0
-    while len(corpus) < total or non_boolean < min_non_boolean:
+    while len(corpus) < total or non_boolean < _MIN_NON_BOOLEAN:
         size = size_cycle[attempt % len(size_cycle)]
         attempt += 1
         algebra = random_prop_algebra(rng, size)
@@ -265,25 +275,35 @@ class QASurveyReport:
 def qa_survey(
     seed: int = 0,
     sizes: tuple[int, ...] = (1, 2, 3),
-    algebras: tuple[FiniteBooleanAlg, ...] = (TWO, FOUR),
     rank_bound: int = 2,
-    sample: list[Formula] | None = None,
     exhaustive_cap: int = 64,
     sampled_count: int = 8,
 ) -> QASurveyReport:
     """Quantifier laws over function-algebra fragments.
 
-    For each domain size and value algebra, the binary predicate's
-    table ranges over every possibility when there are at most
-    exhaustive_cap of them, and over seeded random tables otherwise.
+    For each domain size and the two- and four-valued algebras, the
+    binary predicate's table ranges over every possibility when there
+    are at most exhaustive_cap of them, and over sampled_count seeded
+    random tables otherwise; every law is checked on ``qa_fragment()``.
+    A size whose n^2-entry table passes the row cap raises
+    BoundExceeded before any structure is built.
     """
+    if sampled_count < 1:
+        raise ValueError("sampled_count must be >= 1")
+    for size in sizes:
+        if size < 1:
+            raise ValueError("domain size must be >= 1")
+        if size * size > DEFAULT_ROWS_CAP:
+            raise BoundExceeded(
+                f"size {size} needs {size}^2 table entries, over the cap of "
+                f"{DEFAULT_ROWS_CAP}"
+            )
     language = qa_language()
-    if sample is None:
-        sample = qa_fragment()
+    sample = qa_fragment()
     rng = random.Random(seed)
     cells = []
     for size in sizes:
-        for algebra in algebras:
+        for algebra in (TWO, FOUR):
             bits = algebra.atom_count
             table_count = (1 << bits) ** (size * size)
             exhaustive = table_count <= exhaustive_cap

@@ -15,7 +15,7 @@ import itertools
 import re
 import sys
 
-from .checks import completeness_survey, soundness_survey
+from .checks import completeness_survey, prop_corpus, qa_survey, soundness_survey
 from .errors import LogicError
 from .formulas import (
     Atom,
@@ -129,16 +129,29 @@ def cmd_taut(args) -> int:
     return 1
 
 
-def cmd_propalg(args) -> int:
-    algebra = load_prop_algebra(_read(args.algebra))
-    verdict = completeness_survey([algebra]).verdicts[0]
+def _print_verdict(verdict) -> None:
     print(f"size {verdict.carrier}")
     print(f"boolean {_yes_no(verdict.boolean)}")
     print(f"valuations {verdict.valuations}")
     print(f"filters {verdict.filters}")
     print(f"filters are intersections of valuations: {_yes_no(verdict.filters_are_intersections)}")
     print(f"maximal filters match valuations: {_yes_no(verdict.maximal_filters_match_valuations)}")
+
+
+def cmd_propalg(args) -> int:
+    algebra = load_prop_algebra(_read(args.algebra))
+    verdict = completeness_survey([algebra]).verdicts[0]
+    _print_verdict(verdict)
     return 0 if verdict.ok else 1
+
+
+def cmd_completeness(args) -> int:
+    report = completeness_survey(prop_corpus(seed=args.seed, total=args.total))
+    for index, verdict in enumerate(report.verdicts):
+        print(f"algebra {index}")
+        _print_verdict(verdict)
+    print(f"all ok: {_yes_no(report.ok)}")
+    return 0 if report.ok else 1
 
 
 def cmd_eval(args) -> int:
@@ -258,6 +271,25 @@ def cmd_soundness(args) -> int:
     return 0 if report.ok else 1
 
 
+def cmd_qa_survey(args) -> int:
+    report = qa_survey(
+        seed=args.seed,
+        sizes=tuple(args.sizes),
+        rank_bound=args.rank_bound,
+        exhaustive_cap=args.exhaustive_cap,
+        sampled_count=args.sampled,
+    )
+    for cell in report.cells:
+        mode = "exhaustive" if cell.exhaustive else "sampled"
+        verdict = "ok" if cell.ok else f"FAIL {cell.failing_law}"
+        print(
+            f"size={cell.size} values={1 << cell.atom_bits} "
+            f"tables={cell.structures} ({mode}): {verdict}"
+        )
+    print(f"all ok: {_yes_no(report.ok)}")
+    return 0 if report.ok else 1
+
+
 def cmd_peano(args) -> int:
     language = arithmetic_language()
     if args.emit:
@@ -359,6 +391,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=int, default=3)
     p.add_argument("--schema", help="restrict to one schema, e.g. A5")
     p.set_defaults(handler=cmd_soundness)
+
+    p = sub.add_parser("completeness", help="filter/valuation survey of a seeded algebra corpus")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--total", type=int, default=20, help="corpus size")
+    p.set_defaults(handler=cmd_completeness)
+
+    p = sub.add_parser("qa_survey", help="quantifier algebra laws over small function algebras")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sizes", type=int, nargs="+", default=(1, 2, 3), help="domain sizes")
+    p.add_argument("--rank-bound", type=int, default=2)
+    p.add_argument(
+        "--exhaustive-cap", type=int, default=64,
+        help="enumerate all predicate tables when a cell has at most this many",
+    )
+    p.add_argument("--sampled", type=int, default=8, help="tables per sampled cell")
+    p.set_defaults(handler=cmd_qa_survey)
 
     p = sub.add_parser("peano", help="emit or desk-check the arithmetic schemata")
     group = p.add_mutually_exclusive_group(required=True)

@@ -206,10 +206,6 @@ class Structure:
                     f"environment element {value} outside domain of size {self.size}"
                 )
 
-    def cell_count(self) -> int:
-        total = sum(len(t) for t in self.fn_tables.values())
-        return total + sum(len(t) for t in self.rel_tables.values())
-
 
 def identity_table(size: int, diagonal_value: int = 1) -> tuple[int, ...]:
     """Row-major table of the identity relation on {0..size-1}."""

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from clonelogic.checks import completeness_survey, prop_corpus, qa_survey
 from clonelogic.cli import build_parser, main
 from clonelogic.errors import BoundExceeded
 from clonelogic.formulas import Atom, enumerate_formulas
@@ -492,6 +493,50 @@ def test_soundness_unknown_schema(capsys):
     assert "A99" in err
 
 
+def _yes_no(flag):
+    return "yes" if flag else "no"
+
+
+def test_completeness_default_matches_the_library(capsys):
+    code, out, _ = run(capsys, ["completeness"])
+    report = completeness_survey(prop_corpus())
+    expected = ""
+    for index, v in enumerate(report.verdicts):
+        expected += (
+            f"algebra {index}\nsize {v.carrier}\nboolean {_yes_no(v.boolean)}\n"
+            f"valuations {v.valuations}\nfilters {v.filters}\n"
+            f"filters are intersections of valuations: {_yes_no(v.filters_are_intersections)}\n"
+            f"maximal filters match valuations: "
+            f"{_yes_no(v.maximal_filters_match_valuations)}\n"
+        )
+    assert report.ok and len(report.verdicts) == 20
+    assert (code, out) == (0, expected + "all ok: yes\n")
+
+
+def test_qa_survey_default_matches_the_library(capsys):
+    code, out, _ = run(capsys, ["qa_survey"])
+    report = qa_survey()
+    expected = "".join(
+        f"size={cell.size} values={1 << cell.atom_bits} tables={cell.structures} "
+        f"({'exhaustive' if cell.exhaustive else 'sampled'}): ok\n"
+        for cell in report.cells
+    )
+    assert report.ok and len(report.cells) == 6
+    assert (code, out) == (0, expected + "all ok: yes\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["completeness", "--seed", "3", "--total", "5"],
+     ["qa_survey", "--sizes", "1", "2", "--seed", "4", "--exhaustive-cap", "4"]],
+    ids=["completeness", "qa_survey"],
+)
+def test_surveys_print_the_same_bytes_twice(capsys, argv):
+    first = run(capsys, argv)
+    assert first[0] == 0 and first[1].endswith("all ok: yes\n")
+    assert run(capsys, argv) == first
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -503,11 +548,20 @@ def test_soundness_unknown_schema(capsys):
         (["soundness", "--max-size", "0"], "max_size must be >= 1"),
         (["countermodel", "--signature", "SIG", "--formula", "e(x1, x1)", "--max-size", "-1"],
          "max_size must be >= 1"),
+        (["qa_survey", "--sizes", "0"], "domain size must be >= 1"),
+        # Refused before the size-1 cells run or any 10^12-entry table is built.
+        (["qa_survey", "--sizes", "1", "1000000"],
+         "size 1000000 needs 1000000^2 table entries, over the cap of 1048576"),
+        (["qa_survey", "--sizes", "1", "--rank-bound", "-1"], "rank_bound must be >= 0"),
+        (["qa_survey", "--sizes", "3", "--sampled", "0"], "sampled_count must be >= 1"),
+        (["completeness", "--total", "0"], "total must be >= 1"),
     ],
-    ids=["rank-bound", "depth", "count", "count-zero", "max-size", "max-size-zero", "countermodel"],
+    ids=["rank-bound", "depth", "count", "count-zero", "max-size", "max-size-zero", "countermodel",
+         "sizes-zero", "sizes-over-cap", "survey-rank-bound", "sampled-zero", "total-zero"],
 )
 def test_out_of_range_numeric_flags_exit_2(sig, capsys, argv, message):
-    # Each of these once exited 0 with a vacuous result, except countermodel.
+    # Each of these once ran vacuously or ended in a traceback or an unbounded
+    # build, except countermodel.
     argv = [sig if a == "SIG" else a for a in argv]
     code, out, err = run(capsys, argv)
     assert code == 2
