@@ -80,6 +80,9 @@ class SoundnessReport:
 # variables and substitutions use coordinates 1..3).
 _SAMPLED_PER_SIZE = 4
 _SPEC_DEPTH = 2
+# Work budget in environment rows: an instance has rank at most 4, so it
+# is evaluated on at most n^4 rows of a size-n structure.
+SOUNDNESS_ROWS_CAP = 1 << 22
 
 
 def soundness_survey(
@@ -92,12 +95,19 @@ def soundness_survey(
 
     Size-1 structures are enumerated exhaustively; for each larger size
     a fresh batch of seeded random structures is drawn per instance.
-    Every instance must be valid everywhere.
+    Every instance must be valid everywhere.  Over SOUNDNESS_ROWS_CAP
+    rows of work it raises BoundExceeded before drawing any structure.
     """
     if per_schema < 1:
         raise ValueError("per_schema must be >= 1")
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
+    n = max_size  # size^4 summed over sizes 2..n in closed form
+    rows = per_schema * len(schemas) * _SAMPLED_PER_SIZE * (
+        n * (n + 1) * (2 * n + 1) * (3 * n * n + 3 * n - 1) // 30 - 1
+    )
+    if rows > SOUNDNESS_ROWS_CAP:
+        raise BoundExceeded(f"{rows} environment rows, over the cap of {SOUNDNESS_ROWS_CAP}")
     language = soundness_language()
     rng = random.Random(seed)
     small = list(enumerate_structures(language, 1))
@@ -152,15 +162,19 @@ class CompletenessReport:
 
 
 _MIN_NON_BOOLEAN = 5
+CORPUS_CAP = 1000  # algebras; each takes about 50 ms to survey
 
 
 def prop_corpus(seed: int = 0, total: int = 20):
     """Proposition algebras with carrier at most 8: the two-element
     algebra, the free Boolean algebra on one generator, the eight
     element Boolean algebra, and seeded random tables, at least five of
-    them verified non-Boolean, so the corpus may exceed total."""
+    them verified non-Boolean, so the corpus may exceed total (at most
+    CORPUS_CAP, or BoundExceeded is raised before any is drawn)."""
     if total < 1:
         raise ValueError("total must be >= 1")
+    if total > CORPUS_CAP:
+        raise BoundExceeded(f"total {total} is over the cap of {CORPUS_CAP} algebras")
     rng = random.Random(seed)
     corpus = [algebra_two(), free_boolean_algebra(1), bitmask_algebra(3)]
     non_boolean = 0

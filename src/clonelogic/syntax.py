@@ -1,4 +1,4 @@
-"""Surface syntax: tokenizer, parsers, printers, and file loaders.
+"""Surface syntax: an offset parser, printers, and file loaders.
 
 The grammar keeps binary connectives fully parenthesized, so no
 precedence table is needed.  Printers emit only the core connectives
@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 import string
 from functools import partial
-from operator import itemgetter
 
 from .errors import ParseError
 from .formulas import (
@@ -56,287 +55,272 @@ from .terms import (
     _VARIABLE_SHAPE,
 )
 
-# The token alternatives: punctuation (longest first), negative integers,
-# words.  Any other visible character is an error; whitespace matches no
-# alternative, so a scan skips it.
+# The token alternatives: words, punctuation (longest first), negative
+# integers.  Any other visible character is an error: one outside the
+# alphabet, or a lone '-', '<' or '>'.
+_WORD = r"[A-Za-z0-9_']+"
 _PUNCT = r"<->|->|[()\[\],;.~&|/:=]"
 _INT = r"-[0-9]+"
-_WORD = r"[A-Za-z0-9_']+"
-_TOKEN_RE = re.compile(
-    rf"(?P<punct>{_PUNCT})|(?P<int>{_INT})|(?P<word>{_WORD})|(?P<bad>\S)"
-)
-# The good alternatives alone: ``findall`` returns the token texts, which
-# is all a parse needs until it reports an error.  It skips a bad
-# character, so the texts then hold fewer characters than the source
-# holds outside whitespace.
-_TEXT_RE = re.compile(rf"{_PUNCT}|{_INT}|{_WORD}")
+# A match runs over whitespace and good tokens and stops at the first bad
+# character, the one a left-to-right token scan would stop at.
+_GOOD_RE = re.compile(rf"(?:[\sA-Za-z0-9_'()\[\],;.~&|/:=]+|{_PUNCT}|{_INT})*")
+# The token at an offset, after any whitespace.  Once a text has passed
+# the good-text check, the empty alternative matches only at its end.
+_TOKEN_RE = re.compile(rf"\s*({_WORD}|{_PUNCT}|{_INT}|)")
 _WORD_START = frozenset(string.ascii_letters + string.digits + "_'")
-
-# A token of ``tokenize`` is a (kind, text, offset) tuple; kind is
-# "punct", "int", "word" or "end", and offset indexes the source text.
-# No punctuation text is also a word or an integer, so the parser tests
-# punctuation by text alone.
-Token = tuple[str, str, int]
 
 # Binary connective text -> formula builder.
 _CONNECTIVES = {"&": FAnd, "|": f_or, "->": f_imp, "<->": f_iff}
 
-# Group frames nested deeper than this inside other groups are read
-# without the memo: each group's key is built from its tokens, so the keys
-# of one stack of nested groups hold at most this many copies of the line.
+# Group frames nested deeper than this inside other groups skip the memo:
+# an entry holds its group's source text, so one stack of nested groups
+# copies the line at most this many times.
 _MEMO_NESTING = 32
-
-
-def _position(source: str, start_line: int, offset: int) -> tuple[int, int]:
-    """1-based (line, column) of an offset; only errors need it."""
-    line = start_line + source.count("\n", 0, offset)
-    return line, offset - source.rfind("\n", 0, offset)
-
-
-def tokenize(text: str, start_line: int = 1) -> list[Token]:
-    """The text's tokens with their kinds and offsets, ending with the end
-    token; raises a ParseError at the first bad character.  The parser
-    reads token texts alone and calls this only to report an error."""
-    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
-    if "bad" in map(itemgetter(0), tokens):
-        _, char, offset = next(token for token in tokens if token[0] == "bad")
-        raise ParseError(
-            f"unexpected character {char!r}", *_position(text, start_line, offset)
-        )
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-def _match_groups(texts: list[str]) -> dict[int, int]:
-    """Index of each '(' token -> index of the ')' that closes it; an
-    unclosed '(' is absent."""
-    closers: dict[int, int] = {}
-    opens: list[int] = []
-    for i, text in enumerate(texts):
-        if text == "(":
-            opens.append(i)
-        elif text == ")" and opens:
-            closers[opens.pop()] = i
-    return closers
+# The memo files each group under at most this many characters of its
+# text, cut after the first ')': a fixed-length window would take in what
+# follows a short group, and a restated short group would then miss.
+_MEMO_PREFIX = 32
 
 
 class _Parser:
-    """Cursor over the token texts of one source text.
+    """Cursor over the tokens of one source text, read by offset.
 
-    ``texts`` holds each token's text and ends with the end token, whose
-    text is empty; no other token's is.  A token's kind follows from its
-    text, and the tokens' source offsets are found only when an error
-    needs one.  The cursor never moves past the end token: every
-    step forward follows a test that the current token is not the end.
+    ``m`` is the match of the current token: ``m[1]`` is its text, empty
+    only at the end of the source, and ``m.end()`` is where the next token
+    is read, after any whitespace.  Tokens are read one at a time, where
+    the parser stands; a token's kind follows from its text, and no
+    punctuation text is also a word or an integer.  The whole source is
+    checked for bad characters first, so the first one on a line is
+    reported before any other error on it.  The cursor never moves past
+    the end: every step forward follows a test that the current token is
+    not the end.
 
     Formulas, propositions and terms are read by explicit-stack loops, so
-    nesting costs no recursion.  ``memo`` maps every parenthesized formula
-    group ``( … )`` read successfully so far, keyed by its token texts,
-    to its node, and each propositional letter to its ``Atom``; parsers
-    of the lines of one file share it, so a group restated on many lines
-    is read once and later occurrences skip to their closing token.  Only
+    nesting costs no recursion.  ``memo`` maps a key to the (source text,
+    node) pairs of the parenthesized formula groups ``( … )`` read
+    successfully so far, and each propositional letter to its ``Atom``.
+    A group's key is the start of its text: at most ``_MEMO_PREFIX``
+    characters, cut after the first ')'.  At a '(' the parser looks up
+    the key of the source from there and takes the pair whose text the
+    source goes on with (``str.startswith``).  A group's text is
+    balanced, so at most one pair matches and a hit ends exactly where
+    the restated group does.  Parsers of the lines of one file share the
+    memo, so a group restated on many lines is read once.  Only
     successful reads enter it, so errors keep their messages and
     positions.  One memo serves one grammar: formulas over one language,
     or propositions.  Argument lists never consult it.
     """
 
-    __slots__ = ("source", "start_line", "texts", "pos", "memo", "closers")
+    __slots__ = ("source", "start_line", "m", "memo")
 
     def __init__(self, source: str, start_line: int = 1, memo: dict | None = None):
         self.source = source
         self.start_line = start_line
-        self.texts = _TEXT_RE.findall(source)
-        if len("".join(self.texts)) != len("".join(source.split())):
-            tokenize(source, start_line)  # raises at the first bad token
-        self.texts.append("")
-        self.pos = 0
+        bad = _GOOD_RE.match(source).end()
+        if bad < len(source):
+            raise self.error(f"unexpected character {source[bad]!r}", bad)
+        self.m = _TOKEN_RE.match(source)
         self.memo = {} if memo is None else memo
-        self.closers: dict[int, int] | None = None
+
+    @property
+    def pos(self) -> int:
+        """Source offset of the current token."""
+        return self.m.start(1)
 
     def text(self) -> str:
         """Text of the current token."""
-        return self.texts[self.pos]
+        return self.m[1]
 
-    def error(self, message: str, pos: int) -> ParseError:
-        """A ParseError at the token with index ``pos``; only here are the
-        tokens' offsets worked out."""
-        offset = tokenize(self.source, self.start_line)[pos][2]
-        return ParseError(message, *_position(self.source, self.start_line, offset))
+    def advance(self) -> None:
+        self.m = _TOKEN_RE.match(self.source, self.m.end())
+
+    def error(self, message: str, offset: int) -> ParseError:
+        """A ParseError at a source offset: its line is the start line plus
+        the newlines before it, and its column counts from the last one."""
+        line = self.start_line + self.source.count("\n", 0, offset)
+        return ParseError(message, line, offset - self.source.rfind("\n", 0, offset))
 
     def fail(self, message: str) -> ParseError:
         return self.error(message, self.pos)
 
     def at_punct(self, text: str) -> bool:
-        return self.texts[self.pos] == text
+        return self.m[1] == text
 
     def at_end(self) -> bool:
-        return self.texts[self.pos] == ""
+        return self.m[1] == ""
 
     def at_word(self) -> bool:
-        return self.texts[self.pos][:1] in _WORD_START
+        return self.m[1][:1] in _WORD_START
 
     def expect_punct(self, text: str) -> None:
-        if self.texts[self.pos] != text:
+        if self.m[1] != text:
             raise self.fail(f"expected {text!r}")
-        self.pos += 1
+        self.advance()
 
     def expect_word(self, text: str | None = None) -> str:
-        found = self.texts[self.pos]
+        found = self.m[1]
         if found[:1] not in _WORD_START or (text is not None and found != text):
             what = repr(text) if text is not None else "a name"
             raise self.fail(f"expected {what}")
-        self.pos += 1
+        self.advance()
         return found
 
     def expect_int(self) -> int:
-        text = self.texts[self.pos]
+        text = self.m[1]
         if text.isdigit() or (text[:1] == "-" and text[1:].isdigit()):
-            self.pos += 1
+            self.advance()
             return int(text)
         raise self.fail("expected an integer")
 
     def expect_end(self) -> None:
-        if self.texts[self.pos] != "":
+        if self.m[1] != "":
             raise self.fail("expected end of input")
-
-    def args(self, functions: FunctionType) -> list[Term]:
-        """An optional parenthesized, comma-separated term list."""
-        texts = self.texts
-        args: list[Term] = []
-        if texts[self.pos] == "(":
-            self.pos += 1
-            if texts[self.pos] != ")":
-                args.append(self.term(functions))
-                while texts[self.pos] == ",":
-                    self.pos += 1
-                    args.append(self.term(functions))
-            self.expect_punct(")")
-        return args
 
     # ----- terms -----
 
-    def application(self, functions: FunctionType, name: str, at: int, args) -> App:
-        """The application of ``name``, read at token ``at``, to ``args``."""
+    def application(self, functions: FunctionType, name: str, at, args) -> App:
+        """The application of ``name``, read at the match ``at``, to ``args``."""
         want = functions.arity(name)
         if len(args) != want:
-            raise self.error(f"{name!r} expects {want} argument(s), got {len(args)}", at)
+            raise self.error(
+                f"{name!r} expects {want} argument(s), got {len(args)}", at.start(1)
+            )
         return App(name, tuple(args))
 
-    def term(self, functions: FunctionType) -> Term:
-        """A term.  Each stack frame is an application whose argument
-        list is being read: its symbol, the symbol's token index and the
-        arguments read so far."""
-        texts = self.texts
-        pos = self.pos
-        stack: list[tuple[str, int, list[Term]]] = []
+    def term(
+        self, functions: FunctionType, outer: list[Term] | None = None
+    ) -> Term | list[Term]:
+        """A term; or, given a list ``outer``, the rest of an argument list
+        whose '(' is read, appended to ``outer``, which is returned.  Each
+        stack frame is an argument list being read: its function symbol
+        (None for ``outer``), the symbol's match and the arguments read so
+        far."""
+        source, match = self.source, _TOKEN_RE.match
+        m = self.m
+        stack: list[tuple[str | None, object, list[Term]]] = []
+        if outer is not None:
+            stack.append((None, None, outer))
         while True:
-            name = texts[pos]
+            name = m[1]
             if name[:1] not in _WORD_START:
-                raise self.error("expected a term", pos)
-            at = pos
-            pos += 1
+                raise self.error("expected a term", m.start(1))
+            at = m
+            m = match(source, m.end())
             if _VARIABLE_SHAPE.match(name):
                 value = Var(int(name[1:]))
             elif name not in functions:
-                raise self.error(f"unknown function symbol {name!r}", at)
-            elif texts[pos] == "(" and texts[pos + 1] != ")":
-                stack.append((name, at, []))
-                pos += 1
-                continue
+                raise self.error(f"unknown function symbol {name!r}", at.start(1))
             else:
-                if texts[pos] == "(":
-                    pos += 2  # an empty argument list
+                if m[1] == "(":
+                    m = match(source, m.end())
+                    if m[1] != ")":
+                        stack.append((name, at, []))
+                        continue
+                    m = match(source, m.end())  # an empty argument list
                 value = self.application(functions, name, at, ())
-            # Hand the finished term to the applications waiting for it.
+            # Hand the finished term to the argument lists waiting for it.
             while stack:
                 name, at, args = stack[-1]
                 args.append(value)
-                text = texts[pos]
+                text = m[1]
                 if text == ",":
-                    pos += 1
+                    m = match(source, m.end())
                     break
                 if text != ")":
-                    raise self.error("expected ')'", pos)
-                pos += 1
+                    raise self.error("expected ')'", m.start(1))
+                m = match(source, m.end())
                 stack.pop()
+                if name is None:
+                    self.m = m
+                    return args
                 value = self.application(functions, name, at, args)
             else:
-                self.pos = pos
+                self.m = m
                 return value
 
     # ----- formulas and propositions -----
 
-    def formula(self, language: Language) -> Formula:
-        return self._connectives(language)
-
-    def prop(self) -> Formula:
-        """A proposition: a formula over letters, without binders."""
-        return self._connectives(None)
-
-    def _connectives(self, language: Language | None) -> Formula:
-        """A formula over ``language``, or a proposition when it is None.
+    def formula(self, language: Language | None) -> Formula:
+        """A formula over ``language``, or when it is None a proposition: a
+        formula over letters, without binders.
 
         Prefix operators (``~`` and the binders) push a one-argument
-        builder; an open group pushes a list frame ``[key]`` that becomes
-        ``[key, builder, left]`` once its connective is read.  Binary
-        connectives are always parenthesized, so no precedence is needed.
+        builder; an open group pushes a list frame ``[prefix, start]``
+        that becomes ``[prefix, start, builder, left]`` once its
+        connective is read, where ``start`` is the offset of its '(' and
+        ``prefix`` its memo key, or None past the memo's nesting bound.
+        Binary connectives are always parenthesized, so no precedence is
+        needed.
         """
-        texts, memo, closers = self.texts, self.memo, self.closers
-        pos = self.pos
+        source, memo, match = self.source, self.memo, _TOKEN_RE.match
+        m = self.m
         stack: list = []
         groups = 0
         while True:
             # Read prefixes down to an atom, a letter or a memoized group.
             while True:
-                text = texts[pos]
+                text = m[1]
                 if text == "~":
-                    pos += 1
+                    m = match(source, m.end())
                     stack.append(FNot)
                     continue
                 if text == "(":
-                    key = None
+                    start = m.end() - 1
+                    prefix = None
                     if groups < _MEMO_NESTING:
-                        if closers is None:
-                            closers = self.closers = _match_groups(texts)
-                        close = closers.get(pos)
-                        if close is not None:
-                            key = " ".join(texts[pos:close + 1])
-                            value = memo.get(key)
-                            if value is not None:
-                                pos = close + 1
+                        prefix = source[
+                            start:source.find(")", start, start + _MEMO_PREFIX) + 1
+                            or start + _MEMO_PREFIX
+                        ]
+                        for group, value in memo.get(prefix, ()):
+                            if source.startswith(group, start):
+                                m = match(source, start + len(group))
                                 break
-                    pos += 1
-                    stack.append([key])
+                        else:
+                            group = None
+                        if group is not None:
+                            break
+                    m = match(source, m.end())
+                    stack.append([prefix, start])
                     groups += 1
                     continue
                 if text[:1] not in _WORD_START:
                     what = "a formula" if language is not None else "a propositional term"
-                    raise self.error(f"expected {what}", pos)
-                pos += 1
+                    raise self.error(f"expected {what}", m.start(1))
+                at = m
+                m = match(source, m.end())
                 if language is None:
                     value = memo.get(text)
                     if value is None:
                         value = memo[text] = Atom(text, ())
                     break
                 if text == "forall" or text == "exists":
-                    # A word is never the last token, so pos + 1 is in range.
-                    if _VARIABLE_SHAPE.match(texts[pos]) and texts[pos + 1] == ".":
-                        named = forall_xi if text == "forall" else exists_xi
-                        stack.append(partial(named, int(texts[pos][1:])))
-                        pos += 2
-                    else:
-                        stack.append(Forall if text == "forall" else exists)
+                    name = m[1]
+                    if _VARIABLE_SHAPE.match(name):
+                        after = match(source, m.end())
+                        if after[1] == ".":
+                            named = forall_xi if text == "forall" else exists_xi
+                            stack.append(partial(named, int(name[1:])))
+                            m = match(source, after.end())
+                            continue
+                    stack.append(Forall if text == "forall" else exists)
                     continue
                 if text not in language.predicates:
-                    raise self.error(f"unknown predicate symbol {text!r}", pos - 1)
-                self.pos = pos
-                args = self.args(language.functions)
+                    raise self.error(f"unknown predicate symbol {text!r}", at.start(1))
+                args = ()
+                if m[1] == "(":
+                    m = match(source, m.end())
+                    if m[1] == ")":
+                        m = match(source, m.end())
+                    else:
+                        self.m = m
+                        args = self.term(language.functions, [])
+                        m = self.m
                 want = language.predicates.arity(text)
                 if len(args) != want:
                     raise self.error(
-                        f"{text!r} expects {want} argument(s), got {len(args)}", pos - 1
+                        f"{text!r} expects {want} argument(s), got {len(args)}", at.start(1)
                     )
-                pos = self.pos
                 value = Atom(text, tuple(args))
                 break
             # Hand the finished formula to the frames waiting for it.
@@ -346,24 +330,25 @@ class _Parser:
                     stack.pop()
                     value = frame(value)
                     continue
-                text = texts[pos]
-                if len(frame) == 1:
+                text = m[1]
+                if len(frame) == 2:
                     builder = _CONNECTIVES.get(text)
                     if builder is not None:
-                        pos += 1
+                        m = match(source, m.end())
                         frame += (builder, value)
                         break
                 if text != ")":
-                    raise self.error("expected ')'", pos)
-                pos += 1
+                    raise self.error("expected ')'", m.start(1))
+                end = m.end()
+                m = match(source, end)
                 stack.pop()
                 groups -= 1
-                if len(frame) == 3:
-                    value = frame[1](frame[2], value)
+                if len(frame) == 4:
+                    value = frame[2](frame[3], value)
                 if frame[0] is not None:
-                    memo[frame[0]] = value
+                    memo.setdefault(frame[0], []).append((source[frame[1]:end], value))
             else:
-                self.pos = pos
+                self.m = m
                 return value
 
     # ----- substitutions and environments -----
@@ -375,11 +360,11 @@ class _Parser:
         if not self.at_punct(";") and not self.at_punct("]"):
             prefix.append(self.term(functions))
             while self.at_punct(","):
-                self.pos += 1
+                self.advance()
                 prefix.append(self.term(functions))
         tail = None
         if self.at_punct(";"):
-            self.pos += 1
+            self.advance()
             at = self.pos
             keyword = self.expect_word()
             if keyword == "shift":
@@ -405,7 +390,7 @@ class _Parser:
         if not self.at_punct(";"):
             values.append(self.expect_int())
             while self.at_punct(","):
-                self.pos += 1
+                self.advance()
                 values.append(self.expect_int())
         self.expect_punct(";")
         default = self.expect_int()
@@ -424,7 +409,7 @@ class _Parser:
             raise self.error(f"unknown axiom {axiom!r}", at)
         fields: dict[str, object] = {}
         if self.at_punct("("):
-            self.pos += 1
+            self.advance()
             while not self.at_punct(")"):
                 at = self.pos
                 field = self.expect_word()
@@ -440,7 +425,7 @@ class _Parser:
                 else:
                     raise self.error(f"unknown axiom parameter {field!r}", at)
                 if self.at_punct(","):
-                    self.pos += 1
+                    self.advance()
                 elif not self.at_punct(")"):
                     raise self.fail("expected ',' or ')'")
             self.expect_punct(")")
@@ -459,9 +444,9 @@ class _Parser:
             if field not in ("p", "q", "r"):
                 raise self.error(f"unknown axiom parameter {field!r}", at)
             self.expect_punct("=")
-            fields[field] = self.prop()
+            fields[field] = self.formula(None)
             if self.at_punct(","):
-                self.pos += 1
+                self.advance()
             elif not self.at_punct(")"):
                 raise self.fail("expected ',' or ')'")
         self.expect_punct(")")
@@ -492,7 +477,7 @@ def parse_env(text: str) -> Env:
 
 
 def parse_prop(text: str) -> Formula:
-    return _parse_all(text, lambda p: p.prop())
+    return _parse_all(text, lambda p: p.formula(None))
 
 
 def parse_axiom_spec(text: str, language: Language) -> AxiomInstanceSpec:
@@ -828,7 +813,7 @@ def load_prop_proof(text: str) -> Proof:
         if index != len(steps) + 1:
             raise parser.error(f"expected step number {len(steps) + 1}", at)
         parser.expect_punct(".")
-        formula = parser.prop()
+        formula = parser.formula(None)
         parser.expect_word("by")
         if parser.text() in ("A1", "A2", "A3"):
             by = ByAxiom(parser.prop_axiom())

@@ -555,9 +555,18 @@ def test_surveys_print_the_same_bytes_twice(capsys, argv):
         (["qa_survey", "--sizes", "1", "--rank-bound", "-1"], "rank_bound must be >= 0"),
         (["qa_survey", "--sizes", "3", "--sampled", "0"], "sampled_count must be >= 1"),
         (["completeness", "--total", "0"], "total must be >= 1"),
+        # Refused before any structure is drawn: about 43 s of work.
+        (["soundness", "--count", "1", "--schema", "A1", "--max-size", "30"],
+         "21095992 environment rows, over the cap of 4194304"),
+        # Refused before any algebra is drawn: about 14 hours of work.
+        (["completeness", "--total", "1000000"], "total 1000000 is over the cap of 1000 algebras"),
+        # The survey's fixed sample has rank 2.
+        (["qa_survey", "--sizes", "1", "--rank-bound", "1"],
+         "sample formula has rank 2, over the bound 1"),
     ],
     ids=["rank-bound", "depth", "count", "count-zero", "max-size", "max-size-zero", "countermodel",
-         "sizes-zero", "sizes-over-cap", "survey-rank-bound", "sampled-zero", "total-zero"],
+         "sizes-zero", "sizes-over-cap", "survey-rank-bound", "sampled-zero", "total-zero",
+         "max-size-over-budget", "total-over-cap", "survey-rank-bound-below-sample"],
 )
 def test_out_of_range_numeric_flags_exit_2(sig, capsys, argv, message):
     # Each of these once ran vacuously or ended in a traceback or an unbounded

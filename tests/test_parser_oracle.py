@@ -1,4 +1,4 @@
-"""Differential tests: the parser over offset tuples against the old one.
+"""Differential tests: the offset parser against the old one.
 
 ``syntax_oracle`` keeps the tokenizer and parser that built a ``Token``
 with a line and column for every lexeme.  On every input below the two
@@ -354,6 +354,50 @@ def test_repeated_groups_agree() -> None:
         # A hit followed by an error on the same line.
         ("proof", "local\n1. (r(x1) & r(x2)) by hyp 1\n2. ((r(x1) & r(x2)) & ) by hyp 1\n"),
         ("proof", "local\n1. (r(x1) & r(x2)) by hyp 1\n2. ((r(x1) & r(x2)) r(x1)) by hyp 1\n"),
+        # The memo is keyed by source text: a group restated with other
+        # spacing, or with a tab, is read afresh and gives the same node.
+        ("theory", "theory t\n(r(x1) & s(x1, x2))\n(r(x1)&s(x1,x2))\n( r(x1) &  s(x1 , x2) )\n"
+                   "~(r(x1)\t& s(x1,\tx2))\n(r(x1) & s(x1, x2))\n"),
+        ("prop_proof", "1. (a & b) by hyp 1\n2. (a&b) by hyp 1\n3. ((a\t& b) -> (a &b)) by hyp 1\n"),
+        # Groups shorter than the lookup prefix, restated before other text,
+        # at the end of a line, and inside longer groups.
+        ("prop_proof", "1. (a & b) by hyp 1\n2. ((a & b) -> c) by hyp 1\n3. (c -> (a & b)) by hyp 1\n"
+                       "4. ~(a & b) by A1(p=(a & b), q=(a | b))\n"),
+        ("theory", "theory t\n(r(c))\n((r(c)) & r(c))\n(r(x1) & (r(c)))\n~(r(c))\n"),
+        # A hit followed at once by a token.
+        ("proof", "local\n1. (r(x1) & r(x2)) by hyp 1\n2. ((r(x1) & r(x2))& (r(x1) & r(x2)))by hyp 1\n"),
+        ("prop_proof", "1. (a | b) by hyp 1\n2. ((a | b)->(a | b)) by hyp 1\n3. ((a | b)(a | b)) by hyp 1\n"),
+        # A bad character after a hit on the same line is reported first.
+        ("proof", "local\n1. (r(x1) & r(x2)) by hyp 1\n2. ((r(x1) & r(x2)) & r(x1))$ by hyp 1\n"),
+        ("proof", "local\n1. (r(x1) & r(x2)) by hyp 1\n2. ((r(x1) & r(x2)) & ) by hyp 1 @\n"),
+        ("prop_proof", "1. (a & b) by hyp 1\n2. ((a & b) -> a) by mp 1 1 <\n"),
     ]
+    # A group restated just inside, at and just past the memo's nesting
+    # bound, before and after its top-level statement, and then broken.
+    group = "(r(x1) & s(x1, x2))"
+    for depth in (new._MEMO_NESTING - 1, new._MEMO_NESTING, new._MEMO_NESTING + 1):
+        nested = "(r(x1) & " * depth + group + ")" * depth
+        cases += [
+            ("theory", f"theory t\n{group}\n{nested}\n{nested}\n~{nested}\n"),
+            ("theory", f"theory t\n{nested}\n{group}\n~{group}\n{nested}\n"),
+            ("theory", f"theory t\n{group}\n{nested[:-1]}\n"),
+            ("theory", f"theory t\n{group}\n{nested.replace(group, '(r(x1) & s(x1))')}\n"),
+        ]
     for kind, text in cases:
         assert_same(kind, text)
+
+
+def test_memo_keeps_groups_within_the_nesting_bound() -> None:
+    """Only the groups nested fewer than ``_MEMO_NESTING`` deep enter the
+    memo, so one line's entries hold at most that many copies of it."""
+    wrapper, depth = "(r(x1) & ", 4 * new._MEMO_NESTING
+    text = wrapper * depth + "r(x2)" + ")" * depth
+    memo: dict = {}
+    parser = new._Parser(text, 1, memo)
+    assert parser.formula(CORPUS_LANG) == old.parse_formula(text, CORPUS_LANG)
+    parser.expect_end()
+    groups = sorted(group for entries in memo.values() for group, _ in entries)
+    outermost = sorted(
+        text[len(wrapper) * k:len(text) - k] for k in range(new._MEMO_NESTING)
+    )
+    assert groups == outermost
