@@ -433,10 +433,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # Parsing and checking do not recurse, but the printers
-        # (format_term, format_formula), fsubst (which also builds the
-        # shifted and collapsed sides of qa_laws), frank and
-        # terms.apply/rank still recurse once per nesting level.
+        # Parsing, checking, term ranks and the tables of eval and
+        # countermodel do not recurse, but the printers (format_term,
+        # format_formula), fsubst (which also builds the shifted and
+        # collapsed sides of qa_laws), frank and terms.apply still
+        # recurse once per nesting level.
         print("error: formula nested too deeply", file=sys.stderr)
         return 2
 

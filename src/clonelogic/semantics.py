@@ -491,36 +491,79 @@ class _Columns:
     """Values of terms at each row of a table, under one assignment of
     function tables.  Coordinates past a table's rank read ``tail``
     shifted down by that rank (see the notes above); whole tables never
-    read it."""
+    read it.
+
+    A column is built once and kept, keyed by (term, rank), with the set
+    of function symbols its term reads.  ``set_tables`` moves the
+    columns to other function tables, dropping only those whose term
+    reads a table that changed.
+    """
 
     def __init__(self, size: int, fn_tables, tail: Env = Env()):
         self.size = size
         self.fn_tables = fn_tables
         self.tail = tail
-        self._memo: dict = {}
+        self._memo: dict[tuple[Term, int], list[int]] = {}
+        self._reads: dict[Term, frozenset[str]] = {}
+
+    def set_tables(self, fn_tables) -> set[str]:
+        """Read these function tables from now on, and return the symbols
+        whose table changed: those not the same object as before.  The
+        columns of terms that read one of them are dropped."""
+        old = self.fn_tables
+        changed = {name for name, table in fn_tables.items() if old.get(name) is not table}
+        self.fn_tables = fn_tables
+        if changed:
+            memo, reads = self._memo, self._reads
+            for key in [key for key in memo if not changed.isdisjoint(reads[key[0]])]:
+                del memo[key]
+        return changed
 
     def term(self, term: Term, rank: int) -> list[int]:
-        """Value of the term at each row of a rank-``rank`` table."""
-        key = (term, rank)
-        column = self._memo.get(key)
-        if column is None:
-            size = self.size
-            match term:
-                case Var(index) if index > rank:
+        """Value of the term at each row of a rank-``rank`` table.
+
+        Missing columns are built by an explicit-stack walk, arguments
+        first, so a term of any depth is read.  A kept column's arguments
+        are kept too: an argument reads no symbol its term does not.
+        """
+        memo = self._memo
+        column = memo.get((term, rank))
+        if column is not None:
+            return column
+        size, reads = self.size, self._reads
+        stack = [term]
+        while stack:
+            node = stack[-1]
+            if (node, rank) in memo:
+                stack.pop()
+                continue
+            if isinstance(node, Var):
+                index = node.index
+                if index > rank:
                     column = [self.tail.at(index - rank)] * size ** rank
-                case Var(index):
+                else:
                     repeat = size ** (rank - index)
                     column = [
                         v for _ in range(size ** (index - 1))
                         for v in range(size) for _ in range(repeat)
                     ]
-                case App(symbol, args):
-                    table = self.fn_tables[symbol]
-                    column = [table[c] for c in self.cells(args, rank)]
-                case _:
-                    raise TypeError(f"not a term: {term!r}")
-            self._memo[key] = column
-        return column
+                reads[node] = frozenset()
+            elif isinstance(node, App):
+                missing = [arg for arg in node.args if (arg, rank) not in memo]
+                if missing:
+                    stack.extend(missing)
+                    continue
+                table = self.fn_tables[node.symbol]
+                column = [table[c] for c in self.cells(node.args, rank)]
+                if node not in reads:
+                    reads[node] = frozenset((node.symbol,)).union(
+                        *(reads[arg] for arg in node.args)
+                    )
+            else:
+                raise TypeError(f"not a term: {node!r}")
+            memo[node, rank] = column
+            stack.pop()
+        return memo[term, rank]
 
     def cells(self, args, rank: int) -> list[int]:
         """Row-major table index of the argument tuple at each row of a
@@ -717,10 +760,14 @@ def enumerate_structures(
 
 
 def _term_symbols(term: Term, out: set[str]) -> None:
-    if isinstance(term, App):
-        out.add(term.symbol)
-        for arg in term.args:
-            _term_symbols(arg, out)
+    """Add the function symbols the term reads to ``out``, by an
+    explicit-stack walk."""
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, App):
+            out.add(node.symbol)
+            stack.extend(node.args)
 
 
 def countermodel_search(
@@ -774,9 +821,14 @@ def _search_size(language: Language, formula: Formula, size: int) -> Structure |
     program = _Program(size)
     root = program.add(formula)
     used = {atom.symbol for atom, _ in program.atoms}
+    # The function symbols each atom's arguments read.
+    reads = []
     for atom, _ in program.atoms:
+        symbols: set[str] = set()
         for arg in atom.args:
-            _term_symbols(arg, used)
+            _term_symbols(arg, symbols)
+        reads.append(symbols)
+        used |= symbols
     eq = language.equality
     fn_free = [(name, a) for name, a in language.functions.items() if name in used]
     rel_free = [
@@ -817,19 +869,34 @@ def _search_size(language: Language, formula: Formula, size: int) -> Structure |
     fn_space = itertools.product(*(
         itertools.product(range(size), repeat=size ** a) for _, a in fn_free
     ))
+    # Term columns and atom entries depend only on the function tables,
+    # and consecutive assignments of the odometer below mostly differ in
+    # the last table.  An unchanged table is the same tuple object, so
+    # the columns are kept across assignments and ``set_tables`` drops
+    # those of terms that read a changed table.  Each atom keeps its
+    # cell column and its entry: its plane is the sum over its cells of
+    # the cell's rows times the cell's chunk, a fixed part from the
+    # lanes and the pinned equality, plus the looped cells that hold 1.
+    # The entry is made again only when the cell column changed, so an
+    # atom whose arguments read no function symbol makes it once.  What
+    # is kept is one column per distinct (term, rank) and one cell column
+    # and entry per atom, whatever the number of assignments.
+    columns = _Columns(size, {})
+    kept: list = [None] * len(program.atoms)
+    entries: list = [None] * len(program.atoms)
     for fn_combo in fn_space:
-        # Term columns depend only on the function tables, so they are
-        # computed once per assignment.  An atom's plane is the sum over
-        # its cells of the cell's rows times the cell's chunk: a fixed
-        # part from the lanes and the pinned equality, plus the looped
-        # cells that hold 1.
         fns = {name: zeros[name] for name in language.functions}
         fns.update(zip((name for name, _ in fn_free), fn_combo))
-        columns = _Columns(size, fns)
-        atoms = []
-        for atom, rank in program.atoms:
+        changed = columns.set_tables(fns)
+        for i, (atom, rank) in enumerate(program.atoms):
+            if kept[i] is not None and changed.isdisjoint(reads[i]):
+                continue
+            cells = columns.cells(atom.args, rank)
+            if cells == kept[i]:
+                continue
+            kept[i] = cells
             fixed, looped, parts = 0, [], []
-            for cell, rows in zip(*_row_sets(columns.cells(atom.args, rank), lanes)):
+            for cell, rows in zip(*_row_sets(cells, lanes)):
                 if atom.symbol == eq:
                     fixed += rows * ones * identity[cell]
                 elif (g := start[atom.symbol] + cell) < outer:
@@ -837,11 +904,11 @@ def _search_size(language: Language, formula: Formula, size: int) -> Structure |
                     parts.append(rows * ones)
                 else:
                     fixed += rows * chunks[g - outer]
-            atoms.append((fixed, looped, parts))
+            entries[i] = (fixed, looped, parts)
         for bits in itertools.product((0, 1), repeat=outer):
             atom_planes = [
                 fixed + sum(itertools.compress(parts, map(bits.__getitem__, looped)))
-                for fixed, looped, parts in atoms
+                for fixed, looped, parts in entries
             ]
             planes: list[int] = []
             program.evaluate(planes, atom_planes)

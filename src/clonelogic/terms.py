@@ -411,12 +411,23 @@ def touch_subst(i: int, term: Term) -> Substitution:
 
 
 def rank(term: Term) -> int:
-    """Largest variable index occurring in the term, 0 when closed."""
-    match term:
-        case Var(i):
-            return i
-        case App(_, args):
-            return max((rank(a) for a in args), default=0)
+    """Largest variable index occurring in the term, 0 when closed.
+
+    A variable is read directly; any other term by an explicit-stack
+    walk, so a term of any depth is read.
+    """
+    if isinstance(term, Var):
+        return term.index
+    out = 0
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            if node.index > out:
+                out = node.index
+        else:
+            stack.extend(node.args)
+    return out
 
 
 def is_closed(term: Term) -> bool:

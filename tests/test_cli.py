@@ -416,6 +416,52 @@ def test_countermodel_none(sig, capsys):
     assert out == "NO COUNTERMODEL\n"
 
 
+def _nest(symbol: str, depth: int, inner: str) -> str:
+    return f"{symbol}(" * depth + inner + ")" * depth
+
+
+SIG_DEEP = """\
+fn g/1
+fn a/0
+rel p/2
+"""
+
+
+def test_countermodel_and_eval_read_terms_of_any_depth(tmp_path, capsys):
+    # The search ranks each atom's terms, collects their symbols and
+    # builds their columns without recursing per nesting level.
+    path = tmp_path / "sig_deep.txt"
+    path.write_text(SIG_DEEP)
+    deep = _nest("g", 2000, "a")
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, ["countermodel", "--signature", str(path), "--formula", f"~p({deep}, a)"]
+    )
+    assert (code, err) == (1, "")
+    assert out == "COUNTERMODEL\ndomain 1\nfn g: 0\nfn a: 0\nrel p: 1\n"
+    # An A5 instance, forall p(x1, t) -> p(t, t), is valid: every
+    # structure up to size 2 is tried, each function table over a
+    # 1,000-deep term.
+    deep = _nest("g", 1000, "a")
+    code, out, err = run(
+        capsys,
+        ["countermodel", "--signature", str(path), "--formula",
+         f"(forall p(x1, {deep}) -> p({deep}, {deep}))", "--max-size", "2"],
+    )
+    assert (code, out, err) == (0, "NO COUNTERMODEL\n", "")
+    assert time.perf_counter() - start < 10.0
+    # eval builds its columns the same way: g swaps 0 and 1, so the
+    # 3,000-deep term is a, and p(a, x1) fails at x1 = 0.
+    structure = tmp_path / "swap.txt"
+    structure.write_text("domain 2\nfn g: 1 0\nfn a: 0\nrel p: 0 1 1 0\n")
+    code, out, err = run(
+        capsys,
+        ["eval", "--signature", str(path), "--structure", str(structure), "--formula",
+         f"p({_nest('g', 3000, 'a')}, x1)"],
+    )
+    assert (code, out, err) == (1, "COUNTEREXAMPLE [0 ; 0]\n", "")
+
+
 def test_countermodel_cap_exceeded(sig, capsys):
     code, _, err = run(
         capsys,

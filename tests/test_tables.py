@@ -434,6 +434,45 @@ def test_countermodel_search_matches_full_enumeration(p) -> None:
 
 
 
+def _nested_formulas(symbol: str, arity: int):
+    """Formulas over r/1 whose atoms read terms over c, x1, x2 and one
+    function symbol, each nested at least two deep."""
+    def apply(inner):
+        return st.builds(lambda *args: App(symbol, args), *[inner] * arity)
+
+    terms = st.recursive(st.sampled_from([c, x1, Var(2)]), apply, max_leaves=3)
+    atoms = apply(apply(terms)).map(lambda t: Atom("r", (t,)))
+    small = st.recursive(
+        atoms,
+        lambda inner: st.one_of(inner.map(FNot), st.builds(FAnd, inner, inner), inner.map(Forall)),
+        max_leaves=3,
+    )
+    # Implications are often valid or first falsified late, so the
+    # search runs through many assignments.
+    return small | st.builds(f_imp, small, small) | st.builds(lambda p, q: f_imp(FAnd(p, q), p), small, small)
+
+
+UNARY_LANG = Language(FunctionType({"c": 0, "f": 1}), PredicateType({"r": 1}))
+BINARY_LANG = Language(FunctionType({"c": 0, "h": 2}), PredicateType({"r": 1}))
+
+
+@pytest.mark.parametrize("lane_bits", [1, semantics._LANE_BITS])
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_kept_columns_match_full_enumeration(monkeypatch, lane_bits, data) -> None:
+    # The search keeps term columns and atom entries from one function
+    # table assignment to the next and rebuilds only what a changed table
+    # reads.  Terms nested two deep read cells other than the one the
+    # odometer turns most often; with one lane every relation cell is
+    # looped, so kept atom entries meet the looped path too.
+    monkeypatch.setattr(semantics, "_LANE_BITS", lane_bits)
+    for language, symbol, arity, max_size in ((UNARY_LANG, "f", 1, 3), (BINARY_LANG, "h", 2, 2)):
+        p = data.draw(_nested_formulas(symbol, arity))
+        expected = oracle_countermodel(language, FiniteBooleanAlg(1), p, max_size)
+        assert countermodel_search(language, p, max_size) == expected
+
+
+
 # Relation candidates over SMALL_LANG are r's cells, then s's; equality
 # is pinned.  At size 1 that is two cells, so four lanes hold both r and
 # s in one block; at size 2 it is six, and one, two or four lanes leave
