@@ -449,7 +449,11 @@ def _nested_formulas(symbol: str, arity: int):
     )
     # Implications are often valid or first falsified late, so the
     # search runs through many assignments.
-    return small | st.builds(f_imp, small, small) | st.builds(lambda p, q: f_imp(FAnd(p, q), p), small, small)
+    return (
+        small
+        | st.builds(f_imp, small, small)
+        | st.builds(lambda p, q: f_imp(FAnd(p, q), p), small, small)
+    )
 
 
 UNARY_LANG = Language(FunctionType({"c": 0, "f": 1}), PredicateType({"r": 1}))
