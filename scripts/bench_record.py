@@ -16,6 +16,11 @@ holds the values of all runs and their median, minimum and interquartile
 range, beside the operations attempted and failed and whether every
 verdict was correct.  It also names the Python version and the number
 of processors.
+
+A checkout holding ``__pycache__`` under ``src/`` is refused before any
+run: its workers would load cached bytecode where the other checkout's
+compile from source, which reads as lower ``setup_s`` and
+``peak_rss_mb``.
 """
 
 from __future__ import annotations
@@ -42,6 +47,16 @@ def describe(checkout: str) -> str | None:
     except (OSError, subprocess.CalledProcessError):
         return None
     return out.stdout.strip()
+
+
+def bytecode_caches(checkout: str) -> list[str]:
+    """Every ``__pycache__`` directory under the checkout's ``src/``."""
+    found = []
+    for parent, dirs, _ in os.walk(os.path.join(checkout, "src")):
+        if "__pycache__" in dirs:
+            dirs.remove("__pycache__")
+            found.append(os.path.join(parent, "__pycache__"))
+    return sorted(found)
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
@@ -94,6 +109,11 @@ def main(argv=None) -> int:
     checkouts = {"change": ROOT}
     if args.parent is not None:
         checkouts = {"parent": os.path.abspath(args.parent), "change": ROOT}
+    caches = [path for checkout in checkouts.values() for path in bytecode_caches(checkout)]
+    if caches:
+        print("bytecode caches skew setup_s and peak_rss_mb; remove them with: rm -r "
+              + " ".join(caches), file=sys.stderr)
+        return 2
     results = {label: {w: [] for w in args.workload or WORKLOADS} for label in checkouts}
     for workload in args.workload or WORKLOADS:
         for run in range(args.runs):

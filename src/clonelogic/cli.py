@@ -16,7 +16,7 @@ import re
 import sys
 
 from .checks import completeness_survey, prop_corpus, qa_survey, soundness_survey
-from .errors import LogicError
+from .errors import BoundExceeded, LogicError
 from .formulas import (
     Atom,
     Language,
@@ -31,6 +31,7 @@ from .formulas import (
 from .proofs import AXIOM_IDS, Theory, check_proof, instantiate_axiom
 from .propositional import check_prop_proof, tautology
 from .semantics import (
+    _MAX_LAW_SAMPLE,
     DEFAULT_CELLS_CAP,
     Env,
     FiniteBooleanAlg,
@@ -220,6 +221,16 @@ def cmd_countermodel(args) -> int:
 def cmd_qa_laws(args) -> int:
     structure, language = _structure(args)
     algebra = FiniteBooleanAlg(structure.truth_bits)
+    # The sample holds every atom, so too many atoms are refused before
+    # any is built: their count grows as --rank-bound to the arity.
+    atom_count = sum(
+        max(args.rank_bound, 0) ** arity for _, arity in language.predicates.items()
+    )
+    if atom_count > _MAX_LAW_SAMPLE:
+        raise BoundExceeded(
+            f"the law sample holds {'' if args.depth == 0 else 'at least '}"
+            f"{atom_count} formulas, over the cap of {_MAX_LAW_SAMPLE}"
+        )
     atoms = []
     for name in language.predicates:
         arity = language.predicates.arity(name)
@@ -433,11 +444,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # Parsing, checking, term ranks and the tables of eval and
-        # countermodel do not recurse, but the printers (format_term,
-        # format_formula), fsubst (which also builds the shifted and
-        # collapsed sides of qa_laws), frank and terms.apply still
-        # recurse once per nesting level.
+        # Parsing, checking and the tables of eval and countermodel do
+        # not recurse, but the printers (format_term, format_formula),
+        # fsubst (which also builds the shifted and collapsed sides of
+        # qa_laws) and terms.apply still recurse once per nesting level.
         print("error: formula nested too deeply", file=sys.stderr)
         return 2
 

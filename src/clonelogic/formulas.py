@@ -77,7 +77,7 @@ _FORALLS, _drop_forall = intern_table()
 class Atom(Interned):
     """A predicate symbol applied to argument terms."""
 
-    __slots__ = ("symbol", "args")
+    __slots__ = ("symbol", "args", "rank")
     __match_args__ = ("symbol", "args")
 
     def __new__(cls, symbol: str, args: tuple[Term, ...]):
@@ -89,14 +89,19 @@ class Atom(Interned):
             node = ref()
             if node is not None:
                 return node
+        rank = 0
+        for arg in args:
+            if arg.rank > rank:
+                rank = arg.rank
         node = _new(cls)
         _set(node, "symbol", symbol)
         _set(node, "args", args)
+        _set(node, "rank", rank)
         return interned(_ATOMS, _drop_atom, node, key)
 
 
 class FNot(Interned):
-    __slots__ = ("body",)
+    __slots__ = ("body", "rank")
     __match_args__ = ("body",)
 
     def __new__(cls, body: "Formula"):
@@ -107,11 +112,12 @@ class FNot(Interned):
                 return node
         node = _new(cls)
         _set(node, "body", body)
+        _set(node, "rank", body.rank)
         return interned(_NOTS, _drop_not, node, body)
 
 
 class FAnd(Interned):
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "rank")
     __match_args__ = ("left", "right")
 
     def __new__(cls, left: "Formula", right: "Formula"):
@@ -124,13 +130,15 @@ class FAnd(Interned):
         node = _new(cls)
         _set(node, "left", left)
         _set(node, "right", right)
+        _set(node, "rank", max(left.rank, right.rank))
         return interned(_ANDS, _drop_and, node, key)
 
 
 class Forall(Interned):
-    """Binds coordinate 1 of its body."""
+    """Binds coordinate 1 of its body: free coordinates of the body appear
+    shifted down by one outside it."""
 
-    __slots__ = ("body",)
+    __slots__ = ("body", "rank")
     __match_args__ = ("body",)
 
     def __new__(cls, body: "Formula"):
@@ -141,6 +149,7 @@ class Forall(Interned):
                 return node
         node = _new(cls)
         _set(node, "body", body)
+        _set(node, "rank", max(body.rank - 1, 0))
         return interned(_FORALLS, _drop_forall, node, body)
 
 
@@ -372,24 +381,13 @@ def exists_xi(i: int, formula: Formula) -> Formula:
 # ------------------------------------------------------------------
 
 def frank(formula: Formula) -> int:
-    """Largest free coordinate, 0 for sentences.
-
-    The binder consumes coordinate 1, so free coordinates of the body
-    appear shifted down by one outside it.
-    """
-    match formula:
-        case Atom(_, args):
-            return max((terms.rank(t) for t in args), default=0)
-        case FNot(body):
-            return frank(body)
-        case FAnd(left, right):
-            return max(frank(left), frank(right))
-        case Forall(body):
-            return max(frank(body) - 1, 0)
+    """Largest free coordinate, 0 for sentences; the rank the formula
+    stored when it was built."""
+    return formula.rank
 
 
 def is_sentence(formula: Formula) -> bool:
-    return frank(formula) == 0
+    return formula.rank == 0
 
 
 def close_off(formula: Formula) -> Formula:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import LogicError
+from .errors import BoundExceeded, LogicError
 from . import terms
 from .formulas import (
     Atom,
@@ -145,13 +145,24 @@ def instantiate_prime_axiom(
     return out
 
 
+def _check_gen_count(spec: AxiomInstanceSpec) -> None:
+    if spec.gen_count < 0:
+        raise ValueError("generalization count must be >= 0")
+
+
 def instantiate_axiom(
     spec: AxiomInstanceSpec, language: Language, seen: set[Interned] | None = None
 ) -> Formula:
-    """The prime instance wrapped in ``gen_count`` outer binders."""
-    if spec.gen_count < 0:
-        raise ValueError("generalization count must be >= 0")
+    """The prime instance wrapped in ``gen_count`` outer binders.  A count
+    over ``terms.MAX_BINDER_INDEX`` raises BoundExceeded before any binder
+    is built."""
+    _check_gen_count(spec)
     out = instantiate_prime_axiom(spec, language, seen)
+    if spec.gen_count > terms.MAX_BINDER_INDEX:
+        raise BoundExceeded(
+            f"generalization count {spec.gen_count} is over the cap of "
+            f"{terms.MAX_BINDER_INDEX}"
+        )
     for _ in range(spec.gen_count):
         out = Forall(out)
     return out
@@ -235,7 +246,9 @@ def check_proof(proof: Proof, theory: Theory) -> CheckResult:
     Formulas are interned, so each comparison of a rebuilt formula with
     a step is one identity test.  One ``check_formula`` seen-set serves
     every step and the axiom instances, so a subformula restated on many
-    steps is checked once.
+    steps is checked once.  An axiom step's outer binders are peeled off
+    the step rather than built, so the work is bounded by the step
+    whatever its recipe's ``gen_count``.
     """
     language = theory.language
     steps = proof.steps
@@ -249,10 +262,16 @@ def check_proof(proof: Proof, theory: Theory) -> CheckResult:
         match by:
             case ByAxiom(spec):
                 try:
-                    expected = instantiate_axiom(spec, language, seen)
+                    _check_gen_count(spec)
+                    expected = instantiate_prime_axiom(spec, language, seen)
                 except (ValueError, LogicError) as exc:
                     return CheckResult(False, i, f"bad axiom recipe: {exc}")
-                if expected is not step.formula:
+                body = step.formula
+                for _ in range(spec.gen_count):
+                    if type(body) is not Forall:
+                        return CheckResult(False, i, "formula is not that axiom instance")
+                    body = body.body
+                if body is not expected:
                     return CheckResult(False, i, "formula is not that axiom instance")
             case ByHyp(index):
                 if not 0 <= index < len(theory.formulas):

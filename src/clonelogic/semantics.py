@@ -50,7 +50,6 @@ from .terms import (
     cons_subst,
     is_closed,
     lift as lift_subst,
-    rank as term_rank,
     sigma_at,
 )
 
@@ -372,7 +371,7 @@ class _Program:
     def atom(self, phi: Atom, depth: int | None = None) -> int:
         """Node of an atom; below ``depth`` binders its rank is clipped
         there (see the notes above)."""
-        rank = max((term_rank(t) for t in phi.args), default=0)
+        rank = phi.rank
         if depth is not None:
             rank = min(rank, depth)
         return self._node(_ATOM, phi, rank, rank)

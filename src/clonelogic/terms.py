@@ -100,6 +100,10 @@ class Interned:
     table forgets a node once the last reference to it is dropped.
     Equality and hashing are object identity; nodes are immutable, and
     copying or pickling returns the canonical node.
+
+    Every subclass also sets a ``rank`` slot on a miss: the largest free
+    coordinate, read from the children's ranks.  It is derived from the
+    fields, so it is left out of ``__match_args__``.
     """
 
     __slots__ = ("__weakref__",)
@@ -132,7 +136,7 @@ _APPS, _drop_app = intern_table()
 class Var(Interned):
     """Variable with 1-based index."""
 
-    __slots__ = ("index",)
+    __slots__ = ("index", "rank")
     __match_args__ = ("index",)
 
     def __new__(cls, index: int):
@@ -145,13 +149,14 @@ class Var(Interned):
             raise ValueError(f"variable index must be >= 1, got {index}")
         node = _new(cls)
         _set(node, "index", index)
+        _set(node, "rank", index)
         return interned(_VARS, _drop_var, node, index)
 
 
 class App(Interned):
     """Application of a function symbol to argument terms."""
 
-    __slots__ = ("symbol", "args")
+    __slots__ = ("symbol", "args", "rank")
     __match_args__ = ("symbol", "args")
 
     def __new__(cls, symbol: str, args: tuple["Term", ...]):
@@ -163,9 +168,14 @@ class App(Interned):
             node = ref()
             if node is not None:
                 return node
+        rank = 0
+        for arg in args:
+            if arg.rank > rank:
+                rank = arg.rank
         node = _new(cls)
         _set(node, "symbol", symbol)
         _set(node, "args", args)
+        _set(node, "rank", rank)
         return interned(_APPS, _drop_app, node, key)
 
 
@@ -411,27 +421,13 @@ def touch_subst(i: int, term: Term) -> Substitution:
 
 
 def rank(term: Term) -> int:
-    """Largest variable index occurring in the term, 0 when closed.
-
-    A variable is read directly; any other term by an explicit-stack
-    walk, so a term of any depth is read.
-    """
-    if isinstance(term, Var):
-        return term.index
-    out = 0
-    stack = [term]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            if node.index > out:
-                out = node.index
-        else:
-            stack.extend(node.args)
-    return out
+    """Largest variable index occurring in the term, 0 when closed; the
+    rank the term stored when it was built."""
+    return term.rank
 
 
 def is_closed(term: Term) -> bool:
-    return rank(term) == 0
+    return term.rank == 0
 
 
 # Largest coordinate a named binder may bind: its rotation holds one

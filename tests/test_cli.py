@@ -292,6 +292,33 @@ def test_check_proof_rejects_generalization_in_local_kind(tmp_path, sig, capsys)
     assert out.startswith("REJECTED step 2:")
 
 
+A1_PRIME = "(r(x1, x1) -> (r(x1, x1) & r(x1, x1)))"
+
+
+@pytest.mark.parametrize(
+    "step, out",
+    [
+        (f"forall forall {A1_PRIME} by axiom A1(p=r(x1, x1), n=2)", "ACCEPTED\n"),
+        (f"forall {A1_PRIME} by axiom A1(p=r(x1, x1), n=2)",
+         "REJECTED step 1: formula is not that axiom instance\n"),
+        # The binders are peeled off the step, never built: 2*10^6 of them
+        # once took 8 s and 373 MB before this rejection.
+        (f"forall {A1_PRIME} by axiom A1(p=r(x1, x1), n=2000000)",
+         "REJECTED step 1: formula is not that axiom instance\n"),
+        (f"{A1_PRIME} by axiom A1(p=r(x1, x1), n=1000000000)",
+         "REJECTED step 1: formula is not that axiom instance\n"),
+    ],
+    ids=["two-binders", "one-binder-short", "two-million", "a-billion"],
+)
+def test_check_proof_peels_axiom_binders_off_the_step(tmp_path, sig, capsys, step, out):
+    proof = tmp_path / "proof.txt"
+    proof.write_text(f"local\n1. {step}\n")
+    start = time.perf_counter()
+    result = run(capsys, ["check_proof", str(proof), "--signature", sig])
+    assert time.perf_counter() - start < 1.0
+    assert result == (0 if out == "ACCEPTED\n" else 1, out, "")
+
+
 def test_check_proof_theory_name_must_match(tmp_path, sig, capsys):
     proof = tmp_path / "proof.txt"
     proof.write_text(PROOF_GLOBAL)
@@ -609,10 +636,17 @@ def test_surveys_print_the_same_bytes_twice(capsys, argv):
         # The survey's fixed sample has rank 2.
         (["qa_survey", "--sizes", "1", "--rank-bound", "1"],
          "sample formula has rank 2, over the bound 1"),
+        # Refused before any binder is built: 10^9 of them would exhaust memory.
+        (["axiom", "A1(p=r(x1, x1), n=1000000000)", "--signature", "SIG"],
+         "generalization count 1000000000 is over the cap of 1048576"),
+        # Refused before any of the 4000^2 atoms is built.
+        (["qa_laws", "--structure", "zmod2", "--rank-bound", "4000", "--depth", "0"],
+         "the law sample holds 16000000 formulas, over the cap of 8192"),
     ],
     ids=["rank-bound", "depth", "count", "count-zero", "max-size", "max-size-zero", "countermodel",
          "sizes-zero", "sizes-over-cap", "survey-rank-bound", "sampled-zero", "total-zero",
-         "max-size-over-budget", "total-over-cap", "survey-rank-bound-below-sample"],
+         "max-size-over-budget", "total-over-cap", "survey-rank-bound-below-sample",
+         "axiom-gen-count-over-cap", "qa-laws-atoms-over-cap"],
 )
 def test_out_of_range_numeric_flags_exit_2(sig, capsys, argv, message):
     # Each of these once ran vacuously or ended in a traceback or an unbounded

@@ -1,10 +1,12 @@
 """Deep inputs and the exit-code contract.
 
-Parsing and proof checking read formulas with explicit stacks, so depth
-alone never makes them fail.  Printing, ``fsubst`` and ``frank`` still
-recurse; through ``main()`` an overflow there is one ``error:`` line and
-exit 2.  Whatever the input, ``main()`` exits 0, 1 or 2, lets no
-exception escape, and writes nothing to stderr but one ``error:`` line.
+Parsing and proof checking read formulas with explicit stacks, and every
+node stores its rank when it is built, so depth alone never makes them
+or ``frank`` fail, and a rank costs nothing however large the unfolded
+tree of a shared DAG.  Printing and ``fsubst`` still recurse; through
+``main()`` an overflow there is one ``error:`` line and exit 2.
+Whatever the input, ``main()`` exits 0, 1 or 2, lets no exception
+escape, and writes nothing to stderr but one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clonelogic.cli import main
-from clonelogic.formulas import Atom, FNot, Forall
+from clonelogic.formulas import Atom, FAnd, FNot, Forall, close_off, frank, is_sentence
 from clonelogic.syntax import parse_formula, parse_prop, parse_term
-from clonelogic.terms import App, Var
+from clonelogic.terms import App, Var, is_closed, rank
 from strategies import LANG
 
 # The benchmark's signature for its deep proof.
@@ -95,6 +97,38 @@ def test_deep_terms_parse() -> None:
         assert node.symbol == "g" and node.args[0] is Var(2)
         node = node.args[1]
     assert node is App("c", ())
+
+
+def test_rank_of_a_shared_dag_is_read_at_once() -> None:
+    # 64 levels of FAnd(p, p): 65 nodes, but 2^64 leaves unfolded.
+    p = Atom("t", (Var(1), Var(3)))
+    for _ in range(64):
+        p = FAnd(p, p)
+    start = time.perf_counter()
+    assert frank(p) == 3
+    assert not is_sentence(p)
+    assert frank(close_off(p)) == 0
+    assert time.perf_counter() - start < 1.0
+
+
+CHAIN = 100_000
+
+
+def test_rank_of_a_deep_chain_is_read_at_once() -> None:
+    negations = Atom("t", (Var(1), Var(3)))
+    for _ in range(CHAIN):
+        negations = FNot(negations)
+    binders = Atom("r", (Var(CHAIN + 7),))
+    for _ in range(CHAIN):
+        binders = Forall(binders)
+    term = Var(5)
+    for _ in range(CHAIN):
+        term = App("h", (term,))
+    start = time.perf_counter()
+    assert frank(negations) == 3
+    assert frank(binders) == 7 and frank(Forall(binders)) == 6
+    assert rank(term) == 5 and not is_closed(term)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("depth", [1_500, 3_000])

@@ -77,6 +77,8 @@ def test_nodes_are_immutable_and_validated() -> None:
         del p.args
     with pytest.raises(AttributeError):
         Var(1).index = 2
+    with pytest.raises(AttributeError):
+        p.rank = 0
     with pytest.raises(ValueError):
         Var(0)
     with pytest.raises(ValueError):
