@@ -302,7 +302,7 @@ A1_PRIME = "(r(x1, x1) -> (r(x1, x1) & r(x1, x1)))"
         (f"forall {A1_PRIME} by axiom A1(p=r(x1, x1), n=2)",
          "REJECTED step 1: formula is not that axiom instance\n"),
         # The binders are peeled off the step, never built: 2*10^6 of them
-        # once took 8 s and 373 MB before this rejection.
+        # once took about 7 s and 373 MB before this rejection.
         (f"forall {A1_PRIME} by axiom A1(p=r(x1, x1), n=2000000)",
          "REJECTED step 1: formula is not that axiom instance\n"),
         (f"{A1_PRIME} by axiom A1(p=r(x1, x1), n=1000000000)",
