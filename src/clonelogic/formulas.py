@@ -489,16 +489,22 @@ def enumerate_formulas(atoms: Sequence[Formula], connectives: int) -> list[Formu
         raise ValueError("connectives must be >= 0")
     by_count: list[list[Formula]] = [list(dict.fromkeys(atoms))]
     seen: set[Formula] = set(by_count[0])
+
+    def refuse() -> None:
+        raise BoundExceeded(
+            f"formulas with at most {connectives} connectives "
+            f"pass the cap of {_MAX_ENUMERATED}"
+        )
+
+    if len(seen) > _MAX_ENUMERATED:
+        refuse()
     for budget in range(1, connectives + 1):
         layer: list[Formula] = []
 
         def emit(candidate: Formula) -> None:
             if candidate not in seen:
-                if len(seen) == _MAX_ENUMERATED:
-                    raise BoundExceeded(
-                        f"formulas with at most {connectives} connectives "
-                        f"pass the cap of {_MAX_ENUMERATED}"
-                    )
+                if len(seen) >= _MAX_ENUMERATED:
+                    refuse()
                 seen.add(candidate)
                 layer.append(candidate)
 

@@ -9,8 +9,8 @@ describes a total assignment.
 Formulas are evaluated by one table evaluator.  A formula of rank r is a
 function from D^r to a finite Boolean algebra, and an algebra with b
 atoms is b copies of the two-element one, so the whole table is stored
-as b bit planes and every connective is a bitwise operation on them.
-Two-valued evaluation is the one-atom case.
+as one plane of b lanes and every connective is a bitwise operation on
+it.  Two-valued evaluation is the one-lane case.
 
 On top of evaluation sit validity checking, deterministic countermodel
 search over enumerated structures, quantifier-law checks on the
@@ -244,21 +244,20 @@ def _eval_term(structure: Structure, term: Term, env: Env) -> int:
 #
 # A rank-r table has one row per prefix in D^r, in itertools.product
 # order: coordinate 1 is the most significant digit, so row i is the
-# i-th prefix.  A value with b truth bits is stored as b bit planes, one
-# Python int each, where bit i of plane k is bit k of the value at row
-# i.  The connectives act on each plane alone: negation is XOR with the
-# all-ones plane, conjunction is AND after lifting the lower-rank side,
-# and the binder is the AND of the n contiguous blocks of its body's
-# plane, one block per value of coordinate 1.
+# i-th prefix.  A table is one Python int, its plane, of L lanes: bit
+# i * L + k holds the row-i value in lane k, so each row is an L-bit
+# chunk.  The connectives act on every bit alike: negation is XOR with
+# the all-ones plane of rows * L bits, conjunction is AND, and the
+# binder is the AND of the n contiguous blocks of n^rank * L bits of its
+# body's plane, one block per value of coordinate 1.  An operand of
+# lower rank than its conjunction is first lifted, each row chunk
+# repeated once per row it stands for, by a lift node of the program.
 #
-# A plane may also carry L lanes: bit row * L + lane holds the row's
-# value in lane ``lane``.  L structures that share their function tables
-# make one structure valued in the algebra 2^L, and since each
-# connective acts on every bit alike, one pass evaluates all L of them.
-# Only the row arithmetic changes: the all-ones plane has rows * L bits,
-# a binder block is n^rank * L bits, and lifting repeats each L-bit row
-# chunk.  Countermodel search puts relation candidates in lanes; every
-# other caller uses one lane, where this is the layout above.
+# A value with b truth bits is b lanes, lane k holding truth bit k, so a
+# row's chunk is the value itself: b copies of the two-element algebra
+# evaluate in one pass.  Countermodel search puts two-valued relation
+# candidates in the lanes instead: L structures that share their
+# function tables make one structure valued in the algebra 2^L.
 #
 # Evaluating under one environment uses the same tables, cut down to
 # the rows that environment reaches: below q binders a subformula of
@@ -267,7 +266,7 @@ def _eval_term(structure: Structure, term: Term, env: Env) -> int:
 # q = 0 the whole formula is a one-row table, and the work is that of
 # walking the tree once per quantified environment.
 
-_ATOM, _NOT, _AND, _FORALL = range(4)
+_ATOM, _NOT, _AND, _FORALL, _LIFT = range(5)
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
@@ -288,9 +287,8 @@ def _bitset(flags: bytes, stride: int = 1) -> int:
 def _row_sets(column: list[int], lanes: int = 1) -> tuple[list[int], list[int]]:
     """The distinct values of a column in ascending order, and for each
     the bitset of the rows that hold it, at lane stride (one bit per
-    row).  An atom's plane is the union of the row sets of the cells
-    whose value has that plane's bit set; with lanes, each row set is
-    first multiplied by its cell's L-bit lane chunk."""
+    row).  An atom's plane is the sum of the row sets of its cells, each
+    multiplied by the cell's L-bit lane chunk."""
     cells = sorted(set(column))
     return cells, [_bitset(bytes(map(c.__eq__, column)), lanes) for c in cells]
 
@@ -309,9 +307,9 @@ def _digits(row: int, size: int, length: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _value(planes: tuple[int, ...], row: int) -> int:
-    """The bitmask a table holds at one row."""
-    return sum(((plane >> row) & 1) << k for k, plane in enumerate(planes))
+def _value(plane: int, row: int, lanes: int) -> int:
+    """The bitmask a table holds at one row: that row's lane chunk."""
+    return (plane >> row * lanes) & ((1 << lanes) - 1)
 
 
 def _rows(size: int, rank: int) -> int:
@@ -330,20 +328,23 @@ class _Program:
 
     Nodes are kept in post-order as (kind, a, b, rank): for an atom, a
     indexes ``atoms``; otherwise a and b are operand node ids.  The
-    constructors ``atom``, ``not_``, ``and_`` and ``forall`` hash-cons
-    on the key (kind, a, b), the atom itself and its rank standing in
-    for a and b, so structurally equal formulas get one node and no key
-    hashes a whole subtree; ``add`` compiles a formula through them and
-    remembers the node of each (formula, depth) pair it compiled.  Every
-    node's rank is checked against the row cap when the node is made,
-    before any table is built.  ``lanes`` is the number of lanes per
-    plane.  A node's shape does not depend on the size or the lanes, so
-    ``set_shape`` moves a program to others.
+    constructors ``atom``, ``not_``, ``and_``, ``forall`` and ``lift_to``
+    hash-cons on the key (kind, a, b), the atom itself and its rank
+    standing in for a and b, so structurally equal formulas get one node
+    and no key hashes a whole subtree; ``add`` compiles a formula through
+    them and remembers the node of each (formula, depth) pair it
+    compiled.  A lift node is keyed (kind, node, rank): ``and_`` lifts
+    its lower-rank operand through one, so each distinct lift is
+    computed once per evaluation.  Every node's rank is checked against
+    the row cap when the node is made, before any table is built.
+    ``lanes`` is the number of lanes per plane.  A node's shape does not
+    depend on the size or the lanes, so ``set_shape`` moves a program to
+    others.
     """
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, lanes: int = 1):
         self.size = size
-        self.lanes = 1
+        self.lanes = lanes
         self.nodes: list[tuple[int, int, int, int]] = []
         self.atoms: list[tuple[Atom, int]] = []
         self.full: dict[int, int] = {}
@@ -380,10 +381,24 @@ class _Program:
         return self._node(_NOT, a, 0, self.nodes[a][3])
 
     def and_(self, a: int, b: int) -> int:
-        return self._node(_AND, a, b, max(self.nodes[a][3], self.nodes[b][3]))
+        # lift_to written out: this is the constructor a law compile
+        # calls most, and the two calls cost it about a fifth.
+        rank, other = self.nodes[a][3], self.nodes[b][3]
+        if rank < other:
+            rank, a = other, self._node(_LIFT, a, other, other)
+        elif other < rank:
+            b = self._node(_LIFT, b, rank, rank)
+        return self._node(_AND, a, b, rank)
 
     def forall(self, a: int) -> int:
-        return self._node(_FORALL, a, 0, max(self.nodes[a][3] - 1, 0))
+        rank = self.nodes[a][3]
+        return self._node(_FORALL, a, 0, rank - 1 if rank else 0)
+
+    def lift_to(self, a: int, rank: int) -> int:
+        """Node of a's table read at a rank no lower than its own."""
+        if self.nodes[a][3] == rank:
+            return a
+        return self._node(_LIFT, a, rank, rank)
 
     def add(self, formula: Formula, depth: int | None = None) -> int:
         """Node id of the formula, compiling its new subformulas.
@@ -461,22 +476,19 @@ class _Program:
         return int(text.translate(spread), 2)
 
     def evaluate(self, planes: list[int], atom_planes: list[int]) -> None:
-        """Extend ``planes``, one bit plane per node, to the nodes that
-        it does not cover yet, given the plane of each atom."""
+        """Extend ``planes``, one plane per node, to the nodes that it does
+        not cover yet, given the plane of each atom."""
         nodes, full, n, lanes = self.nodes, self.full, self.size, self.lanes
         for node in range(len(planes), len(nodes)):
             kind, a, b, rank = nodes[node]
-            if kind == _ATOM:
-                plane = atom_planes[a]
+            if kind == _AND:
+                plane = planes[a] & planes[b]
             elif kind == _NOT:
                 plane = planes[a] ^ full[rank]
-            elif kind == _AND:
-                left, right = planes[a], planes[b]
-                if nodes[a][3] != rank:
-                    left = self.lift(left, nodes[a][3], rank)
-                if nodes[b][3] != rank:
-                    right = self.lift(right, nodes[b][3], rank)
-                plane = left & right
+            elif kind == _LIFT:
+                plane = self.lift(planes[a], nodes[a][3], rank)
+            elif kind == _ATOM:
+                plane = atom_planes[a]
             elif nodes[a][3] == 0:
                 plane = planes[a]
             else:
@@ -577,44 +589,43 @@ class _Columns:
 
 class _Tables:
     """Tables of formulas in one structure, one compiled program for all,
-    so structurally equal subformulas are evaluated once.  ``env`` is
-    the environment that ``value`` evaluates under.  ``program`` is a
-    program compiled before, shaped for this structure's size with one
-    lane; by default the tables start with an empty one."""
+    so structurally equal subformulas are evaluated once.  Each truth bit
+    of the structure is a lane, so one pass over the program evaluates
+    all of them.  ``env`` is the environment that ``value`` evaluates
+    under.  ``program`` is a program compiled before, shaped for this
+    structure's size with a lane per truth bit; by default the tables
+    start with an empty one."""
 
     def __init__(self, structure: Structure, env: Env = Env(), program: _Program | None = None):
         self.structure = structure
-        self.program = _Program(structure.size) if program is None else program
-        self.planes: list[list[int]] = [[] for _ in range(structure.truth_bits)]
-        self.atom_planes: list[list[int]] = [[] for _ in range(structure.truth_bits)]
+        if program is None:
+            program = _Program(structure.size, structure.truth_bits)
+        self.program = program
+        self.planes: list[int] = []
+        self.atom_planes: list[int] = []
         self.columns = _Columns(structure.size, structure.fn_tables, env)
 
-    def table(self, formula: Formula, depth: int | None = None) -> tuple[int, tuple[int, ...]]:
-        """Rank and bit planes of the formula's table, cut down to the
-        rows the environment reaches below ``depth`` binders if given."""
+    def table(self, formula: Formula, depth: int | None = None) -> tuple[int, int]:
+        """Rank and plane of the formula's table, cut down to the rows the
+        environment reaches below ``depth`` binders if given."""
         node = self.program.add(formula, depth)
         self.evaluate()
-        return self.program.rank(node), self.node_planes(node)
+        return self.program.rank(node), self.planes[node]
 
     def evaluate(self) -> None:
-        """Extend the planes to every node of the program."""
+        """Extend the planes to every node of the program.  An atom's plane
+        is the sum over its cells of the cell's rows, at lane stride,
+        times the cell's value, which is that row chunk."""
         program = self.program
-        for atom, rank in program.atoms[len(self.atom_planes[0]):]:
-            cells, rows = _row_sets(self.columns.cells(atom.args, rank))
+        for atom, rank in program.atoms[len(self.atom_planes):]:
+            cells, rows = _row_sets(self.columns.cells(atom.args, rank), program.lanes)
             table = self.structure.rel_tables[atom.symbol]
-            for k, atom_planes in enumerate(self.atom_planes):
-                bits = [(table[c] >> k) & 1 for c in cells]
-                atom_planes.append(sum(itertools.compress(rows, bits)))
-        for planes, atom_planes in zip(self.planes, self.atom_planes):
-            program.evaluate(planes, atom_planes)
-
-    def node_planes(self, node: int) -> tuple[int, ...]:
-        """The bit planes of an evaluated node's table."""
-        return tuple(planes[node] for planes in self.planes)
+            self.atom_planes.append(sum(map(int.__mul__, rows, map(table.__getitem__, cells))))
+        program.evaluate(self.planes, self.atom_planes)
 
     def value(self, formula: Formula) -> int:
         """The formula's value under the environment, as a bitmask."""
-        return _value(self.table(formula, 0)[1], 0)
+        return _value(self.table(formula, 0)[1], 0, self.program.lanes)
 
 
 def _check_width(structure: Structure, algebra: FiniteBooleanAlg) -> None:
@@ -690,7 +701,7 @@ def counterexample_env(
     rank = frank(formula)
     rest = tail.prefix[rank:]
     structure.check_env(Env(rest, tail.default))
-    _, (plane,) = _Tables(structure).table(formula)
+    _, plane = _Tables(structure).table(formula)
     falsified = plane ^ ((1 << structure.size ** rank) - 1)
     if not falsified:
         return None
@@ -981,8 +992,10 @@ _MAX_LAW_SAMPLE = 1 << 13
 
 
 # The compiled Q1–Q5 program of the last sample checked, at most one
-# entry: {(tuple(sample), rank_bound, equality symbol): (program, laws)}.
-# Formulas are interned, so the key hashes and compares by identity.
+# entry: {(tuple(sample), rank_bound, equality symbol): (program,
+# (symbols, laws))}, ``symbols`` being the (symbol, arity) pairs of the
+# predicates and of the function symbols the sample reads.  Formulas are interned, so the key hashes and compares by
+# identity.
 # One entry bounds the memory the cache holds to one compiled sample.
 # The lock is held from the lookup to the last comparison, since a call
 # reshapes the shared program for its own structure.
@@ -1025,8 +1038,9 @@ def qa_law_check(
     bound and an undeclared symbol; then a truth-bit width other than
     the algebra's, and a law side over the row cap.
 
-    The program is evaluated once per truth bit, and then each
-    instance's sides are compared in law order, all truth bits at once.
+    The program is evaluated once, with a lane per truth bit, and then
+    each instance's sides are compared in law order, all truth bits at
+    once.
     """
     if rank_bound < 0:
         raise ValueError("rank_bound must be >= 0")
@@ -1040,22 +1054,26 @@ def qa_law_check(
         compiled = _LAW_SLOT.get(key)
         if compiled is not None:
             try:
-                compiled[0].set_shape(structure.size, 1)
+                compiled[0].set_shape(structure.size, structure.truth_bits)
             except BoundExceeded:
                 # Compiling again refuses at the node a first call refuses at.
                 compiled = None
             else:
                 # The ranks fit rank_bound, which is part of the key; the
-                # symbols and the width belong to this structure.
-                seen = set()
-                for p in sample:
-                    check_formula(p, structure.language, seen)
+                # symbols and the width belong to this structure.  A symbol
+                # that does not fit is named by the walk a first call makes.
+                language, (predicates, functions) = structure.language, compiled[1][0]
+                if not (language.predicates.items() >= predicates
+                        and language.functions.items() >= functions):
+                    seen = set()
+                    for p in sample:
+                        check_formula(p, structure.language, seen)
                 _check_width(structure, algebra)
         if compiled is None:
             _LAW_SLOT.clear()
             compiled = _compile_laws(structure, algebra, sample, rank_bound)
             _LAW_SLOT[key] = compiled
-        program, laws = compiled
+        program, (_, laws) = compiled
         tables = _Tables(structure, program=program)
         tables.evaluate()
         return QAReport(tuple(_run_law(law, instances, tables) for law, instances in laws))
@@ -1066,12 +1084,14 @@ def _compile_laws(
     algebra: FiniteBooleanAlg,
     sample: list[Formula],
     rank_bound: int,
-) -> tuple[_Program, list[tuple[str, list[tuple]]]]:
+) -> tuple[_Program, tuple[tuple, list[tuple[str, list[tuple]]]]]:
     """The program of the Q1–Q5 sides for the sample, checked against
-    the structure as qa_law_check describes, and each law's instances as
-    (p, q, left node, right node, left rank, right rank, depth, width):
-    the sides are compared over the rows of a rank-``depth`` table whose
-    coordinates past ``width`` are 0.
+    the structure as qa_law_check describes, shaped for its size with a
+    lane per truth bit; the sets of (symbol, arity) pairs of the
+    predicates and of the function symbols the sample reads; and each
+    law's instances as (p, q, left node, right node, depth,
+    width): both sides are lifted to rank ``depth`` and compared over
+    the rows of that table whose coordinates past ``width`` are 0.
 
     Each sampled formula is compiled once, p+ and p* are the clone's
     action ``fsubst`` by the shift and the collapse, compiled in turn,
@@ -1082,7 +1102,7 @@ def _compile_laws(
     formulas share subformulas, and structurally equal sides, such as p
     inside Q1, Q2 and Q5, share one node.
     """
-    program = _Program(structure.size)
+    program = _Program(structure.size, structure.truth_bits)
     nodes = []
     seen = set()
     for p in sample:
@@ -1094,12 +1114,16 @@ def _compile_laws(
         check_formula(p, structure.language, seen)
         nodes.append(node)
     _check_width(structure, algebra)
+    symbols = tuple(
+        {(node.symbol, len(node.args)) for node in seen if isinstance(node, kind)}
+        for kind in (Atom, App)
+    )
     forall, and_, add, rank = program.forall, program.and_, program.add, program.rank
+    lift_to = program.lift_to
 
     def instance(p, q, left, right):
-        left_rank, right_rank = rank(left), rank(right)
-        depth = max(left_rank, right_rank)
-        return p, q, left, right, left_rank, right_rank, depth, min(depth, rank_bound + 1)
+        depth = max(rank(left), rank(right))
+        return p, q, lift_to(left, depth), lift_to(right, depth), depth, min(depth, rank_bound + 1)
 
     shifted, lifted, collapsed = {}, {}, {}
     lifted_shift = lift_subst(SHIFT_UP)
@@ -1129,7 +1153,7 @@ def _compile_laws(
             instance(p, None, and_(e, a), and_(e, add(fsubst(p, STAR, collapsed))))
             for p, a in zip(sample, nodes)
         ]))
-    return program, laws
+    return program, (symbols, laws)
 
 
 def _run_law(law: str, instances: list[tuple], tables: _Tables) -> LawReport:
@@ -1139,35 +1163,36 @@ def _run_law(law: str, instances: list[tuple], tables: _Tables) -> LawReport:
     Both sides ignore env coordinates beyond their rank, so comparing
     over prefixes of the larger side rank decides equality over every
     longer environment as well.  Environments are compared in ascending
-    prefix order, each with default 0.  The sides differ at a row when
-    some truth bit does, so the XOR of their planes, ORed over the truth
-    bits, is restricted to ``width`` once; restriction keeps every
-    stride-th bit, which commutes with XOR and OR.
+    prefix order, each with default 0.  Both sides are lifted to that
+    rank in the program, so an instance holds when the XOR of their
+    planes is 0.  Otherwise the sides differ at a row when some lane of
+    it does: the lanes of each row are ORed into its lowest bit, and
+    only the bits of the rows whose coordinates past ``width`` are 0 are
+    kept.
     """
-    n = tables.structure.size
-    lift, bits = tables.program.lift, tables.planes
+    n, lanes, planes = tables.structure.size, tables.program.lanes, tables.planes
     checked = 0
-    for p, q, left, right, left_rank, right_rank, depth, width in instances:
-        differ = 0
-        for planes in bits:
-            differ |= lift(planes[left], left_rank, depth) ^ lift(planes[right], right_rank, depth)
-        stride = n ** (depth - width)
-        if differ and stride > 1:
-            # Keep the rows whose coordinates past width are 0.
-            differ = int(format(differ, f"0{n ** depth}b")[::-1][::stride][::-1], 2)
+    for p, q, left, right, depth, width in instances:
+        differ = planes[left] ^ planes[right]
+        if differ:
+            stride = n ** (depth - width)
+            step = stride * lanes
+            if step > 1:
+                rows = differ
+                for k in range(1, lanes):
+                    rows |= differ >> k
+                differ = rows & _bitset(b"\x01" * n ** width, step)
         if not differ:
             checked += n ** width
             continue
-        row = (differ & -differ).bit_length() - 1
+        row = ((differ & -differ).bit_length() - 1) // step
         checked += row + 1
         # Row ``row`` of the restricted table is row row * stride of the
-        # rank-depth one, which a rank-r side reads at its own row
-        # row * stride // n^(depth - r).
+        # rank-depth one.
         at = row * stride
         failure = LawFailure(
             p, q, Env(_digits(row, n, width), 0),
-            _value(tables.node_planes(left), at // n ** (depth - left_rank)),
-            _value(tables.node_planes(right), at // n ** (depth - right_rank)),
+            _value(planes[left], at, lanes), _value(planes[right], at, lanes),
         )
         return LawReport(law, False, checked, failure)
     return LawReport(law, True, checked)

@@ -409,3 +409,15 @@ def test_enumerate_formulas_stops_at_the_real_cap() -> None:
     assert [len(enumerate_formulas(atoms, k)) for k in (2, 3, 4)] == [268, 3244, 44524]
     with pytest.raises(BoundExceeded, match="pass the cap of 65536"):
         enumerate_formulas(atoms, 5)
+
+
+def test_enumerate_formulas_refuses_more_atoms_than_the_cap() -> None:
+    # The atoms count towards the cap: one atom over it refuses before a
+    # single conjunction of the 2^32 pairs is built, at budget 0 too.
+    atoms = [r(Var(i)) for i in range(1, (1 << 16) + 2)]
+    start = time.perf_counter()
+    for budget in (1, 0):
+        with pytest.raises(BoundExceeded, match=f"at most {budget} connectives pass the cap"):
+            enumerate_formulas(atoms, budget)
+    assert time.perf_counter() - start < 2.0
+    assert len(enumerate_formulas(atoms[:-1], 0)) == 1 << 16

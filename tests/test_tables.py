@@ -210,6 +210,21 @@ e12 = Atom("e", (x1, Var(2)))
     [s12, r1],
     2,
 )
+# Two truth bits with the Q4 sides compared below the rank bound: at
+# bound 0 they have rank 2 but only the rows with x2 = 0 count (stride
+# 2 or 3).  e(0, 0) = 1 differs from top in truth bit 1 alone, so Q4
+# fails at its first row; then e(0, 0) is top and only the rows past the
+# truncation differ, in one truth bit each, so Q4 holds.
+@example(lang_structure(2, 2, {"e": (1, 0, 0, 3)}, eq_identity=False), [Atom("r", (c,))], 0)
+@example(
+    lang_structure(3, 2, {"e": (3, 0, 0, 0, 2, 0, 0, 0, 1)}, eq_identity=False),
+    [Atom("r", (c,))],
+    0,
+)
+# Two truth bits, no truncation: the Q5 sides e & r(x1) and e & r(x2)
+# first differ at row (0, 1), where e(0, 1) = 2 meets r(0) = 1 and
+# r(1) = 3 differently in truth bit 1 alone.
+@example(lang_structure(2, 2, {"e": (3, 2, 0, 3), "r": (1, 3)}, eq_identity=False), [r1], 1)
 def test_qa_law_check_matches_oracle(d, sample, rank_bound) -> None:
     # A structure of another size and truth-bit width checks the sample
     # first, so d is checked on the program compiled for the other one.
@@ -395,6 +410,54 @@ def test_add_finds_a_rebuilt_formula_without_new_entries(p) -> None:
         entries = (len(program._index), len(program.nodes))
         assert program.add(rebuild(p), depth) == node
         assert (len(program._index), len(program.nodes)) == entries
+
+
+def test_equal_lifts_are_one_node() -> None:
+    # r(x1) & s(x1, x2), s(x1, x2) & r(x1) and the compiled FAnd(s12, r1)
+    # lift r(x1) to rank 2 through one node; an operand at the
+    # conjunction's rank is not lifted.
+    program = semantics._Program(2)
+    r, s = program.add(r1), program.add(s12)
+    lifted = program.lift_to(r, 2)
+    assert program.nodes[lifted] == (semantics._LIFT, r, 2, 2)
+    assert program.lift_to(r, 2) == lifted and program.lift_to(r, 1) == r
+    for node in (program.and_(r, s), program.and_(s, r), program.add(FAnd(s12, r1))):
+        assert lifted in program.nodes[node][1:3] and s in program.nodes[node][1:3]
+    program.add(FAnd(FNot(s12), FNot(r1)))
+    kinds = [node[0] for node in program.nodes]
+    assert kinds.count(semantics._LIFT) == 2  # r(x1) and ~r(x1), each once
+    assert len(program.nodes) == len(program._keys)
+
+
+@pytest.mark.parametrize("bits", [1, 2])
+def test_lifted_law_sides_match_lift(bits) -> None:
+    # Each law side below its instance's depth is a lift node, whose
+    # plane is the lift of the side's own plane: every row of it reads
+    # the row of the side that its prefix cut to the side's rank is.
+    d = other_structure(lang_structure(2, 3 - bits, {}))
+    assert d.truth_bits == bits
+    sample = [r1, s12, Forall(s12), FAnd(r1, Atom("r", (Var(3),)))]
+    program, (_, laws) = semantics._compile_laws(d, FiniteBooleanAlg(bits), sample, 3)
+    tables = semantics._Tables(d, program=program)
+    tables.evaluate()
+    planes, lanes = tables.planes, program.lanes
+    assert lanes == bits
+    lifts = 0
+    for _, instances in laws:
+        for _, _, left, right, depth, _ in instances:
+            for side in (left, right):
+                kind, a, _, rank = program.nodes[side]
+                assert rank == depth
+                if kind != semantics._LIFT:
+                    continue
+                lifts += 1
+                low = program.rank(a)
+                assert planes[side] == program.lift(planes[a], low, depth)
+                for row in range(d.size ** depth):
+                    assert semantics._value(planes[side], row, lanes) == semantics._value(
+                        planes[a], row // d.size ** (depth - low), lanes
+                    )
+    assert lifts > 0
 
 
 def test_add_compiles_deep_chains_without_recursion() -> None:
