@@ -391,8 +391,7 @@ class _Program:
         return self._node(_AND, a, b, rank)
 
     def forall(self, a: int) -> int:
-        rank = self.nodes[a][3]
-        return self._node(_FORALL, a, 0, rank - 1 if rank else 0)
+        return self._node(_FORALL, a, 0, max(self.nodes[a][3] - 1, 0))
 
     def lift_to(self, a: int, rank: int) -> int:
         """Node of a's table read at a rank no lower than its own."""
@@ -598,9 +597,7 @@ class _Tables:
 
     def __init__(self, structure: Structure, env: Env = Env(), program: _Program | None = None):
         self.structure = structure
-        if program is None:
-            program = _Program(structure.size, structure.truth_bits)
-        self.program = program
+        self.program = _Program(structure.size, structure.truth_bits) if program is None else program
         self.planes: list[int] = []
         self.atom_planes: list[int] = []
         self.columns = _Columns(structure.size, structure.fn_tables, env)
@@ -993,9 +990,9 @@ _MAX_LAW_SAMPLE = 1 << 13
 
 # The compiled Q1–Q5 program of the last sample checked, at most one
 # entry: {(tuple(sample), rank_bound, equality symbol): (program,
-# (symbols, laws))}, ``symbols`` being the (symbol, arity) pairs of the
-# predicates and of the function symbols the sample reads.  Formulas are interned, so the key hashes and compares by
-# identity.
+# (symbols, laws))}, ``symbols`` holding the (symbol, arity) pairs of
+# the sample's predicates and function symbols.  Formulas are interned,
+# so the key hashes and compares by identity.
 # One entry bounds the memory the cache holds to one compiled sample.
 # The lock is held from the lookup to the last comparison, since a call
 # reshapes the shared program for its own structure.
