@@ -432,8 +432,8 @@ def test_equal_lifts_are_one_node() -> None:
 @pytest.mark.parametrize("bits", [1, 2])
 def test_lifted_law_sides_match_lift(bits) -> None:
     # Each law side below its instance's depth is a lift node, whose
-    # plane is the lift of the side's own plane: every row of it reads
-    # the row of the side that its prefix cut to the side's rank is.
+    # plane is the lift of the side's own plane: its row i holds the
+    # side's row i // n^(depth - rank), the prefix cut to the side's rank.
     d = other_structure(lang_structure(2, 3 - bits, {}))
     assert d.truth_bits == bits
     sample = [r1, s12, Forall(s12), FAnd(r1, Atom("r", (Var(3),)))]
