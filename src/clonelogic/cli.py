@@ -443,13 +443,6 @@ def main(argv: list[str] | None = None) -> int:
     except (LogicError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:
-        # Parsing, checking and the tables of eval and countermodel do
-        # not recurse, but the printers (format_term, format_formula),
-        # fsubst (which also builds the shifted and collapsed sides of
-        # qa_laws) and terms.apply still recurse once per nesting level.
-        print("error: formula nested too deeply", file=sys.stderr)
-        return 2
 
 
 def entry() -> None:

@@ -23,7 +23,6 @@ from .terms import (
     App,
     FunctionType,
     Interned,
-    Shift,
     Substitution,
     Term,
     Var,
@@ -290,58 +289,46 @@ def fsubst(
 ) -> Formula:
     """Apply a substitution to every free coordinate of the formula.
 
-    Under ``depth`` binders the substitution acts as its ``depth``-fold
-    :func:`~clonelogic.terms.lift`: coordinates up to ``depth`` stay, and
-    coordinate j above it reads coordinate j - depth of ``sub`` shifted up
-    by ``depth``.  Each variable reads that coordinate directly, so the
-    lifted prefix, one entry longer per binder, is never built and the
-    cost is linear in the size of the formula.
+    An explicit-stack walk over (node, depth) pairs.  Under ``depth``
+    binders the substitution acts as its ``depth``-fold lift, which
+    :func:`~clonelogic.terms.apply` reads per variable without building
+    it, so the cost is linear in the size of the formula.  A node of rank
+    at most ``depth`` is its own image and is not walked.
 
-    ``images`` maps each (node, depth) pair already visited to its image
-    under ``sub``, so a subformula shared several times over is mapped
-    once.  A caller applying one substitution to many formulas may share
-    it across calls, as ``qa_law_check`` does across its sample.
+    ``images`` maps each pair already visited to its image under ``sub``,
+    so a subformula shared several times over is mapped once.  A caller
+    applying one substitution to many formulas may share it across calls,
+    as ``qa_law_check`` does across its sample.
     """
     if images is None:
         images = {}
-    return _fsubst(formula, sub, 0, images)
-
-
-def _fsubst(formula: Formula, sub: Substitution, depth: int, images: dict) -> Formula:
-    """``formula`` under the ``depth``-fold lift of ``sub``, memoized in
-    ``images``.  Dispatches on the node's type, which is faster here
-    than a ``match`` on class patterns."""
-    key = (formula, depth)
-    image = images.get(key)
-    if image is not None:
-        return image
-    kind = type(formula)
-    if kind is Atom:
-        if depth == 0:
-            args = [terms.apply(t, sub) for t in formula.args]
-        else:
-            shift = Substitution((), Shift(depth))
-            args = [_apply_lifted(t, sub, depth, shift) for t in formula.args]
-        image = Atom(formula.symbol, tuple(args))
-    elif kind is FAnd:
-        image = FAnd(_fsubst(formula.left, sub, depth, images),
-                     _fsubst(formula.right, sub, depth, images))
-    elif kind is FNot:
-        image = FNot(_fsubst(formula.body, sub, depth, images))
-    else:  # Forall
-        image = Forall(_fsubst(formula.body, sub, depth + 1, images))
-    images[key] = image
-    return image
-
-
-def _apply_lifted(term: Term, sub: Substitution, depth: int, shift: Substitution) -> Term:
-    match term:
-        case Var(j):
-            if j <= depth:
-                return term
-            return terms.apply(terms.sigma_at(sub, j - depth), shift)
-        case App(symbol, args):
-            return App(symbol, tuple(_apply_lifted(a, sub, depth, shift) for a in args))
+    stack = [(formula, 0)]
+    while stack:
+        key = stack[-1]
+        if key in images:
+            stack.pop()
+            continue
+        node, depth = key
+        kind = type(node)
+        if node.rank <= depth:
+            image = node
+        elif kind is Atom:
+            image = Atom(node.symbol, tuple([terms.apply(t, sub, depth) for t in node.args]))
+        elif kind is FAnd:
+            left, right = (node.left, depth), (node.right, depth)
+            if left not in images or right not in images:
+                stack += (right, left)
+                continue
+            image = FAnd(images[left], images[right])
+        else:  # FNot, or Forall, whose body lies one binder deeper
+            inner = (node.body, depth if kind is FNot else depth + 1)
+            if inner not in images:
+                stack.append(inner)
+                continue
+            image = kind(images[inner])
+        images[key] = image
+        stack.pop()
+    return images[formula, 0]
 
 
 def fplus(formula: Formula) -> Formula:

@@ -72,6 +72,10 @@ _WORD_START = frozenset(string.ascii_letters + string.digits + "_'")
 # Binary connective text -> formula builder.
 _CONNECTIVES = {"&": FAnd, "|": f_or, "->": f_imp, "<->": f_iff}
 
+# A named binder nested under this many others is refused: each one
+# substitutes into its whole scope, so a deep chain costs quadratic time.
+MAX_NAMED_NESTING = 1000
+
 # Group frames nested deeper than this inside other groups skip the memo:
 # an entry holds its group's source text, so one stack of nested groups
 # copies the line at most this many times.
@@ -176,6 +180,13 @@ class _Parser:
         if self.m[1] != "":
             raise self.fail("expected end of input")
 
+    def ints(self) -> tuple[int, ...]:
+        """The integers from here to the end of the source."""
+        values = []
+        while not self.at_end():
+            values.append(self.expect_int())
+        return tuple(values)
+
     # ----- terms -----
 
     def application(self, functions: FunctionType, name: str, at, args) -> App:
@@ -250,12 +261,12 @@ class _Parser:
         connective is read, where ``start`` is the offset of its '(' and
         ``prefix`` its memo key, or None past the memo's nesting bound.
         Binary connectives are always parenthesized, so no precedence is
-        needed.
+        needed.  ``named`` counts the named binders on the stack.
         """
         source, memo, match = self.source, self.memo, _TOKEN_RE.match
         m = self.m
         stack: list = []
-        groups = 0
+        groups = named = 0
         while True:
             # Read prefixes down to an atom, a letter or a memoized group.
             while True:
@@ -299,8 +310,12 @@ class _Parser:
                     if _VARIABLE_SHAPE.match(name):
                         after = match(source, m.end())
                         if after[1] == ".":
-                            named = forall_xi if text == "forall" else exists_xi
-                            stack.append(partial(named, int(name[1:])))
+                            if named >= MAX_NAMED_NESTING:
+                                message = f"named binders nest at most {MAX_NAMED_NESTING} deep"
+                                raise self.error(message, at.start(1))
+                            named += 1
+                            binder = forall_xi if text == "forall" else exists_xi
+                            stack.append(partial(binder, int(name[1:])))
                             m = match(source, after.end())
                             continue
                     stack.append(Forall if text == "forall" else exists)
@@ -328,6 +343,8 @@ class _Parser:
                 frame = stack[-1]
                 if type(frame) is not list:
                     stack.pop()
+                    if type(frame) is partial:
+                        named -= 1
                     value = frame(value)
                     continue
                 text = m[1]
@@ -488,30 +505,45 @@ def parse_axiom_spec(text: str, language: Language) -> AxiomInstanceSpec:
 # printers
 # ---------------------------------------------------------------------------
 
+def _format(node) -> str:
+    """The text of a term or formula, by one explicit-stack walk: each
+    node's text is emitted before its children's, and the stack holds the
+    nodes and the literal text still to come, the next on top."""
+    out: list[str] = []
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is str:
+            out.append(node)
+        elif kind is Var:
+            out.append(f"x{node.index}")
+        elif kind is FNot or kind is Forall:
+            out.append("~" if kind is FNot else "forall ")
+            stack.append(node.body)
+        elif kind is FAnd:
+            out.append("(")
+            stack += (")", node.right, " & ", node.left)
+        else:  # App or Atom
+            out.append(node.symbol)
+            if node.args:
+                stack.append(")")
+                for arg in reversed(node.args):
+                    stack += (arg, ", ")
+                stack[-1] = "("  # in place of a separator before the first
+    return "".join(out)
+
+
 def format_term(term: Term) -> str:
-    match term:
-        case Var(index):
-            return f"x{index}"
-        case App(symbol, ()):
-            return symbol
-        case App(symbol, args):
-            return f"{symbol}({', '.join(format_term(a) for a in args)})"
-    raise TypeError(f"not a term: {term!r}")
+    if type(term) is not Var and type(term) is not App:
+        raise TypeError(f"not a term: {term!r}")
+    return _format(term)
 
 
 def format_formula(formula: Formula) -> str:
-    match formula:
-        case Atom(symbol, ()):
-            return symbol
-        case Atom(symbol, args):
-            return f"{symbol}({', '.join(format_term(a) for a in args)})"
-        case FNot(body):
-            return f"~{format_formula(body)}"
-        case FAnd(left, right):
-            return f"({format_formula(left)} & {format_formula(right)})"
-        case Forall(body):
-            return f"forall {format_formula(body)}"
-    raise TypeError(f"not a formula: {formula!r}")
+    if type(formula) not in (Atom, FNot, FAnd, Forall):
+        raise TypeError(f"not a formula: {formula!r}")
+    return _format(formula)
 
 
 def format_subst(sub: Substitution) -> str:
@@ -642,13 +674,7 @@ def load_structure(text: str, language: Language) -> Structure:
         elif head in ("fn", "rel"):
             name = parser.expect_word()
             parser.expect_punct(":")
-            values = []
-            while not parser.at_end():
-                values.append(parser.expect_int())
-            if head == "fn":
-                fn_tables[name] = tuple(values)
-            else:
-                rel_tables[name] = tuple(values)
+            (fn_tables if head == "fn" else rel_tables)[name] = parser.ints()
         elif head == "equality":
             parser.expect_word("identity")
             identity_flag = True
@@ -679,17 +705,11 @@ def load_prop_algebra(text: str) -> FinitePropAlgebra:
             size = parser.expect_int()
         elif head == "not":
             parser.expect_punct(":")
-            values = []
-            while not parser.at_end():
-                values.append(parser.expect_int())
-            not_table = tuple(values)
+            not_table = parser.ints()
         elif head == "and":
             row = parser.expect_int()
             parser.expect_punct(":")
-            values = []
-            while not parser.at_end():
-                values.append(parser.expect_int())
-            and_rows[row] = tuple(values)
+            and_rows[row] = parser.ints()
         else:
             raise parser.error("expected 'size', 'not', or 'and'", at)
         parser.expect_end()

@@ -331,13 +331,36 @@ def sigma_at(sub: Substitution, j: int) -> Term:
     return tail.term
 
 
-def apply(term: Term, sub: Substitution) -> Term:
-    """Substitute: replace each variable xj in ``term`` by coordinate j of ``sub``."""
-    match term:
-        case Var(i):
-            return sigma_at(sub, i)
-        case App(symbol, args):
-            return App(symbol, tuple(apply(a, sub) for a in args))
+def apply(term: Term, sub: Substitution, depth: int = 0) -> Term:
+    """Substitute: replace each variable xj in ``term`` by coordinate j of
+    ``sub``, or under ``depth`` binders by coordinate j of its
+    ``depth``-fold :func:`lift`: xj stays for j <= depth, and above it
+    reads coordinate j - depth of ``sub`` shifted up by ``depth``.
+    An explicit-stack walk; a subterm of rank at most ``depth`` is its
+    own image and is not walked, and a shared subterm is mapped once."""
+    if type(term) is Var and not depth:
+        return sigma_at(sub, term.index)
+    shift = Substitution((), Shift(depth)) if depth else None
+    images: dict[Term, Term] = {}
+    stack = [term]
+    while stack:
+        node = stack[-1]
+        kind = type(node)
+        if kind is not Var and kind is not App:
+            raise TypeError(f"not a term: {node!r}")
+        if node.rank <= depth:
+            images[node] = node
+        elif kind is Var:
+            image = sigma_at(sub, node.index - depth)
+            images[node] = image if shift is None else apply(image, shift)
+        else:
+            pending = [arg for arg in node.args if arg not in images]
+            if pending:
+                stack += pending
+                continue
+            images[node] = App(node.symbol, tuple([images[arg] for arg in node.args]))
+        stack.pop()
+    return images[term]
 
 
 def compose(first: Substitution, second: Substitution) -> Substitution:

@@ -101,11 +101,12 @@ def test_parse_error_reports_position(sig, capsys):
     assert "line 1" in err and "column" in err
 
 
-def test_parse_deep_nesting_exits_2_without_traceback(sig, capsys):
-    code, out, err = run(capsys, ["parse", "formula", "~" * 5000 + "r(x1, x1)", "--signature", sig])
-    assert code == 2
-    assert out == ""
-    assert err == "error: formula nested too deeply\n"
+def test_parse_deep_nesting_prints_the_canonical_form(sig, capsys):
+    text = "~" * 5000 + "r(x1, x1)"
+    code, out, err = run(capsys, ["parse", "formula", text, "--signature", sig])
+    assert code == 0
+    assert out == f"{text}\nrank 1\nsentence no\n"
+    assert err == ""
 
 
 def test_parse_output_reparses_to_itself(sig, capsys):

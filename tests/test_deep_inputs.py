@@ -1,10 +1,11 @@
 """Deep inputs and the exit-code contract.
 
-Parsing and proof checking read formulas with explicit stacks, and every
-node stores its rank when it is built, so depth alone never makes them
-or ``frank`` fail, and a rank costs nothing however large the unfolded
-tree of a shared DAG.  Printing and ``fsubst`` still recurse; through
-``main()`` an overflow there is one ``error:`` line and exit 2.
+Parsing, printing, ``terms.apply``, ``fsubst`` and proof checking walk
+with explicit stacks, and every node stores its rank when it is built,
+so depth alone never makes them or ``frank`` fail, and a rank costs
+nothing however large the unfolded tree of a shared DAG.  Only named
+binders are bounded by depth: each one substitutes into its whole scope,
+so the parser refuses one nested under ``MAX_NAMED_NESTING`` others.
 Whatever the input, ``main()`` exits 0, 1 or 2, lets no exception
 escape, and writes nothing to stderr but one ``error:`` line.
 """
@@ -22,7 +23,19 @@ from hypothesis import given, settings, strategies as st
 
 from clonelogic.cli import main
 from clonelogic.formulas import Atom, FAnd, FNot, Forall, close_off, frank, is_sentence
-from clonelogic.syntax import parse_formula, parse_prop, parse_term
+from clonelogic.proofs import instantiate_axiom
+from clonelogic.semantics import FiniteBooleanAlg, qa_law_check
+from clonelogic.syntax import (
+    MAX_NAMED_NESTING,
+    format_formula,
+    format_term,
+    load_signature,
+    load_structure,
+    parse_axiom_spec,
+    parse_formula,
+    parse_prop,
+    parse_term,
+)
 from clonelogic.terms import App, Var, is_closed, rank
 from strategies import LANG
 
@@ -131,19 +144,81 @@ def test_rank_of_a_deep_chain_is_read_at_once() -> None:
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("depth", [1_500, 3_000])
-def test_deep_named_binder_chain_exits_2_promptly(tmp_path, depth) -> None:
-    # Each named binder substitutes into the whole chain below it, so the
-    # chain costs time quadratic in its depth until fsubst overflows the
-    # stack; a cubic cost took 95 s at depth 1,500.
+def test_deep_chains_print_and_reparse_to_themselves() -> None:
+    language = load_signature(SIGNATURE)
+    atom = Atom("r", (Var(1),))
+    negations, binders, conjunctions, term = atom, atom, atom, Var(1)
+    for _ in range(CHAIN):
+        negations = FNot(negations)
+        binders = Forall(binders)
+        conjunctions = FAnd(conjunctions, atom)
+        term = App("h", (term,))
+    for formula in (negations, binders, conjunctions):
+        assert parse_formula(format_formula(formula), language) is formula
+    assert parse_term(format_term(term), language) is term
+
+
+def test_law_check_on_a_deep_sample_matches_the_shallow_one() -> None:
+    language = load_signature(SIGNATURE)
+    structure = load_structure(
+        "domain 2\nfn c: 0\nfn h: 1 0\nrel r: 1 0\nrel t: 0 1 1 1\n", language
+    )
+    atom = Atom("t", (Var(1), Var(2)))
+    deep = atom
+    for _ in range(2_000):
+        deep = FNot(deep)
+
+    def triples(sample):
+        report = qa_law_check(structure, FiniteBooleanAlg(1), sample, 2)
+        return [(law.law, law.ok, law.checked) for law in report.laws]
+
+    assert triples([deep]) == triples([atom])
+
+
+def test_axiom_with_many_outer_binders_prints_its_instance(tmp_path) -> None:
     signature = tmp_path / "signature.txt"
     signature.write_text(SIGNATURE)
-    start = time.perf_counter()
     code, out, err = run_main(
+        ["axiom", "A1(p=r(x1), n=100000)", "--signature", str(signature)]
+    )
+    assert (code, err) == (0, "")
+    first, rank_line = out.splitlines()
+    language = load_signature(SIGNATURE)
+    instance = instantiate_axiom(parse_axiom_spec("A1(p=r(x1), n=100000)", language), language)
+    assert parse_formula(first, language) is instance
+    assert first.startswith("forall " * 100_000) and rank_line == "rank 0"
+
+
+def parse_named_chain(tmp_path, depth: int):
+    signature = tmp_path / "signature.txt"
+    signature.write_text(SIGNATURE)
+    return run_main(
         ["parse", "formula", "--signature", str(signature), "--", "exists x1. " * depth + "r(x1)"]
     )
+
+
+@pytest.mark.parametrize("depth", [1_500, 3_000])
+def test_deep_named_binder_chain_exits_2_promptly(tmp_path, depth) -> None:
+    # Each named binder substitutes into its whole scope, so a chain whose
+    # free variables move costs time quadratic in its depth; the parser
+    # refuses the binder past the cap before any substitution.
+    start = time.perf_counter()
+    code, out, err = parse_named_chain(tmp_path, depth)
     assert time.perf_counter() - start < 2.0
-    assert (code, out, err) == (2, "", "error: formula nested too deeply\n")
+    column = 11 * MAX_NAMED_NESTING + 1
+    assert (code, out, err) == (
+        2, "", f"error: line 1, column {column}: "
+        f"named binders nest at most {MAX_NAMED_NESTING} deep\n",
+    )
+
+
+def test_named_binder_chain_at_the_cap_parses(tmp_path) -> None:
+    # Over a sentence each binder's substitution returns at once.
+    start = time.perf_counter()
+    code, out, err = parse_named_chain(tmp_path, MAX_NAMED_NESTING)
+    assert time.perf_counter() - start < 2.0
+    canonical = "~forall ~" * MAX_NAMED_NESTING + "r(x1)"
+    assert (code, out, err) == (0, f"{canonical}\nrank 0\nsentence yes\n", "")
 
 
 # ----- the exit-code contract under random and deep input -----
@@ -244,12 +319,14 @@ FUZZ = settings(max_examples=60, deadline=None)
 @FUZZ
 @given(fuzz_texts(), st.sampled_from(["formula", "term"]))
 def test_parse_keeps_the_exit_code_contract(text, kind) -> None:
+    # Through subst, deep text that parses reaches terms.apply and fsubst.
     with tempfile.TemporaryDirectory() as directory:
         signature = os.path.join(directory, "signature.txt")
         with open(signature, "w", encoding="utf-8") as handle:
             handle.write(SIGNATURE)
-        code, _, err = run_main(["parse", kind, "--signature", signature, "--", text])
-    assert_contract(code, err)
+        for command, extra in (("parse", []), ("subst", ["[h(x1) ; shift 1]"])):
+            code, _, err = run_main([command, kind, "--signature", signature, "--", text, *extra])
+            assert_contract(code, err)
 
 
 @FUZZ

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from clonelogic.errors import ArityMismatch, UndeclaredSymbol
+from clonelogic.formulas import Atom
 from clonelogic.terms import (
     IDENTITY,
     MINUS,
@@ -140,6 +141,21 @@ def test_apply_rebuilds_applications() -> None:
     sub = Substitution((f(x1),), Shift(0))
     assert apply(g(x1, x2), sub) == g(f(x1), x2)
     assert apply(c, sub) == c
+
+
+def test_apply_rejects_a_non_term() -> None:
+    atom = Atom("r", (x1,))
+    for bad in (atom, "x1", f(App("f", (atom,)))):
+        with pytest.raises(TypeError, match="not a term"):
+            apply(bad, IDENTITY)
+
+
+@given(terms(), substitutions(), st.integers(min_value=0, max_value=3))
+def test_apply_under_binders_reads_the_lifted_substitution(t, sub, depth) -> None:
+    lifted = sub
+    for _ in range(depth):
+        lifted = lift(lifted)
+    assert apply(t, sub, depth) == apply(t, lifted)
 
 
 # ------------- composition: frozen identities and coordinatewise oracle -------------
