@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 
 from .errors import BoundExceeded, LogicError
@@ -166,18 +165,24 @@ class Structure:
         if self.truth_bits < 1:
             raise ValueError("truth_bits must be >= 1")
         full = (1 << self.truth_bits) - 1
-        eq = self.language.equality
-        if eq is not None and self.eq_identity and eq not in self.rel_tables:
-            self.rel_tables = dict(self.rel_tables)
-            self.rel_tables[eq] = identity_table(self.size, full)
+        eq = self.language.equality if self.eq_identity else None
+        if eq is not None:
+            if self.size * self.size > DEFAULT_ROWS_CAP:
+                raise BoundExceeded(
+                    f"the equality table needs {self.size}^2 entries, over the cap "
+                    f"of {DEFAULT_ROWS_CAP}"
+                )
+            identity = identity_table(self.size, full)
+            if eq not in self.rel_tables:
+                self.rel_tables = dict(self.rel_tables)
+                self.rel_tables[eq] = identity
         self._check_tables(self.fn_tables, self.language.functions, self.size - 1, "function")
         self._check_tables(self.rel_tables, self.language.predicates, full, "relation")
-        if eq is not None and self.eq_identity:
-            if self.rel_tables[eq] != identity_table(self.size, full):
-                raise ValueError(
-                    "structure is flagged equality-preserving but the "
-                    "equality table is not the identity relation"
-                )
+        if eq is not None and self.rel_tables[eq] != identity:
+            raise ValueError(
+                "structure is flagged equality-preserving but the "
+                "equality table is not the identity relation"
+            )
 
     def _check_tables(self, tables, symbols, top_value, kind) -> None:
         for name in tables:
@@ -287,8 +292,8 @@ def _bitset(flags: bytes, stride: int = 1) -> int:
 def _row_sets(column: list[int], lanes: int = 1) -> tuple[list[int], list[int]]:
     """The distinct values of a column in ascending order, and for each
     the bitset of the rows that hold it, at lane stride (one bit per
-    row).  An atom's plane is the sum of the row sets of its cells, each
-    multiplied by the cell's L-bit lane chunk."""
+    row).  Each row set scans the whole column, so only the search, whose
+    domains are small, builds atom planes from them."""
     cells = sorted(set(column))
     return cells, [_bitset(bytes(map(c.__eq__, column)), lanes) for c in cells]
 
@@ -338,7 +343,7 @@ class _Program:
     computed once per evaluation.  Every node's rank is checked against
     the row cap when the node is made, before any table is built.
     ``lanes`` is the number of lanes per plane.  A node's shape does not
-    depend on the size or the lanes, so ``set_shape`` moves a program to
+    depend on the size or the lanes, so ``shaped`` copies a program to
     others.
     """
 
@@ -447,15 +452,20 @@ class _Program:
         """Rows of a rank-``rank`` table; BoundExceeded past the cap."""
         return _rows(self.size, rank)
 
-    def set_shape(self, size: int, lanes: int) -> None:
-        """Evaluate over domains of ``size`` elements with ``lanes`` lanes
-        per plane from now on.  The nodes do not depend on either; only
-        the all-ones planes do, and they are made again under the row cap
-        in the order their ranks first appeared, so the rank named by
-        BoundExceeded is that of the first node over the cap, as when the
-        nodes were made.  On BoundExceeded the program is unchanged."""
+    def shaped(self, size: int, lanes: int) -> "_Program":
+        """A copy that evaluates over domains of ``size`` elements with
+        ``lanes`` lanes per plane.  The nodes do not depend on either;
+        only the all-ones planes do, and they are made again under the
+        row cap in the order their ranks first appeared, so the rank named
+        by BoundExceeded is that of the first node over the cap, as when
+        the nodes were made.  The copy shares the nodes, atoms, memos and
+        spreaders with this program, so it is for evaluation only: ``add``
+        on it would extend the shared nodes."""
         full = {rank: (1 << _rows(size, rank) * lanes) - 1 for rank in self.full}
-        self.size, self.lanes, self.full = size, lanes, full
+        out = _Program.__new__(_Program)
+        out.__dict__.update(self.__dict__)
+        out.size, out.lanes, out.full = size, lanes, full
+        return out
 
     def lift(self, plane: int, rank: int, to: int) -> int:
         """The same plane read at a higher rank: each row of the lower
@@ -611,13 +621,16 @@ class _Tables:
 
     def evaluate(self) -> None:
         """Extend the planes to every node of the program.  An atom's plane
-        is the sum over its cells of the cell's rows, at lane stride,
-        times the cell's value, which is that row chunk."""
-        program = self.program
+        is built from its value column, one pass per truth bit: bit k of
+        each row's value, at lane stride, shifted up by k."""
+        program, lanes = self.program, self.program.lanes
         for atom, rank in program.atoms[len(self.atom_planes):]:
-            cells, rows = _row_sets(self.columns.cells(atom.args, rank), program.lanes)
             table = self.structure.rel_tables[atom.symbol]
-            self.atom_planes.append(sum(map(int.__mul__, rows, map(table.__getitem__, cells))))
+            values = list(map(table.__getitem__, self.columns.cells(atom.args, rank)))
+            self.atom_planes.append(sum(
+                _bitset(bytes([v >> bit & 1 for v in values]), lanes) << bit
+                for bit in range(lanes)
+            ))
         program.evaluate(self.planes, self.atom_planes)
 
     def value(self, formula: Formula) -> int:
@@ -863,7 +876,7 @@ def _search_size(language: Language, formula: Formula, size: int) -> Structure |
         inner += 1
     outer = cells - inner
     lanes = 1 << inner
-    program.set_shape(size, lanes)
+    program = program.shaped(size, lanes)
     ones = (1 << lanes) - 1
     chunks = [_lane_pattern(inner - 1 - j, lanes) for j in range(inner)]
     root_rank = program.rank(root)
@@ -989,15 +1002,15 @@ _MAX_LAW_SAMPLE = 1 << 13
 
 
 # The compiled Q1–Q5 program of the last sample checked, at most one
-# entry: {(tuple(sample), rank_bound, equality symbol): (program,
-# (symbols, laws))}, ``symbols`` holding the (symbol, arity) pairs of
-# the sample's predicates and function symbols.  Formulas are interned,
-# so the key hashes and compares by identity.
-# One entry bounds the memory the cache holds to one compiled sample.
-# The lock is held from the lookup to the last comparison, since a call
-# reshapes the shared program for its own structure.
+# entry: {(tuple(sample), rank_bound, function items, predicate items,
+# equality symbol): (program, laws)}.  The key holds everything the
+# compile checked but the structure's size and width, so a hit needs
+# only those two checks.  Formulas are interned, so the key hashes and
+# compares the sample by identity.  One entry bounds the memory the
+# cache holds to one compiled sample.  A compiled program is never
+# changed: each call evaluates a copy shaped for its structure, so threads
+# share the slot without a lock, and a race at most compiles twice.
 _LAW_SLOT: dict = {}
-_LAW_LOCK = threading.Lock()
 
 
 def qa_law_check(
@@ -1023,17 +1036,18 @@ def qa_law_check(
     raises BoundExceeded before any work.
 
     The sides of the laws depend only on the sample, the rank bound and
-    the equality symbol, not on the structure, which supplies only the
-    values of the atoms.  So they are compiled once per sample (see
+    the language, not on the structure, which supplies only the values
+    of the atoms.  So they are compiled once per sample (see
     ``_compile_laws``) and kept in a one-entry cache: a call with the
-    same sample, bound and equality symbol moves the compiled program
-    to this structure's size and evaluates it, and a call with another
-    key drops the entry before compiling its own.  Every call still
-    refuses what a first call would, with the same error in the same
-    order: a negative bound and the sample cap; then, formula by
-    formula, a table over the row cap at this size, a rank over the
-    bound and an undeclared symbol; then a truth-bit width other than
-    the algebra's, and a law side over the row cap.
+    same sample, bound and language evaluates a copy of the compiled
+    program shaped for this structure's size, and a call with another
+    key drops the entry before compiling its own.  A copy over the row
+    cap compiles again, so the compile is the one place that decides a
+    refusal.  Every call refuses what a first call would, with the same
+    error in the same order: a negative bound and the sample cap; then,
+    formula by formula, a table over the row cap at this size, a rank
+    over the bound and an undeclared symbol; then a truth-bit width
+    other than the algebra's, and a law side over the row cap.
 
     The program is evaluated once, with a lane per truth bit, and then
     each instance's sides are compared in law order, all truth bits at
@@ -1046,34 +1060,27 @@ def qa_law_check(
             f"the law sample holds {len(sample)} formulas, over the cap of "
             f"{_MAX_LAW_SAMPLE}"
         )
-    key = (tuple(sample), rank_bound, structure.language.equality)
-    with _LAW_LOCK:
-        compiled = _LAW_SLOT.get(key)
-        if compiled is not None:
-            try:
-                compiled[0].set_shape(structure.size, structure.truth_bits)
-            except BoundExceeded:
-                # Compiling again refuses at the node a first call refuses at.
-                compiled = None
-            else:
-                # The ranks fit rank_bound, which is part of the key; the
-                # symbols and the width belong to this structure.  A symbol
-                # that does not fit is named by the walk a first call makes.
-                language, (predicates, functions) = structure.language, compiled[1][0]
-                if not (language.predicates.items() >= predicates
-                        and language.functions.items() >= functions):
-                    seen = set()
-                    for p in sample:
-                        check_formula(p, structure.language, seen)
-                _check_width(structure, algebra)
-        if compiled is None:
-            _LAW_SLOT.clear()
-            compiled = _compile_laws(structure, algebra, sample, rank_bound)
-            _LAW_SLOT[key] = compiled
-        program, (_, laws) = compiled
-        tables = _Tables(structure, program=program)
-        tables.evaluate()
-        return QAReport(tuple(_run_law(law, instances, tables) for law, instances in laws))
+    language = structure.language
+    key = (
+        tuple(sample), rank_bound, tuple(language.functions.items()),
+        tuple(language.predicates.items()), language.equality,
+    )
+    compiled = _LAW_SLOT.get(key)
+    program = None
+    if compiled is not None:
+        try:
+            program = compiled[0].shaped(structure.size, structure.truth_bits)
+        except BoundExceeded:
+            pass  # compiling again names the error a first call names
+        else:
+            _check_width(structure, algebra)
+    if program is None:
+        _LAW_SLOT.clear()
+        compiled = _LAW_SLOT[key] = _compile_laws(structure, algebra, sample, rank_bound)
+        program = compiled[0]
+    tables = _Tables(structure, program=program)
+    tables.evaluate()
+    return QAReport(tuple(_run_law(law, instances, tables) for law, instances in compiled[1]))
 
 
 def _compile_laws(
@@ -1081,14 +1088,13 @@ def _compile_laws(
     algebra: FiniteBooleanAlg,
     sample: list[Formula],
     rank_bound: int,
-) -> tuple[_Program, tuple[tuple, list[tuple[str, list[tuple]]]]]:
+) -> tuple[_Program, list[tuple[str, list[tuple]]]]:
     """The program of the Q1–Q5 sides for the sample, checked against
     the structure as qa_law_check describes, shaped for its size with a
-    lane per truth bit; the sets of (symbol, arity) pairs of the
-    predicates and of the function symbols the sample reads; and each
-    law's instances as (p, q, left node, right node, depth,
-    width): both sides are lifted to rank ``depth`` and compared over
-    the rows of that table whose coordinates past ``width`` are 0.
+    lane per truth bit, and each law's instances as (p, q, left node,
+    right node, depth, width): both sides are lifted to rank ``depth``
+    and compared over the rows of that table whose coordinates past
+    ``width`` are 0.
 
     Each sampled formula is compiled once, p+ and p* are the clone's
     action ``fsubst`` by the shift and the collapse, compiled in turn,
@@ -1111,10 +1117,6 @@ def _compile_laws(
         check_formula(p, structure.language, seen)
         nodes.append(node)
     _check_width(structure, algebra)
-    symbols = tuple(
-        {(node.symbol, len(node.args)) for node in seen if isinstance(node, kind)}
-        for kind in (Atom, App)
-    )
     forall, and_, add, rank = program.forall, program.and_, program.add, program.rank
     lift_to = program.lift_to
 
@@ -1150,7 +1152,7 @@ def _compile_laws(
             instance(p, None, and_(e, a), and_(e, add(fsubst(p, STAR, collapsed))))
             for p, a in zip(sample, nodes)
         ]))
-    return program, (symbols, laws)
+    return program, laws
 
 
 def _run_law(law: str, instances: list[tuple], tables: _Tables) -> LawReport:

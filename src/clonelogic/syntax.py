@@ -261,12 +261,14 @@ class _Parser:
         connective is read, where ``start`` is the offset of its '(' and
         ``prefix`` its memo key, or None past the memo's nesting bound.
         Binary connectives are always parenthesized, so no precedence is
-        needed.  ``named`` counts the named binders on the stack.
+        needed.  ``named`` counts the named binders on the stack, and the
+        outermost ``bound`` open groups hold one: they skip the memo, so
+        every named binder is counted wherever its group was read before.
         """
         source, memo, match = self.source, self.memo, _TOKEN_RE.match
         m = self.m
         stack: list = []
-        groups = named = 0
+        groups = named = bound = 0
         while True:
             # Read prefixes down to an atom, a letter or a memoized group.
             while True:
@@ -314,6 +316,7 @@ class _Parser:
                                 message = f"named binders nest at most {MAX_NAMED_NESTING} deep"
                                 raise self.error(message, at.start(1))
                             named += 1
+                            bound = groups
                             binder = forall_xi if text == "forall" else exists_xi
                             stack.append(partial(binder, int(name[1:])))
                             m = match(source, after.end())
@@ -359,11 +362,13 @@ class _Parser:
                 end = m.end()
                 m = match(source, end)
                 stack.pop()
-                groups -= 1
                 if len(frame) == 4:
                     value = frame[2](frame[3], value)
-                if frame[0] is not None:
+                if frame[0] is not None and groups > bound:
                     memo.setdefault(frame[0], []).append((source[frame[1]:end], value))
+                groups -= 1
+                if bound > groups:
+                    bound = groups
             else:
                 self.m = m
                 return value

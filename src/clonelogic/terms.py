@@ -20,6 +20,7 @@ node with those fields, so structurally equal terms are the same object,
 
 from __future__ import annotations
 
+import itertools
 import re
 import weakref
 from dataclasses import dataclass
@@ -487,14 +488,8 @@ def enumerate_terms(functions: FunctionType, depth: int, max_var: int) -> list[T
     for _ in range(depth):
         new: list[Term] = []
         for name, arity in functions.items():
-            if arity == 0:
-                candidate: Term = App(name, ())
-                if candidate not in seen:
-                    seen.add(candidate)
-                    new.append(candidate)
-                continue
-            for args in _product(out, arity):
-                candidate = App(name, args)
+            for args in itertools.product(out, repeat=arity):
+                candidate: Term = App(name, args)
                 if candidate not in seen:
                     seen.add(candidate)
                     new.append(candidate)
@@ -502,12 +497,3 @@ def enumerate_terms(functions: FunctionType, depth: int, max_var: int) -> list[T
             break
         out.extend(new)
     return out
-
-
-def _product(pool: Sequence[Term], arity: int) -> Iterator[tuple[Term, ...]]:
-    if arity == 0:
-        yield ()
-        return
-    for head in pool:
-        for rest in _product(pool, arity - 1):
-            yield (head,) + rest

@@ -230,6 +230,49 @@ def test_zmod_at_row_cap_builds():
         zmod_structure(1025)
 
 
+def test_atom_planes_cost_one_pass_over_their_rows(capsys):
+    # e(x1, x2) over zmod1024 reads 1024^2 distinct cells across as many
+    # rows; a plane built by a scan per distinct cell takes n^4 steps.
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, ["eval", "--structure", "zmod1024", "--formula", "forall forall e(x1, x2)"]
+    )
+    assert time.perf_counter() - start < 15.0
+    assert (code, out, err) == (1, "COUNTEREXAMPLE [; 0]\n", "")
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["qa_laws", "--structure", "zmod64", "--depth", "0"])
+    assert time.perf_counter() - start < 15.0
+    assert (code, err) == (0, "")
+    assert [line.split()[:2] for line in out.splitlines()] == [
+        [law, "pass"] for law in ("Q1", "Q2", "Q3", "Q4", "Q5")
+    ]
+
+
+@pytest.mark.parametrize("size, code", [(1024, 0), (1025, 2), (2048, 2)])
+def test_structure_file_equality_table_is_capped_before_it_is_built(
+    tmp_path, capsys, size, code
+):
+    # The pinned identity table of a `domain N` file has N^2 entries.
+    signature = tmp_path / "sig.txt"
+    signature.write_text("rel e/2 equality\n")
+    model = tmp_path / "m.txt"
+    model.write_text(f"domain {size}\n")
+    start = time.perf_counter()
+    got, out, err = run(capsys, [
+        "eval", "--signature", str(signature), "--structure", str(model),
+        "--formula", "forall e(x1, x1)",
+    ])
+    assert time.perf_counter() - start < 5.0
+    assert got == code
+    if code == 0:
+        assert (out, err) == ("VALID\n", "")
+    else:
+        assert out == ""
+        assert err == (
+            f"error: the equality table needs {size}^2 entries, over the cap of 1048576\n"
+        )
+
+
 @pytest.fixture
 def sig_unary(tmp_path):
     path = tmp_path / "sig_unary.txt"

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clonelogic.cli import main
+from clonelogic.errors import ParseError
 from clonelogic.formulas import Atom, FAnd, FNot, Forall, close_off, frank, is_sentence
 from clonelogic.proofs import instantiate_axiom
 from clonelogic.semantics import FiniteBooleanAlg, qa_law_check
@@ -31,6 +32,7 @@ from clonelogic.syntax import (
     format_term,
     load_signature,
     load_structure,
+    load_theory,
     parse_axiom_spec,
     parse_formula,
     parse_prop,
@@ -221,6 +223,19 @@ def test_named_binder_chain_at_the_cap_parses(tmp_path) -> None:
     assert (code, out, err) == (0, f"{canonical}\nrank 0\nsentence yes\n", "")
 
 
+def test_memoized_group_counts_its_named_binders() -> None:
+    # A group that holds a named binder is not memoized, so its binders
+    # count toward the cap whether or not a line above restated it.
+    group = "(" + "exists x1. " * 600 + "r(x1) & r(x1))"
+    line = "exists x1. " * 600 + group
+    language = load_signature(SIGNATURE)
+    message = f"column 11002: named binders nest at most {MAX_NAMED_NESTING} deep"
+    with pytest.raises(ParseError, match=f"line 2, {message}"):
+        load_theory(f"theory t\n{line}\n", language)
+    with pytest.raises(ParseError, match=f"line 3, {message}"):
+        load_theory(f"theory t\n{group}\n{line}\n", language)
+
+
 # ----- the exit-code contract under random and deep input -----
 
 TOKENS = [
@@ -244,18 +259,23 @@ DEEP_TEXTS = [
 ]
 
 
-WELL_FORMED = st.recursive(
-    st.sampled_from(["r(x1)", "t(x1, h(c))", "e(x2, x1)", "a", "b"]),
-    lambda inner: st.one_of(
-        inner.map(lambda p: "~" + p),
-        st.tuples(inner, st.sampled_from(["&", "|", "->", "<->"]), inner).map(
-            lambda t: f"({t[0]} {t[1]} {t[2]})"
+def well_formed(atoms):
+    return st.recursive(
+        st.sampled_from(atoms),
+        lambda inner: st.one_of(
+            inner.map(lambda p: "~" + p),
+            st.tuples(inner, st.sampled_from(["&", "|", "->", "<->"]), inner).map(
+                lambda t: f"({t[0]} {t[1]} {t[2]})"
+            ),
+            inner.map(lambda p: "forall " + p),
+            inner.map(lambda p: "exists x2. " + p),
         ),
-        inner.map(lambda p: "forall " + p),
-        inner.map(lambda p: "exists x2. " + p),
-    ),
-    max_leaves=5,
-)
+        max_leaves=5,
+    )
+
+
+SIGNATURE_ATOMS = ["r(x1)", "t(x1, h(c))", "e(x2, x1)"]
+WELL_FORMED = well_formed([*SIGNATURE_ATOMS, "a", "b"])
 
 
 @st.composite
@@ -348,4 +368,74 @@ def test_check_proof_keeps_the_exit_code_contract(data, prop) -> None:
         else:
             argv = ["check_proof", proof, "--signature", signature]
         code, _, err = run_main(argv)
+    assert_contract(code, err)
+
+
+# A 2-element structure for SIGNATURE.
+STRUCTURE = "domain 2\nfn c: 0\nfn h: 1 0\nrel r: 1 0\nrel t: 0 1 1 1\n"
+ARITIES = {"c": 0, "h": 1, "r": 1, "t": 2, "e": 2}
+# Integers a structure file should refuse or cap: zero, negative, over a
+# table's range or the bits cap, and huge domains.
+ODD_INTS = [0, -1, -3, 4, 17, 1025, 10 ** 12, 1 << 64]
+
+
+@st.composite
+def structure_texts(draw) -> str:
+    """Structure files for SIGNATURE: a well-formed file over one to three
+    elements, with `domain`, `bits`, `fn`, `rel` and `equality` lines,
+    then, half the time, one to three breakages: an integer swapped for
+    one of ``ODD_INTS``, a line dropped, or a line of random tokens."""
+    size, bits = draw(st.integers(1, 3)), draw(st.sampled_from([1, 1, 2]))
+    tops = {"fn": size - 1, "rel": (1 << bits) - 1}
+    lines = [f"domain {size}", f"bits {bits}"]
+    for name, arity in ARITIES.items():
+        kind = "fn" if name in ("c", "h") else "rel"
+        if name == "e" and draw(st.booleans()):
+            lines.append("equality identity")
+            continue
+        entries = [draw(st.integers(0, tops[kind])) for _ in range(size ** arity)]
+        lines.append(f"{kind} {name}: " + " ".join(map(str, entries)))
+    for _ in range(draw(st.integers(1, 3)) if draw(st.booleans()) else 0):
+        at = draw(st.integers(0, len(lines) - 1))
+        breakage = draw(st.sampled_from(["int", "drop", "tokens"]))
+        if breakage == "int":
+            words = lines[at].split()
+            numbers = [i for i, word in enumerate(words) if word.lstrip("-").isdigit()]
+            if numbers:
+                words[draw(st.sampled_from(numbers))] = str(draw(st.sampled_from(ODD_INTS)))
+                lines[at] = " ".join(words)
+        elif breakage == "drop":
+            del lines[at]
+        else:
+            lines.insert(at, draw(token_streams()))
+    return "\n".join(lines) + "\n"
+
+
+def run_with_files(argv, structure: str):
+    """main() on argv, with the signature and structure files appended."""
+    with tempfile.TemporaryDirectory() as directory:
+        signature = os.path.join(directory, "signature.txt")
+        model = os.path.join(directory, "structure.txt")
+        with open(signature, "w", encoding="utf-8") as handle:
+            handle.write(SIGNATURE)
+        with open(model, "w", encoding="utf-8") as handle:
+            handle.write(structure)
+        return run_main([*argv, "--signature", signature, "--structure", model])
+
+
+@FUZZ
+@given(fuzz_texts())
+def test_eval_keeps_the_exit_code_contract(text) -> None:
+    code, _, err = run_with_files(["eval", f"--formula={text}"], STRUCTURE)
+    assert_contract(code, err)
+
+
+@FUZZ
+@given(structure_texts(), well_formed(SIGNATURE_ATOMS), st.integers(0, 1), st.integers(1, 3))
+def test_structure_files_keep_the_exit_code_contract(text, formula, depth, bound) -> None:
+    code, _, err = run_with_files(["eval", f"--formula={formula}"], text)
+    assert_contract(code, err)
+    code, _, err = run_with_files(
+        ["qa_laws", "--depth", str(depth), "--rank-bound", str(bound)], text
+    )
     assert_contract(code, err)

@@ -437,7 +437,7 @@ def test_lifted_law_sides_match_lift(bits) -> None:
     d = other_structure(lang_structure(2, 3 - bits, {}))
     assert d.truth_bits == bits
     sample = [r1, s12, Forall(s12), FAnd(r1, Atom("r", (Var(3),)))]
-    program, (_, laws) = semantics._compile_laws(d, FiniteBooleanAlg(bits), sample, 3)
+    program, laws = semantics._compile_laws(d, FiniteBooleanAlg(bits), sample, 3)
     tables = semantics._Tables(d, program=program)
     tables.evaluate()
     planes, lanes = tables.planes, program.lanes
@@ -578,13 +578,13 @@ def test_lane_count_follows_the_widest_table(monkeypatch, lane_bits) -> None:
     # there are candidates (2^2 at size 1, 2^6 at size 2).
     monkeypatch.setattr(semantics, "_LANE_BITS", lane_bits)
     seen = []
-    set_shape = semantics._Program.set_shape
+    shaped = semantics._Program.shaped
 
     def spy(program, size, lanes):
         seen.append((size, lanes))
-        set_shape(program, size, lanes)
+        return shaped(program, size, lanes)
 
-    monkeypatch.setattr(semantics._Program, "set_shape", spy)
+    monkeypatch.setattr(semantics._Program, "shaped", spy)
     # Both use r and s; the widest table at size 2 has 1 row, then 2.
     for p, rows in ((FAnd(r_c, s_cc), 1), (FAnd(r_c, Atom("s", (x1, c))), 2)):
         seen.clear()

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from clonelogic.errors import ArityMismatch, UndeclaredSymbol
 from clonelogic.formulas import Atom
+from clonelogic.syntax import format_term
 from clonelogic.terms import (
     IDENTITY,
     MINUS,
@@ -315,6 +316,36 @@ def test_enumeration_over_empty_signature_is_variables_only() -> None:
     out = enumerate_terms(FunctionType(), depth=5, max_var=3)
     assert out == [Var(1), Var(2), Var(3)]
     assert all(rank(t) >= 1 for t in out)
+
+
+# Every term of depth <= 2 over x1, x2 and FUNCS, in enumeration order:
+# each layer lists c, then f and g applied to the earlier terms, with
+# argument tuples in lexicographic order.
+FUNCS_DEPTH_2 = """
+x1 x2 c f(x1) f(x2) g(x1,x1) g(x1,x2) g(x2,x1) g(x2,x2)
+f(c) f(f(x1)) f(f(x2)) f(g(x1,x1)) f(g(x1,x2)) f(g(x2,x1)) f(g(x2,x2))
+g(x1,c) g(x1,f(x1)) g(x1,f(x2)) g(x1,g(x1,x1)) g(x1,g(x1,x2)) g(x1,g(x2,x1)) g(x1,g(x2,x2))
+g(x2,c) g(x2,f(x1)) g(x2,f(x2)) g(x2,g(x1,x1)) g(x2,g(x1,x2)) g(x2,g(x2,x1)) g(x2,g(x2,x2))
+g(c,x1) g(c,x2) g(c,c) g(c,f(x1)) g(c,f(x2))
+g(c,g(x1,x1)) g(c,g(x1,x2)) g(c,g(x2,x1)) g(c,g(x2,x2))
+g(f(x1),x1) g(f(x1),x2) g(f(x1),c) g(f(x1),f(x1)) g(f(x1),f(x2))
+g(f(x1),g(x1,x1)) g(f(x1),g(x1,x2)) g(f(x1),g(x2,x1)) g(f(x1),g(x2,x2))
+g(f(x2),x1) g(f(x2),x2) g(f(x2),c) g(f(x2),f(x1)) g(f(x2),f(x2))
+g(f(x2),g(x1,x1)) g(f(x2),g(x1,x2)) g(f(x2),g(x2,x1)) g(f(x2),g(x2,x2))
+g(g(x1,x1),x1) g(g(x1,x1),x2) g(g(x1,x1),c) g(g(x1,x1),f(x1)) g(g(x1,x1),f(x2))
+g(g(x1,x1),g(x1,x1)) g(g(x1,x1),g(x1,x2)) g(g(x1,x1),g(x2,x1)) g(g(x1,x1),g(x2,x2))
+g(g(x1,x2),x1) g(g(x1,x2),x2) g(g(x1,x2),c) g(g(x1,x2),f(x1)) g(g(x1,x2),f(x2))
+g(g(x1,x2),g(x1,x1)) g(g(x1,x2),g(x1,x2)) g(g(x1,x2),g(x2,x1)) g(g(x1,x2),g(x2,x2))
+g(g(x2,x1),x1) g(g(x2,x1),x2) g(g(x2,x1),c) g(g(x2,x1),f(x1)) g(g(x2,x1),f(x2))
+g(g(x2,x1),g(x1,x1)) g(g(x2,x1),g(x1,x2)) g(g(x2,x1),g(x2,x1)) g(g(x2,x1),g(x2,x2))
+g(g(x2,x2),x1) g(g(x2,x2),x2) g(g(x2,x2),c) g(g(x2,x2),f(x1)) g(g(x2,x2),f(x2))
+g(g(x2,x2),g(x1,x1)) g(g(x2,x2),g(x1,x2)) g(g(x2,x2),g(x2,x1)) g(g(x2,x2),g(x2,x2))
+"""
+
+
+def test_enumeration_order_is_pinned() -> None:
+    out = enumerate_terms(FUNCS, depth=2, max_var=2)
+    assert [format_term(t).replace(" ", "") for t in out] == FUNCS_DEPTH_2.split()
 
 
 def test_enumeration_is_deterministic_and_deduplicated() -> None:
