@@ -46,6 +46,7 @@ from .terms import (
     Substitution,
     Term,
     Var,
+    apply,
     cons_subst,
     is_closed,
     lift as lift_subst,
@@ -338,7 +339,8 @@ class _Program:
     standing in for a and b, so structurally equal formulas get one node
     and no key hashes a whole subtree; ``add`` compiles a formula through
     them and remembers the node of each (formula, depth) pair it
-    compiled.  A lift node is keyed (kind, node, rank): ``and_`` lifts
+    compiled, and ``image`` maps a node by a substitution through them.
+    A lift node is keyed (kind, node, rank): ``and_`` lifts
     its lower-rank operand through one, so each distinct lift is
     computed once per evaluation.  Every node's rank is checked against
     the row cap when the node is made, before any table is built.
@@ -448,6 +450,53 @@ class _Program:
             index[key] = node
         return index[formula, depth]
 
+    def image(self, node: int, sub: Substitution, memo: dict[tuple[int, int], int]) -> int:
+        """Node of the formula of ``node`` under ``sub``: the clone's
+        action on compiled nodes, the same node as ``add(fsubst(p, sub))``
+        for the formula p compiled whole (with no depth) as ``node``.
+
+        An explicit-stack walk over (node, depth) pairs, shaped like
+        ``fsubst``: a node of rank at most ``depth`` is its own image, and
+        an atom's terms are mapped by ``terms.apply`` under ``depth``
+        binders.  A lift node's image is its operand's, since ``and_``
+        lifts again by the new ranks.  ``memo`` maps each pair already
+        visited to its image under ``sub``; a caller applying one
+        substitution to many nodes may share it across calls.
+        """
+        nodes, atoms = self.nodes, self.atoms
+        stack = [(node, 0)]
+        while stack:
+            key = stack[-1]
+            if key in memo:
+                stack.pop()
+                continue
+            n, depth = key
+            kind, a, b, rank = nodes[n]
+            if rank <= depth:
+                out = n
+            elif kind == _ATOM:
+                phi = atoms[a][0]
+                out = self.atom(Atom(phi.symbol, tuple([apply(t, sub, depth) for t in phi.args])))
+            elif kind == _AND:
+                left, right = (a, depth), (b, depth)
+                if left not in memo or right not in memo:
+                    stack += (right, left)
+                    continue
+                out = self.and_(memo[left], memo[right])
+            else:  # a lift or a negation, or a binder one level deeper
+                inner = (a, depth + 1 if kind == _FORALL else depth)
+                if inner not in memo:
+                    stack.append(inner)
+                    continue
+                out = memo[inner]
+                if kind == _NOT:
+                    out = self.not_(out)
+                elif kind == _FORALL:
+                    out = self.forall(out)
+            memo[key] = out
+            stack.pop()
+        return memo[node, 0]
+
     def rows(self, rank: int) -> int:
         """Rows of a rank-``rank`` table; BoundExceeded past the cap."""
         return _rows(self.size, rank)
@@ -459,8 +508,9 @@ class _Program:
         row cap in the order their ranks first appeared, so the rank named
         by BoundExceeded is that of the first node over the cap, as when
         the nodes were made.  The copy shares the nodes, atoms, memos and
-        spreaders with this program, so it is for evaluation only: ``add``
-        on it would extend the shared nodes."""
+        spreaders with this program, so it is for evaluation only: neither
+        ``add`` nor ``image`` may run on it, since either would extend the
+        shared nodes."""
         full = {rank: (1 << _rows(size, rank) * lanes) - 1 for rank in self.full}
         out = _Program.__new__(_Program)
         out.__dict__.update(self.__dict__)
@@ -1096,14 +1146,13 @@ def _compile_laws(
     and compared over the rows of that table whose coordinates past
     ``width`` are 0.
 
-    Each sampled formula is compiled once, p+ and p* are the clone's
-    action ``fsubst`` by the shift and the collapse, compiled in turn,
-    and every other side is a node made by the program's constructors.
-    The Q2 side (forall p)+ is built through the binder, as the forall
-    of p under the lifted shift, so no kernel Forall is made for it.
-    Each substitution keeps one ``fsubst`` memo across the sample, whose
-    formulas share subformulas, and structurally equal sides, such as p
-    inside Q1, Q2 and Q5, share one node.
+    Each sampled formula is compiled once, and p+, (forall p)+ and p*
+    are the clone's action on its node, ``_Program.image``, by the shift,
+    the lifted shift under the binder and the collapse, so no kernel
+    formula is built for a side.  Every other side is a node made by the
+    program's constructors.  Each substitution keeps one ``image`` memo
+    across the sample, whose formulas share subformulas, and structurally
+    equal sides, such as p inside Q1, Q2 and Q5, share one node.
     """
     program = _Program(structure.size, structure.truth_bits)
     nodes = []
@@ -1117,39 +1166,45 @@ def _compile_laws(
         check_formula(p, structure.language, seen)
         nodes.append(node)
     _check_width(structure, algebra)
-    forall, and_, add, rank = program.forall, program.and_, program.add, program.rank
+    forall, and_, image, made = program.forall, program.and_, program.image, program.nodes
     lift_to = program.lift_to
 
     def instance(p, q, left, right):
-        depth = max(rank(left), rank(right))
-        return p, q, lift_to(left, depth), lift_to(right, depth), depth, min(depth, rank_bound + 1)
+        # Most sides have equal ranks, so lift_to runs only on the lower.
+        depth, other = made[left][3], made[right][3]
+        if depth < other:
+            depth, left = other, lift_to(left, other)
+        elif other < depth:
+            right = lift_to(right, depth)
+        return p, q, left, right, depth, depth if depth <= rank_bound else rank_bound + 1
 
     shifted, lifted, collapsed = {}, {}, {}
     lifted_shift = lift_subst(SHIFT_UP)
     laws = []
     m = len(sample)
+    foralls = [forall(a) for a in nodes]
     q1 = []
     for offset in sorted({0, 1 % m, m // 2}) if m else []:
-        for i, (p, a) in enumerate(zip(sample, nodes)):
+        for i, (p, a, all_a) in enumerate(zip(sample, nodes, foralls)):
             j = (i + offset) % m
             b = nodes[j]
-            q1.append(instance(p, sample[j], forall(and_(a, b)), and_(forall(a), forall(b))))
+            q1.append(instance(p, sample[j], forall(and_(a, b)), and_(all_a, foralls[j])))
     laws.append(("Q1", q1))
-    halves = [forall(add(fsubst(p, lifted_shift, lifted))) for p in sample]
+    halves = [forall(image(a, lifted_shift, lifted)) for a in nodes]
     laws.append(("Q2", [
         instance(p, None, half, and_(half, a)) for p, a, half in zip(sample, nodes, halves)
     ]))
     laws.append(("Q3", [
-        instance(p, None, forall(add(fsubst(p, SHIFT_UP, shifted))), a)
+        instance(p, None, forall(image(a, SHIFT_UP, shifted)), a)
         for p, a in zip(sample, nodes)
     ]))
     if structure.language.equality is not None:
         e_atom = equality_atom(structure.language)
         e = program.atom(e_atom)
         top = program.not_(and_(e, program.not_(e)))
-        laws.append(("Q4", [instance(e_atom, None, add(fsubst(e_atom, STAR)), top)]))
+        laws.append(("Q4", [instance(e_atom, None, image(e, STAR, collapsed), top)]))
         laws.append(("Q5", [
-            instance(p, None, and_(e, a), and_(e, add(fsubst(p, STAR, collapsed))))
+            instance(p, None, and_(e, a), and_(e, image(a, STAR, collapsed)))
             for p, a in zip(sample, nodes)
         ]))
     return program, laws

@@ -411,16 +411,20 @@ def structure_texts(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_with_files(argv, structure: str):
-    """main() on argv, with the signature and structure files appended."""
+def run_with_files(argv, structure: str | None = None):
+    """main() on argv, with the signature file appended, and the structure
+    file when one is given."""
     with tempfile.TemporaryDirectory() as directory:
         signature = os.path.join(directory, "signature.txt")
-        model = os.path.join(directory, "structure.txt")
         with open(signature, "w", encoding="utf-8") as handle:
             handle.write(SIGNATURE)
-        with open(model, "w", encoding="utf-8") as handle:
-            handle.write(structure)
-        return run_main([*argv, "--signature", signature, "--structure", model])
+        argv = [*argv, "--signature", signature]
+        if structure is not None:
+            model = os.path.join(directory, "structure.txt")
+            with open(model, "w", encoding="utf-8") as handle:
+                handle.write(structure)
+            argv += ["--structure", model]
+        return run_main(argv)
 
 
 @FUZZ
@@ -438,4 +442,21 @@ def test_structure_files_keep_the_exit_code_contract(text, formula, depth, bound
     code, _, err = run_with_files(
         ["qa_laws", "--depth", str(depth), "--rank-bound", str(bound)], text
     )
+    assert_contract(code, err)
+
+
+@FUZZ
+@given(fuzz_texts(), st.integers(1, 2), st.sampled_from([0, 4, 16]))
+def test_countermodel_keeps_the_exit_code_contract(text, max_size, cap) -> None:
+    # Sizes 1 and 2 and a small cell cap bound each search.
+    code, _, err = run_with_files(
+        ["countermodel", f"--formula={text}", "--max-size", str(max_size), "--cap", str(cap)]
+    )
+    assert_contract(code, err)
+
+
+@FUZZ
+@given(st.one_of(fuzz_texts(), PROP_WELL_FORMED))
+def test_taut_keeps_the_exit_code_contract(text) -> None:
+    code, _, err = run_main(["taut", "--", text])
     assert_contract(code, err)

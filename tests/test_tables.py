@@ -19,12 +19,14 @@ from clonelogic.formulas import (
     Language,
     PredicateType,
     close_off,
+    enumerate_formulas,
     equality_atom,
     f_imp,
     frank,
     fsubst,
 )
 from clonelogic import semantics
+from clonelogic.checks import qa_fragment
 from clonelogic.errors import BoundExceeded, UndeclaredSymbol
 from clonelogic.semantics import (
     DEFAULT_ROWS_CAP,
@@ -40,7 +42,7 @@ from clonelogic.semantics import (
     qa_law_check,
     zmod_structure,
 )
-from clonelogic.terms import SHIFT_UP, App, Var, lift
+from clonelogic.terms import SHIFT_UP, STAR, App, Var, lift
 
 from oracle import (
     oracle_counterexample_env,
@@ -50,7 +52,7 @@ from oracle import (
     oracle_qa_law_check,
     rebuild,
 )
-from strategies import LANG, formulas
+from strategies import LANG, formulas, substitutions
 
 # LANG without the binary function g, so that full enumeration at size 2
 # stays small: 2 * 4 * 4 * 16 = 512 candidates.
@@ -469,6 +471,71 @@ def test_add_compiles_deep_chains_without_recursion() -> None:
         phi = Forall(phi) if level % 50 == 0 else FNot(phi)
     program = semantics._Program(1)
     assert program.rank(program.add(phi)) == 50
+
+
+# The substitutions the law compile applies to compiled nodes: p+, the
+# body of (forall p)+ and p*.
+LAW_SUBSTITUTIONS = [SHIFT_UP, lift(SHIFT_UP), STAR]
+
+
+@settings(deadline=None)
+@given(formulas(max_index=3), substitutions(max_index=3))
+def test_image_matches_add_of_fsubst(p, sub) -> None:
+    # The clone's action on a compiled node is the node of the formula's
+    # image under fsubst, the simple path.
+    program = semantics._Program(2)
+    for sigma in (*LAW_SUBSTITUTIONS, sub):
+        assert program.image(program.add(p), sigma, {}) == program.add(fsubst(p, sigma))
+
+
+def test_image_of_the_fragment_matches_add_of_fsubst() -> None:
+    # Over the whole qa_fragment(), with a fresh memo per formula and with
+    # one memo shared across the sample, as the law compile shares it.
+    program = semantics._Program(2)
+    for sigma in LAW_SUBSTITUTIONS:
+        shared = {}
+        for p in qa_fragment():
+            node, expected = program.add(p), program.add(fsubst(p, sigma))
+            assert program.image(node, sigma, {}) == expected
+            assert program.image(node, sigma, shared) == expected
+
+
+def test_image_walks_deep_chains_without_recursion() -> None:
+    # The chain of test_add_compiles_deep_chains_without_recursion.
+    phi = Atom("s", (x1, Var(150)))
+    for level in range(5000):
+        phi = Forall(phi) if level % 50 == 0 else FNot(phi)
+    program = semantics._Program(1)
+    node = program.add(phi)
+    for sigma in LAW_SUBSTITUTIONS:
+        assert program.image(node, sigma, {}) == program.add(fsubst(phi, sigma))
+
+
+R2 = Structure(Language(FunctionType({}), PredicateType({"r": 2})), 2, {}, {"r": (0, 1, 1, 0)})
+# The sample `qa_laws --structure zmod2` checks at its default depth and
+# rank bound.
+E_SAMPLE = enumerate_formulas([Atom("e", (Var(i), Var(j))) for i in (1, 2) for j in (1, 2)], 2)
+
+
+@pytest.mark.parametrize("structure, sample, nodes, instances", [
+    (R2, qa_fragment(), 4115, [804, 268, 268]),
+    (zmod_structure(2), E_SAMPLE, 4390, [804, 268, 268, 1, 268]),
+])
+def test_law_compile_acts_on_nodes(monkeypatch, structure, sample, nodes, instances) -> None:
+    # The sides are images of compiled nodes, so no kernel formula is
+    # substituted, and the program and the instances are as large as
+    # when each side was compiled from its fsubst image.
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return fsubst(*args)
+
+    monkeypatch.setattr(semantics, "fsubst", spy)
+    program, laws = semantics._compile_laws(structure, FiniteBooleanAlg(1), sample, 2)
+    assert calls == []
+    assert len(program.nodes) == nodes
+    assert [len(law) for _, law in laws] == instances
 
 
 def test_qa_law_check_truncates_sides_past_the_rank_bound() -> None:
