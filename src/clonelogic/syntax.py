@@ -80,10 +80,20 @@ MAX_NAMED_NESTING = 1000
 # an entry holds its group's source text, so one stack of nested groups
 # copies the line at most this many times.
 _MEMO_NESTING = 32
-# The memo files each group under at most this many characters of its
-# text, cut after the first ')': a fixed-length window would take in what
-# follows a short group, and a restated short group would then miss.
+# The memo files each group or atom under at most this many characters of
+# its text, cut after the first ')': a fixed-length window would take in
+# what follows a short group, and a restated short group would then miss.
 _MEMO_PREFIX = 32
+
+
+def _recall(memo: dict, source: str, start: int):
+    """The memo key of the source at ``start``, and the (text, node) entry
+    filed under it whose text the source goes on with, or None."""
+    key = source[start:source.find(")", start, start + _MEMO_PREFIX) + 1 or start + _MEMO_PREFIX]
+    for entry in memo.get(key, ()):
+        if source.startswith(entry[0], start):
+            return key, entry
+    return key, None
 
 
 class _Parser:
@@ -101,18 +111,20 @@ class _Parser:
 
     Formulas, propositions and terms are read by explicit-stack loops, so
     nesting costs no recursion.  ``memo`` maps a key to the (source text,
-    node) pairs of the parenthesized formula groups ``( … )`` read
-    successfully so far, and each propositional letter to its ``Atom``.
-    A group's key is the start of its text: at most ``_MEMO_PREFIX``
-    characters, cut after the first ')'.  At a '(' the parser looks up
-    the key of the source from there and takes the pair whose text the
-    source goes on with (``str.startswith``).  A group's text is
-    balanced, so at most one pair matches and a hit ends exactly where
-    the restated group does.  Parsers of the lines of one file share the
-    memo, so a group restated on many lines is read once.  Only
-    successful reads enter it, so errors keep their messages and
-    positions.  One memo serves one grammar: formulas over one language,
-    or propositions.  Argument lists never consult it.
+    node) pairs of the parenthesized formula groups ``( … )`` and of the
+    atoms with an argument list ``r(…)`` read successfully so far, and
+    each propositional letter to its ``Atom``.  An entry's key is the
+    start of its text: at most ``_MEMO_PREFIX`` characters, cut after the
+    first ')'.  At a '(' or a predicate name the parser looks up the key
+    of the source from there and takes the pair whose text the source
+    goes on with (``str.startswith``).  Such a text is balanced, so at
+    most one pair matches and a hit ends exactly where the restated group
+    or atom does.  Parsers of the lines of one file share the memo, so a
+    group or atom restated on many lines is read once.  Only successful
+    reads enter it, so errors keep their messages and positions.  One
+    memo serves one grammar: formulas over one language, or propositions.
+    Argument lists never consult it, so atoms never nest in atoms, and
+    each atom's text is copied once.
     """
 
     __slots__ = ("source", "start_line", "m", "memo")
@@ -264,6 +276,7 @@ class _Parser:
         needed.  ``named`` counts the named binders on the stack, and the
         outermost ``bound`` open groups hold one: they skip the memo, so
         every named binder is counted wherever its group was read before.
+        Atoms hold no binder and never nest, so each enters the memo.
         """
         source, memo, match = self.source, self.memo, _TOKEN_RE.match
         m = self.m
@@ -281,17 +294,10 @@ class _Parser:
                     start = m.end() - 1
                     prefix = None
                     if groups < _MEMO_NESTING:
-                        prefix = source[
-                            start:source.find(")", start, start + _MEMO_PREFIX) + 1
-                            or start + _MEMO_PREFIX
-                        ]
-                        for group, value in memo.get(prefix, ()):
-                            if source.startswith(group, start):
-                                m = match(source, start + len(group))
-                                break
-                        else:
-                            group = None
-                        if group is not None:
+                        prefix, hit = _recall(memo, source, start)
+                        if hit is not None:
+                            m = match(source, start + len(hit[0]))
+                            value = hit[1]
                             break
                     m = match(source, m.end())
                     stack.append([prefix, start])
@@ -323,9 +329,15 @@ class _Parser:
                             continue
                     stack.append(Forall if text == "forall" else exists)
                     continue
+                start = at.start(1)
+                prefix, hit = _recall(memo, source, start)
+                if hit is not None:
+                    m = match(source, start + len(hit[0]))
+                    value = hit[1]
+                    break
                 if text not in language.predicates:
-                    raise self.error(f"unknown predicate symbol {text!r}", at.start(1))
-                args = ()
+                    raise self.error(f"unknown predicate symbol {text!r}", start)
+                args, atom = (), None
                 if m[1] == "(":
                     m = match(source, m.end())
                     if m[1] == ")":
@@ -334,12 +346,14 @@ class _Parser:
                         self.m = m
                         args = self.term(language.functions, [])
                         m = self.m
+                    # The text ends at its ')', where the next token's match starts.
+                    atom = source[start:m.start()]
                 want = language.predicates.arity(text)
                 if len(args) != want:
-                    raise self.error(
-                        f"{text!r} expects {want} argument(s), got {len(args)}", at.start(1)
-                    )
+                    raise self.error(f"{text!r} expects {want} argument(s), got {len(args)}", start)
                 value = Atom(text, tuple(args))
+                if atom is not None:
+                    memo.setdefault(prefix, []).append((atom, value))
                 break
             # Hand the finished formula to the frames waiting for it.
             while stack:
@@ -720,7 +734,8 @@ def load_prop_algebra(text: str) -> FinitePropAlgebra:
         parser.expect_end()
     if size is None or not_table is None:
         raise ParseError("algebra file needs 'size' and 'not' lines", 1, 1)
-    if sorted(and_rows) != list(range(size)):
+    # The count first: the row list is as long as the file, not the size.
+    if len(and_rows) != size or sorted(and_rows) != list(range(size)):
         raise ParseError(f"expected 'and' rows 0..{size - 1}", 1, 1)
     try:
         return FinitePropAlgebra(not_table, tuple(and_rows[i] for i in range(size)))

@@ -1,0 +1,12 @@
+"""Hypothesis profiles for the suite.
+
+Registering a profile does not load it: the suite runs with hypothesis's
+defaults unless a run asks for one, as CI does for the differential
+parser oracle:
+
+    python -m pytest tests/test_parser_oracle.py --hypothesis-profile=oracle
+"""
+
+from hypothesis import settings
+
+settings.register_profile("oracle", max_examples=1000, deadline=None)

@@ -276,6 +276,7 @@ def well_formed(atoms):
 
 SIGNATURE_ATOMS = ["r(x1)", "t(x1, h(c))", "e(x2, x1)"]
 WELL_FORMED = well_formed([*SIGNATURE_ATOMS, "a", "b"])
+SIGNATURE_FORMULAS = well_formed(SIGNATURE_ATOMS)
 
 
 @st.composite
@@ -383,8 +384,7 @@ ODD_INTS = [0, -1, -3, 4, 17, 1025, 10 ** 12, 1 << 64]
 def structure_texts(draw) -> str:
     """Structure files for SIGNATURE: a well-formed file over one to three
     elements, with `domain`, `bits`, `fn`, `rel` and `equality` lines,
-    then, half the time, one to three breakages: an integer swapped for
-    one of ``ODD_INTS``, a line dropped, or a line of random tokens."""
+    then, half the time, the breakages of ``broken``."""
     size, bits = draw(st.integers(1, 3)), draw(st.sampled_from([1, 1, 2]))
     tops = {"fn": size - 1, "rel": (1 << bits) - 1}
     lines = [f"domain {size}", f"bits {bits}"]
@@ -395,6 +395,27 @@ def structure_texts(draw) -> str:
             continue
         entries = [draw(st.integers(0, tops[kind])) for _ in range(size ** arity)]
         lines.append(f"{kind} {name}: " + " ".join(map(str, entries)))
+    return broken(draw, lines)
+
+
+@st.composite
+def algebra_texts(draw) -> str:
+    """Proposition algebra files: `size`, `not:` and `and i:` lines over
+    one to four elements, then, half the time, the breakages of
+    ``broken``."""
+    size = draw(st.integers(1, 4))
+
+    def row() -> str:
+        return " ".join(str(draw(st.integers(0, size - 1))) for _ in range(size))
+
+    lines = [f"size {size}", f"not: {row()}"] + [f"and {i}: {row()}" for i in range(size)]
+    return broken(draw, lines)
+
+
+def broken(draw, lines: list[str]) -> str:
+    """The file of ``lines``, after, half the time, one to three
+    breakages: an integer swapped for one of ``ODD_INTS``, a line
+    dropped, or a line of random tokens."""
     for _ in range(draw(st.integers(1, 3)) if draw(st.booleans()) else 0):
         at = draw(st.integers(0, len(lines) - 1))
         breakage = draw(st.sampled_from(["int", "drop", "tokens"]))
@@ -411,36 +432,39 @@ def structure_texts(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_with_files(argv, structure: str | None = None):
-    """main() on argv, with the signature file appended, and the structure
-    file when one is given."""
+def run_with_files(argv, files: dict[str, str] | None = None):
+    """main() on argv in a directory holding ``signature.txt`` (SIGNATURE)
+    and each named file of ``files``: an argument equal to a file's name
+    is replaced by its path."""
+    files = {"signature.txt": SIGNATURE, **(files or {})}
     with tempfile.TemporaryDirectory() as directory:
-        signature = os.path.join(directory, "signature.txt")
-        with open(signature, "w", encoding="utf-8") as handle:
-            handle.write(SIGNATURE)
-        argv = [*argv, "--signature", signature]
-        if structure is not None:
-            model = os.path.join(directory, "structure.txt")
-            with open(model, "w", encoding="utf-8") as handle:
-                handle.write(structure)
-            argv += ["--structure", model]
-        return run_main(argv)
+        for name, text in files.items():
+            with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
+                handle.write(text)
+        return run_main([os.path.join(directory, arg) if arg in files else arg for arg in argv])
+
+
+WITH_SIGNATURE = ["--signature", "signature.txt"]
+WITH_STRUCTURE = ["--structure", "structure.txt", *WITH_SIGNATURE]
 
 
 @FUZZ
 @given(fuzz_texts())
 def test_eval_keeps_the_exit_code_contract(text) -> None:
-    code, _, err = run_with_files(["eval", f"--formula={text}"], STRUCTURE)
+    code, _, err = run_with_files(
+        ["eval", f"--formula={text}", *WITH_STRUCTURE], {"structure.txt": STRUCTURE}
+    )
     assert_contract(code, err)
 
 
 @FUZZ
-@given(structure_texts(), well_formed(SIGNATURE_ATOMS), st.integers(0, 1), st.integers(1, 3))
+@given(structure_texts(), SIGNATURE_FORMULAS, st.integers(0, 1), st.integers(1, 3))
 def test_structure_files_keep_the_exit_code_contract(text, formula, depth, bound) -> None:
-    code, _, err = run_with_files(["eval", f"--formula={formula}"], text)
+    files = {"structure.txt": text}
+    code, _, err = run_with_files(["eval", f"--formula={formula}", *WITH_STRUCTURE], files)
     assert_contract(code, err)
     code, _, err = run_with_files(
-        ["qa_laws", "--depth", str(depth), "--rank-bound", str(bound)], text
+        ["qa_laws", "--depth", str(depth), "--rank-bound", str(bound), *WITH_STRUCTURE], files
     )
     assert_contract(code, err)
 
@@ -450,7 +474,8 @@ def test_structure_files_keep_the_exit_code_contract(text, formula, depth, bound
 def test_countermodel_keeps_the_exit_code_contract(text, max_size, cap) -> None:
     # Sizes 1 and 2 and a small cell cap bound each search.
     code, _, err = run_with_files(
-        ["countermodel", f"--formula={text}", "--max-size", str(max_size), "--cap", str(cap)]
+        ["countermodel", f"--formula={text}", "--max-size", str(max_size), "--cap", str(cap),
+         *WITH_SIGNATURE]
     )
     assert_contract(code, err)
 
@@ -459,4 +484,69 @@ def test_countermodel_keeps_the_exit_code_contract(text, max_size, cap) -> None:
 @given(st.one_of(fuzz_texts(), PROP_WELL_FORMED))
 def test_taut_keeps_the_exit_code_contract(text) -> None:
     code, _, err = run_main(["taut", "--", text])
+    assert_contract(code, err)
+
+
+@st.composite
+def recipe_texts(draw) -> str:
+    """Axiom recipes: a schema name, known or not, p and some of q, r
+    (formulas over SIGNATURE or fuzz texts), subst, i, n and, now and
+    then, an unknown parameter, whose integers include ``ODD_INTS``."""
+    fields = []
+    names = sorted(draw(st.sets(st.sampled_from(["q", "r", "subst", "i", "n"]))))
+    for name in ["p", *names, *draw(st.sampled_from([[], [], [], ["z"]]))]:
+        if name in ("p", "q", "r"):
+            value = draw(st.one_of(SIGNATURE_FORMULAS, fuzz_texts()))
+        elif name == "subst":
+            value = draw(st.sampled_from(
+                ["[x1 ; shift 0]", "[h(x1), c ; shift 1]", "[; const c]", "[x2 ; shift 17]"]
+            ))
+        else:
+            value = str(draw(st.sampled_from([0, 1, 2, 3, *ODD_INTS])))
+        fields.append(f"{name}={value}")
+    axiom = draw(st.sampled_from(["A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9"]))
+    return f"{axiom}({', '.join(fields)})"
+
+
+@FUZZ
+@given(st.one_of(recipe_texts(), token_streams()))
+def test_axiom_keeps_the_exit_code_contract(spec) -> None:
+    code, _, err = run_with_files(["axiom", *WITH_SIGNATURE, "--", spec])
+    assert_contract(code, err)
+
+
+@FUZZ
+@given(algebra_texts())
+def test_algebra_files_keep_the_exit_code_contract(text) -> None:
+    code, _, err = run_with_files(["propalg", "algebra.txt"], {"algebra.txt": text})
+    assert_contract(code, err)
+
+
+@pytest.mark.parametrize("size", [10 ** 12, 1 << 64])
+def test_algebra_file_with_a_huge_size_exits_2(size) -> None:
+    # Refused on the count of `and` rows, before any list of the size.
+    text = f"size {size}\nnot: 1 0\nand 0: 0 0\nand 1: 0 1\n"
+    assert run_with_files(["propalg", "algebra.txt"], {"algebra.txt": text}) == (
+        2, "", f"error: line 1, column 1: expected 'and' rows 0..{size - 1}\n"
+    )
+
+
+@st.composite
+def theory_texts(draw) -> str:
+    """Theory files: a `theory t` header, sometimes renamed, broken or
+    missing, then one to three lines of fuzz text."""
+    header = draw(st.sampled_from(["theory t", "theory t", "theory u", "theory", "t"]))
+    return "\n".join([header, *draw(st.lists(fuzz_texts(), min_size=1, max_size=3))]) + "\n"
+
+
+@FUZZ
+@given(theory_texts(), st.data())
+def test_theory_files_keep_the_exit_code_contract(theory, data) -> None:
+    # The second proof cites the theory's first formula, so some accept.
+    cited = f"local\ntheory t\n1. {theory.splitlines()[1]} by hyp 1\n"
+    proof = data.draw(st.one_of(proof_texts(prop=False), st.just(cited)))
+    code, _, err = run_with_files(
+        ["check_proof", "fuzz.proof", "--theory", "fuzz.theory", *WITH_SIGNATURE],
+        {"fuzz.proof": proof, "fuzz.theory": theory},
+    )
     assert_contract(code, err)

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import re
 
+import pytest
 from hypothesis import given, strategies as st
 
 import syntax_oracle as old
 from clonelogic import syntax as new
+from clonelogic.errors import ParseError
 from clonelogic.formulas import Atom, FAnd, FNot
 from clonelogic.proofs import AXIOM_IDS, AxiomInstanceSpec
 from clonelogic.propositional import algebra_two
@@ -371,6 +373,32 @@ def test_repeated_groups_agree() -> None:
         ("proof", "local\n1. (r(x1) & r(x2)) by hyp 1\n2. ((r(x1) & r(x2)) & r(x1))$ by hyp 1\n"),
         ("proof", "local\n1. (r(x1) & r(x2)) by hyp 1\n2. ((r(x1) & r(x2)) & ) by hyp 1 @\n"),
         ("prop_proof", "1. (a & b) by hyp 1\n2. ((a & b) -> a) by mp 1 1 <\n"),
+        # Atoms with an argument list enter the memo too.  The same
+        # ill-formed atom on two lines reports the first one.
+        ("proof", "local\n1. s(x1, f(x1), c) by hyp 1\n2. s(x1, f(x1), c) by hyp 1\n"),
+        ("theory", "theory t\nr(g(x1))\n~r(g(x1))\n"),
+        ("theory", "theory t\nq(f(x1))\n(r(x1) & q(f(x1)))\n"),
+        # An atom in a step formula and again as an axiom parameter.
+        ("proof", "local\n1. (s(x1, f(x1)) -> (s(x1, f(x1)) & s(x1, f(x1)))) "
+                  "by axiom A1(p=s(x1, f(x1)))\n"),
+        ("proof", "local\n1. (s(x1, f(x1)) -> (s(x1, f(x1)) & s(x1, f(x1)))) "
+                  "by axiom A1(p=s(x1, f(x1))\n"),
+        # An atom restated with other spacing, or with a tab.
+        ("theory", "theory t\ns(x1, f(x1))\ns(x1,f(x1))\ns( x1 , f( x1 ) )\n"
+                   "~s(x1,\tf(x1))\ns (x1, f(x1))\n(s(x1, f(x1)) & s(x1,f(x1)))\n"),
+        # Two atoms under one key: the second fails its arity, or both are
+        # well formed and each is restated.
+        ("theory", "theory t\ns(x1, f(x1))\ns(x1, f(x1), c)\n"),
+        ("theory", "theory t\ns(f(x1), x2)\ns(f(x1), c)\n(s(f(x1), x2) & s(f(x1), c))\n"
+                   "(s(f(x1), c) & s(f(x1), x2))\ns(f(x1), x2, c)\n"),
+        # A hit followed by an error, at once by a token, or by a bad
+        # character on the same line.
+        ("proof", "local\n1. r(f(x1)) by hyp 1\n2. (r(f(x1)) & ) by hyp 1\n"),
+        ("proof", "local\n1. r(f(x1)) by hyp 1\n2. r(f(x1)) r(x1) by hyp 1\n"),
+        ("proof", "local\n1. r(f(x1)) by hyp 1\n2. (r(f(x1))& r(f(x1)))by hyp 1\n"),
+        ("proof", "local\n1. r(f(x1)) by hyp 1\n2. r(f(x1))) by hyp 1\n"),
+        ("proof", "local\n1. r(f(x1)) by hyp 1\n2. r(f(x1))$ by hyp 1\n"),
+        ("proof", "local\n1. r(f(x1)) by hyp 1\n2. (r(f(x1)) & r(c)) by hyp 1 @\n"),
     ]
     # A group restated just inside, at and just past the memo's nesting
     # bound, before and after its top-level statement, and then broken.
@@ -383,21 +411,73 @@ def test_repeated_groups_agree() -> None:
             ("theory", f"theory t\n{group}\n{nested[:-1]}\n"),
             ("theory", f"theory t\n{group}\n{nested.replace(group, '(r(x1) & s(x1))')}\n"),
         ]
+        # An atom restated inside groups nested past the bound: atoms have
+        # none of their own.
+        atom = "s(x1, f(x2))"
+        nested = "(r(x1) & " * depth + atom + ")" * depth
+        cases += [
+            ("theory", f"theory t\n{atom}\n{nested}\n~{nested}\n"),
+            ("theory", f"theory t\n{nested}\n{atom}\n{nested.replace(atom, 's(x1, f(x2), c)')}\n"),
+        ]
     for kind, text in cases:
         assert_same(kind, text)
 
 
 def test_memo_keeps_groups_within_the_nesting_bound() -> None:
     """Only the groups nested fewer than ``_MEMO_NESTING`` deep enter the
-    memo, so one line's entries hold at most that many copies of it."""
+    memo, so one line's entries hold at most that many copies of it.
+    Atoms are filed whatever their depth, each distinct one once."""
     wrapper, depth = "(r(x1) & ", 4 * new._MEMO_NESTING
     text = wrapper * depth + "r(x2)" + ")" * depth
     memo: dict = {}
     parser = new._Parser(text, 1, memo)
     assert parser.formula(CORPUS_LANG) == old.parse_formula(text, CORPUS_LANG)
     parser.expect_end()
-    groups = sorted(group for entries in memo.values() for group, _ in entries)
+    entries = [entry for entries in memo.values() for entry, _ in entries]
+    groups = sorted(entry for entry in entries if entry.startswith("("))
     outermost = sorted(
         text[len(wrapper) * k:len(text) - k] for k in range(new._MEMO_NESTING)
     )
     assert groups == outermost
+    assert sorted(entry for entry in entries if not entry.startswith("(")) == ["r(x1)", "r(x2)"]
+
+
+def test_restated_atom_is_built_once(monkeypatch) -> None:
+    # N lines that restate one atom read its arguments once and leave one
+    # memo entry: the other N - 1 reads are hits.
+    atom, lines = "s(x1, f(f(c)))", 50
+    reads = []
+    term = new._Parser.term
+    monkeypatch.setattr(new._Parser, "term", lambda self, *a: reads.append(a) or term(self, *a))
+    theory = new.load_theory("theory t\n" + f"{atom}\n" * lines, CORPUS_LANG)
+    assert theory.formulas == (old.parse_formula(atom, CORPUS_LANG),) * lines
+    assert len(reads) == 1
+    memo: dict = {}
+    for number in range(1, lines + 1):
+        parser = new._Parser(atom, number, memo)
+        parser.formula(CORPUS_LANG)
+        parser.expect_end()
+    assert [entry for entries in memo.values() for entry, _ in entries] == [atom]
+    # A read that fails its arity files nothing.
+    memo.clear()
+    with pytest.raises(ParseError, match="expects 2 argument"):
+        new._Parser("s(x1, f(x1), c)", 1, memo).formula(CORPUS_LANG)
+    assert memo == {}
+
+
+def test_atoms_without_argument_lists_and_long_names_agree() -> None:
+    """A nullary atom without '()' is not balanced text, so it stays out of
+    the memo; a predicate name longer than the key must not hit the entry
+    of a name it begins with."""
+    name = "p" * (new._MEMO_PREFIX + 8)
+    signature = f"rel p/0\nrel pq/1\nrel {name}/0\nrel {name}x/1\nfn c/0\n"
+    language = new.load_signature(signature)
+    assert language == old.load_signature(signature)
+    for text in [
+        "theory t\np\n(p & pq(c))\n(pq(c) & p)\np()\n(p() & p)\npq(c)\n",
+        f"theory t\n{name}\n{name}x(c)\n{name}()\n({name}x(c) & {name}())\n{name}x()\n",
+        f"theory t\n{name}()\n{name}x(c)\n({name} & {name}x(c))\n{name}x(c, c)\n",
+    ]:
+        assert outcome(lambda t: _theory_fields(new.load_theory(t, language)), text) == outcome(
+            lambda t: _theory_fields(old.load_theory(t, language)), text
+        ), text
