@@ -382,10 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signature", required=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--max-size", type=int, default=3)
-    p.add_argument(
-        "--threads", type=int, default=1,
-        help="accepted for compatibility; the search runs on one thread",
-    )
     p.add_argument("--cap", type=int, default=DEFAULT_CELLS_CAP, help="table cell bound per structure")
     p.set_defaults(handler=cmd_countermodel)
 

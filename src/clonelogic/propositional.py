@@ -256,7 +256,12 @@ def ded_closure(algebra: FinitePropAlgebra, subset: int) -> int:
 
 def is_filter(algebra: FinitePropAlgebra, subset: int) -> bool:
     """Contains every axiom element and is closed under modus ponens."""
-    if axiom_elements(algebra) & ~subset:
+    return _is_closed(algebra, subset, axiom_elements(algebra))
+
+
+def _is_closed(algebra: FinitePropAlgebra, subset: int, axioms: int) -> bool:
+    """``is_filter`` given the mask of axiom elements."""
+    if axioms & ~subset:
         return False
     n = algebra.size
     for p in range(n):
@@ -269,9 +274,11 @@ def is_filter(algebra: FinitePropAlgebra, subset: int) -> bool:
 
 
 def enumerate_filters(algebra: FinitePropAlgebra, bound: int = 16) -> list[int]:
-    """All filter subsets, ascending as bitmasks."""
+    """All filter subsets, ascending as bitmasks.  The axiom elements
+    are computed once, not once per subset."""
     _check_bound(algebra, bound)
-    return [f for f in range(1 << algebra.size) if is_filter(algebra, f)]
+    axioms = axiom_elements(algebra)
+    return [f for f in range(1 << algebra.size) if _is_closed(algebra, f, axioms)]
 
 
 def is_maximal_filter(

@@ -227,21 +227,10 @@ def table_index(values: tuple[int, ...], size: int) -> int:
 
 
 def eval_term(structure: Structure, term: Term, env: Env) -> int:
+    """Value of the term under the environment: the one row of its
+    rank-0 column, so a term of any depth is read."""
     structure.check_env(env)
-    return _eval_term(structure, term, env)
-
-
-def _eval_term(structure: Structure, term: Term, env: Env) -> int:
-    match term:
-        case Var(index):
-            return env.at(index)
-        case App(symbol, args):
-            table = structure.fn_tables.get(symbol)
-            if table is None:
-                raise LogicError(f"no function table for {symbol!r}")
-            values = tuple(_eval_term(structure, a, env) for a in args)
-            return table[table_index(values, structure.size)]
-    raise TypeError(f"not a term: {term!r}")
+    return _Columns(structure.size, structure.fn_tables, env).term(term, 0)[0]
 
 
 # ------------------------------------------------------------------
@@ -330,7 +319,7 @@ def _rows(size: int, rank: int) -> int:
 
 
 class _Program:
-    """A formula DAG compiled for tables over domains of one size.
+    """A formula DAG, compiled free of any domain.
 
     Nodes are kept in post-order as (kind, a, b, rank): for an atom, a
     indexes ``atoms``; otherwise a and b are operand node ids.  The
@@ -342,22 +331,18 @@ class _Program:
     compiled, and ``image`` maps a node by a substitution through them.
     A lift node is keyed (kind, node, rank): ``and_`` lifts
     its lower-rank operand through one, so each distinct lift is
-    computed once per evaluation.  Every node's rank is checked against
-    the row cap when the node is made, before any table is built.
-    ``lanes`` is the number of lanes per plane.  A node's shape does not
-    depend on the size or the lanes, so ``shaped`` copies a program to
-    others.
+    computed once per evaluation.  ``ranks`` holds the nodes' ranks in
+    the order they first appeared.  A domain enters only when a
+    ``_Shape`` evaluates the program, so one program serves every size
+    and lane count.
     """
 
-    def __init__(self, size: int, lanes: int = 1):
-        self.size = size
-        self.lanes = lanes
+    def __init__(self):
         self.nodes: list[tuple[int, int, int, int]] = []
         self.atoms: list[tuple[Atom, int]] = []
-        self.full: dict[int, int] = {}
+        self.ranks: dict[int, None] = {}
         self._keys: dict = {}
         self._index: dict[tuple[Formula, int | None], int] = {}
-        self._spreaders: dict[int, dict[int, str]] = {}
 
     def rank(self, node: int) -> int:
         return self.nodes[node][3]
@@ -367,8 +352,7 @@ class _Program:
         key = (kind, a, b)
         node = self._keys.get(key)
         if node is None:
-            if rank not in self.full:
-                self.full[rank] = (1 << self.rows(rank) * self.lanes) - 1
+            self.ranks[rank] = None
             if kind == _ATOM:
                 self.atoms.append((a, rank))
                 a, b = len(self.atoms) - 1, 0
@@ -497,25 +481,28 @@ class _Program:
             stack.pop()
         return memo[node, 0]
 
-    def rows(self, rank: int) -> int:
-        """Rows of a rank-``rank`` table; BoundExceeded past the cap."""
-        return _rows(self.size, rank)
 
-    def shaped(self, size: int, lanes: int) -> "_Program":
-        """A copy that evaluates over domains of ``size`` elements with
-        ``lanes`` lanes per plane.  The nodes do not depend on either;
-        only the all-ones planes do, and they are made again under the
-        row cap in the order their ranks first appeared, so the rank named
-        by BoundExceeded is that of the first node over the cap, as when
-        the nodes were made.  The copy shares the nodes, atoms, memos and
-        spreaders with this program, so it is for evaluation only: neither
-        ``add`` nor ``image`` may run on it, since either would extend the
-        shared nodes."""
-        full = {rank: (1 << _rows(size, rank) * lanes) - 1 for rank in self.full}
-        out = _Program.__new__(_Program)
-        out.__dict__.update(self.__dict__)
-        out.size, out.lanes, out.full = size, lanes, full
-        return out
+class _Shape:
+    """Evaluation of compiled programs over a domain of ``size``
+    elements, with ``lanes`` lanes per plane.
+
+    ``fit`` makes the all-ones plane of each rank a program holds, under
+    the row cap, walking the ranks in the order they first appeared: the
+    rank that BoundExceeded names is that of the first node over the
+    cap.  It runs before any table or column is built.
+    """
+
+    def __init__(self, size: int, lanes: int = 1):
+        self.size = size
+        self.lanes = lanes
+        self.full: dict[int, int] = {}
+        self._spreaders: dict[int, dict[int, str]] = {}
+
+    def fit(self, program: _Program) -> None:
+        full, size, lanes = self.full, self.size, self.lanes
+        for rank in program.ranks:
+            if rank not in full:
+                full[rank] = (1 << _rows(size, rank) * lanes) - 1
 
     def lift(self, plane: int, rank: int, to: int) -> int:
         """The same plane read at a higher rank: each row of the lower
@@ -534,10 +521,11 @@ class _Program:
             self._spreaders[copies] = spread
         return int(text.translate(spread), 2)
 
-    def evaluate(self, planes: list[int], atom_planes: list[int]) -> None:
-        """Extend ``planes``, one plane per node, to the nodes that it does
-        not cover yet, given the plane of each atom."""
-        nodes, full, n, lanes = self.nodes, self.full, self.size, self.lanes
+    def evaluate(self, program: _Program, planes: list[int], atom_planes: list[int]) -> None:
+        """Extend ``planes``, one plane per node, to the program's nodes
+        that it does not cover yet, given the plane of each atom.  The
+        program has been fitted."""
+        nodes, full, n, lanes = program.nodes, self.full, self.size, self.lanes
         for node in range(len(planes), len(nodes)):
             kind, a, b, rank = nodes[node]
             if kind == _AND:
@@ -593,8 +581,10 @@ class _Columns:
         """Value of the term at each row of a rank-``rank`` table.
 
         Missing columns are built by an explicit-stack walk, arguments
-        first, so a term of any depth is read.  A kept column's arguments
-        are kept too: an argument reads no symbol its term does not.
+        first, so a term of any depth is read.  A symbol with no table
+        raises LogicError, the outermost and leftmost first.  A kept
+        column's arguments are kept too: an argument reads no symbol its
+        term does not.
         """
         memo = self._memo
         column = memo.get((term, rank))
@@ -619,11 +609,13 @@ class _Columns:
                     ]
                 reads[node] = frozenset()
             elif isinstance(node, App):
+                table = self.fn_tables.get(node.symbol)
+                if table is None:
+                    raise LogicError(f"no function table for {node.symbol!r}")
                 missing = [arg for arg in node.args if (arg, rank) not in memo]
                 if missing:
-                    stack.extend(missing)
+                    stack.extend(reversed(missing))
                     continue
-                table = self.fn_tables[node.symbol]
                 column = [table[c] for c in self.cells(node.args, rank)]
                 if node not in reads:
                     reads[node] = frozenset((node.symbol,)).union(
@@ -651,13 +643,13 @@ class _Tables:
     so structurally equal subformulas are evaluated once.  Each truth bit
     of the structure is a lane, so one pass over the program evaluates
     all of them.  ``env`` is the environment that ``value`` evaluates
-    under.  ``program`` is a program compiled before, shaped for this
-    structure's size with a lane per truth bit; by default the tables
-    start with an empty one."""
+    under.  ``program`` is a program compiled before; by default the
+    tables start with an empty one."""
 
     def __init__(self, structure: Structure, env: Env = Env(), program: _Program | None = None):
         self.structure = structure
-        self.program = _Program(structure.size, structure.truth_bits) if program is None else program
+        self.program = _Program() if program is None else program
+        self.shape = _Shape(structure.size, structure.truth_bits)
         self.planes: list[int] = []
         self.atom_planes: list[int] = []
         self.columns = _Columns(structure.size, structure.fn_tables, env)
@@ -670,10 +662,12 @@ class _Tables:
         return self.program.rank(node), self.planes[node]
 
     def evaluate(self) -> None:
-        """Extend the planes to every node of the program.  An atom's plane
-        is built from its value column, one pass per truth bit: bit k of
-        each row's value, at lane stride, shifted up by k."""
-        program, lanes = self.program, self.program.lanes
+        """Extend the planes to every node of the program, after the row
+        cap.  An atom's plane is built from its value column, one pass per
+        truth bit: bit k of each row's value, at lane stride, shifted up
+        by k."""
+        program, shape, lanes = self.program, self.shape, self.shape.lanes
+        shape.fit(program)
         for atom, rank in program.atoms[len(self.atom_planes):]:
             table = self.structure.rel_tables[atom.symbol]
             values = list(map(table.__getitem__, self.columns.cells(atom.args, rank)))
@@ -681,11 +675,11 @@ class _Tables:
                 _bitset(bytes([v >> bit & 1 for v in values]), lanes) << bit
                 for bit in range(lanes)
             ))
-        program.evaluate(self.planes, self.atom_planes)
+        shape.evaluate(program, self.planes, self.atom_planes)
 
     def value(self, formula: Formula) -> int:
         """The formula's value under the environment, as a bitmask."""
-        return _value(self.table(formula, 0)[1], 0, self.program.lanes)
+        return _value(self.table(formula, 0)[1], 0, self.shape.lanes)
 
 
 def _check_width(structure: Structure, algebra: FiniteBooleanAlg) -> None:
@@ -844,7 +838,6 @@ def countermodel_search(
     language: Language,
     formula: Formula,
     max_size: int,
-    threads: int = 1,
     cells_cap: int = DEFAULT_CELLS_CAP,
 ) -> Structure | None:
     """First structure falsifying the formula, sizes 1..max_size.
@@ -861,16 +854,24 @@ def countermodel_search(
     enumeration order are the lanes, so a block is a run of consecutive
     candidates, and the lowest lane that fails is the first countermodel
     in the block.  A size with more than ``CANDIDATES_CAP`` candidates
-    raises ``BoundExceeded`` before any is tried.  ``threads`` is
-    accepted for compatibility and ignored: the search runs on the
-    calling thread.
+    raises ``BoundExceeded`` before any is tried.
+
+    The formula is compiled once, with its closure: ``forall`` applied
+    once per free coordinate, so a block's verdict is the closure's
+    rank-0 plane, one bit per lane.  Past the row cap's bit length no
+    domain of two or more elements fits the formula's table, and over
+    one element every table is one row, so the closure stops there.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     check_formula(formula, language)
+    program = _Program()
+    root = program.add(formula)
+    for _ in range(min(program.rank(root), DEFAULT_ROWS_CAP.bit_length())):
+        root = program.forall(root)
     for size in range(1, max_size + 1):
         _check_cells(language, size, cells_cap)
-        found = _search_size(language, formula, size)
+        found = _search_size(language, program, root, size)
         if found is not None:
             return found
     return None
@@ -887,9 +888,12 @@ def _lane_pattern(bit: int, lanes: int) -> int:
     return int(("1" * half + "0" * half) * (lanes // (2 * half)), 2)
 
 
-def _search_size(language: Language, formula: Formula, size: int) -> Structure | None:
-    program = _Program(size)
-    root = program.add(formula)
+def _search_size(
+    language: Language, program: _Program, root: int, size: int
+) -> Structure | None:
+    # The widest table sets the lanes.  Its rows are counted first, so the
+    # row cap refuses a size before the candidates cap does.
+    widest = max(_rows(size, rank) for rank in program.ranks)
     used = {atom.symbol for atom, _ in program.atoms}
     # The function symbols each atom's arguments read.
     reads = []
@@ -920,17 +924,15 @@ def _search_size(language: Language, formula: Formula, size: int) -> Structure |
             f"size {size} has {candidates} candidate structures, over the cap "
             f"of {CANDIDATES_CAP}"
         )
-    widest = max(program.rows(rank) for rank in program.full)
     inner = 0
     while inner < cells and (2 << inner) * widest <= _LANE_BITS:
         inner += 1
     outer = cells - inner
     lanes = 1 << inner
-    program = program.shaped(size, lanes)
+    shape = _Shape(size, lanes)
+    shape.fit(program)
     ones = (1 << lanes) - 1
     chunks = [_lane_pattern(inner - 1 - j, lanes) for j in range(inner)]
-    root_rank = program.rank(root)
-    top = program.full[root_rank]
     identity = identity_table(size)
     zeros = {
         name: (0,) * size ** arity
@@ -981,14 +983,10 @@ def _search_size(language: Language, formula: Formula, size: int) -> Structure |
                 for fixed, looped, parts in entries
             ]
             planes: list[int] = []
-            program.evaluate(planes, atom_planes)
-            plane = planes[root]
-            if plane == top:
+            shape.evaluate(program, planes, atom_planes)
+            failed = ones ^ planes[root]
+            if not failed:
                 continue
-            passed = ones
-            for row in range(program.rows(root_rank)):
-                passed &= plane >> (row * lanes)
-            failed = ones ^ passed
             lane = (failed & -failed).bit_length() - 1
             values = bits + tuple((lane >> (inner - 1 - j)) & 1 for j in range(inner))
             rel_tables = {name: zeros[name] for name in language.predicates if name != eq}
@@ -1054,12 +1052,12 @@ _MAX_LAW_SAMPLE = 1 << 13
 # The compiled Q1–Q5 program of the last sample checked, at most one
 # entry: {(tuple(sample), rank_bound, function items, predicate items,
 # equality symbol): (program, laws)}.  The key holds everything the
-# compile checked but the structure's size and width, so a hit needs
-# only those two checks.  Formulas are interned, so the key hashes and
-# compares the sample by identity.  One entry bounds the memory the
-# cache holds to one compiled sample.  A compiled program is never
-# changed: each call evaluates a copy shaped for its structure, so threads
-# share the slot without a lock, and a race at most compiles twice.
+# compile checks, so a hit skips it.  Formulas are interned, so the key
+# hashes and compares the sample by identity.  One entry bounds the
+# memory the cache holds to one compiled sample.  A compiled program is
+# never changed: each call evaluates it in tables of its own, so threads
+# share the slot without a lock.  A race at most compiles twice, or
+# leaves two entries until the next miss clears them.
 _LAW_SLOT: dict = {}
 
 
@@ -1086,18 +1084,18 @@ def qa_law_check(
     raises BoundExceeded before any work.
 
     The sides of the laws depend only on the sample, the rank bound and
-    the language, not on the structure, which supplies only the values
-    of the atoms.  So they are compiled once per sample (see
-    ``_compile_laws``) and kept in a one-entry cache: a call with the
-    same sample, bound and language evaluates a copy of the compiled
-    program shaped for this structure's size, and a call with another
-    key drops the entry before compiling its own.  A copy over the row
-    cap compiles again, so the compile is the one place that decides a
-    refusal.  Every call refuses what a first call would, with the same
-    error in the same order: a negative bound and the sample cap; then,
-    formula by formula, a table over the row cap at this size, a rank
-    over the bound and an undeclared symbol; then a truth-bit width
-    other than the algebra's, and a law side over the row cap.
+    the language, not on the structure, which supplies only the domain
+    and the values of the atoms.  So they are compiled once per sample
+    (see ``_compile_laws``) and kept in a one-entry cache: a call with
+    the same sample, bound and language evaluates the compiled program
+    in this structure, and a call with another key drops the entry
+    before compiling its own.  The entry is filed only once its program
+    has been evaluated, so a refused call leaves the cache empty.
+    Every call refuses what a first call would, with the same error in
+    the same order: a negative bound, then the sample cap; then, formula
+    by formula, a rank over the bound, then an undeclared symbol; then a
+    truth-bit width other than the algebra's; then a table over the row
+    cap at this structure's size.
 
     The program is evaluated once, with a lane per truth bit, and then
     each instance's sides are compared in law order, all truth bits at
@@ -1116,35 +1114,25 @@ def qa_law_check(
         tuple(language.predicates.items()), language.equality,
     )
     compiled = _LAW_SLOT.get(key)
-    program = None
-    if compiled is not None:
-        try:
-            program = compiled[0].shaped(structure.size, structure.truth_bits)
-        except BoundExceeded:
-            pass  # compiling again names the error a first call names
-        else:
-            _check_width(structure, algebra)
-    if program is None:
+    if compiled is None:
         _LAW_SLOT.clear()
-        compiled = _LAW_SLOT[key] = _compile_laws(structure, algebra, sample, rank_bound)
-        program = compiled[0]
+        compiled = _compile_laws(language, sample, rank_bound)
+    _check_width(structure, algebra)
+    program, laws = compiled
     tables = _Tables(structure, program=program)
     tables.evaluate()
-    return QAReport(tuple(_run_law(law, instances, tables) for law, instances in compiled[1]))
+    _LAW_SLOT[key] = compiled
+    return QAReport(tuple(_run_law(law, instances, tables) for law, instances in laws))
 
 
 def _compile_laws(
-    structure: Structure,
-    algebra: FiniteBooleanAlg,
-    sample: list[Formula],
-    rank_bound: int,
+    language: Language, sample: list[Formula], rank_bound: int
 ) -> tuple[_Program, list[tuple[str, list[tuple]]]]:
-    """The program of the Q1–Q5 sides for the sample, checked against
-    the structure as qa_law_check describes, shaped for its size with a
-    lane per truth bit, and each law's instances as (p, q, left node,
-    right node, depth, width): both sides are lifted to rank ``depth``
-    and compared over the rows of that table whose coordinates past
-    ``width`` are 0.
+    """The program of the Q1–Q5 sides for the sample, each formula
+    checked against the bound and the language as qa_law_check
+    describes, and each law's instances as (p, q, left node, right node,
+    depth, width): both sides are lifted to rank ``depth`` and compared
+    over the rows of that table whose coordinates past ``width`` are 0.
 
     Each sampled formula is compiled once, and p+, (forall p)+ and p*
     are the clone's action on its node, ``_Program.image``, by the shift,
@@ -1154,7 +1142,7 @@ def _compile_laws(
     across the sample, whose formulas share subformulas, and structurally
     equal sides, such as p inside Q1, Q2 and Q5, share one node.
     """
-    program = _Program(structure.size, structure.truth_bits)
+    program = _Program()
     nodes = []
     seen = set()
     for p in sample:
@@ -1163,9 +1151,8 @@ def _compile_laws(
             raise ValueError(
                 f"sample formula has rank {program.rank(node)}, over the bound {rank_bound}"
             )
-        check_formula(p, structure.language, seen)
+        check_formula(p, language, seen)
         nodes.append(node)
-    _check_width(structure, algebra)
     forall, and_, image, made = program.forall, program.and_, program.image, program.nodes
     lift_to = program.lift_to
 
@@ -1198,8 +1185,8 @@ def _compile_laws(
         instance(p, None, forall(image(a, SHIFT_UP, shifted)), a)
         for p, a in zip(sample, nodes)
     ]))
-    if structure.language.equality is not None:
-        e_atom = equality_atom(structure.language)
+    if language.equality is not None:
+        e_atom = equality_atom(language)
         e = program.atom(e_atom)
         top = program.not_(and_(e, program.not_(e)))
         laws.append(("Q4", [instance(e_atom, None, image(e, STAR, collapsed), top)]))
@@ -1224,7 +1211,7 @@ def _run_law(law: str, instances: list[tuple], tables: _Tables) -> LawReport:
     only the bits of the rows whose coordinates past ``width`` are 0 are
     kept.
     """
-    n, lanes, planes = tables.structure.size, tables.program.lanes, tables.planes
+    n, lanes, planes = tables.structure.size, tables.shape.lanes, tables.planes
     checked = 0
     for p, q, left, right, depth, width in instances:
         differ = planes[left] ^ planes[right]

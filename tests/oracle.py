@@ -1,7 +1,9 @@
 """Recursive reference walks, the oracles for the package's fast paths.
 
 The evaluator walks the formula tree once per environment, as the
-package did before formulas were evaluated as whole tables, and each
+package did before formulas were evaluated as whole tables, and its
+terms down the tree, as the package did before a term's value was the
+one row of its column; each
 ``oracle_*`` function restates a library entry point on top of it.
 ``oracle_check_formula`` is the well-formedness check as it was before
 it became an explicit-stack walk over shared nodes, and
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 
-from clonelogic.errors import ArityMismatch
+from clonelogic.errors import ArityMismatch, LogicError
 from clonelogic.formulas import (
     Atom,
     FAnd,
@@ -38,7 +40,6 @@ from clonelogic.semantics import (
     QAReport,
     WitnessEntry,
     enumerate_structures,
-    eval_term,
     table_index,
 )
 from clonelogic.terms import App, Var, apply, cons_subst, lift
@@ -113,11 +114,25 @@ def oracle_check_formula(formula, language) -> None:
             oracle_check_formula(body, language)
 
 
+def oracle_eval_term(structure, term, env: Env) -> int:
+    """Value of the term under one environment, read down the tree."""
+    match term:
+        case Var(index):
+            return env.at(index)
+        case App(symbol, args):
+            table = structure.fn_tables.get(symbol)
+            if table is None:
+                raise LogicError(f"no function table for {symbol!r}")
+            values = tuple(oracle_eval_term(structure, a, env) for a in args)
+            return table[table_index(values, structure.size)]
+    raise TypeError(f"not a term: {term!r}")
+
+
 def oracle_eval(structure, algebra, formula, env: Env) -> int:
     """Value of the formula under one environment, as a bitmask."""
     match formula:
         case Atom(symbol, args):
-            values = tuple(eval_term(structure, a, env) for a in args)
+            values = tuple(oracle_eval_term(structure, a, env) for a in args)
             return structure.rel_tables[symbol][table_index(values, structure.size)]
         case FNot(body):
             return algebra.complement(oracle_eval(structure, algebra, body, env))

@@ -702,6 +702,45 @@ def test_out_of_range_numeric_flags_exit_2(sig, capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        # The right operand of a conjunction is compiled first, so the
+        # rank named is 22, not the formula's 23.
+        (["eval", "--structure", "zmod2", "--formula", "(e(x23, x1) & e(x22, x22))"], "2^22"),
+        # Valid over one element, so the search reaches two.
+        (["countermodel", "--signature", "SIG", "--formula",
+          "((r(x23, x1) -> r(x23, x1)) & (r(x22, x22) -> r(x22, x22)))", "--max-size", "2"],
+         "2^22"),
+        # The sample reaches rank 10, 4^10 rows; a Q2 side of rank 11 is over.
+        (["qa_laws", "--structure", "zmod4", "--rank-bound", "10", "--depth", "0"], "4^11"),
+    ],
+    ids=["eval", "countermodel", "qa_laws"],
+)
+def test_row_cap_refusal_names_the_first_rank_over_the_cap(sig, capsys, argv, rows):
+    # The rank of the first node over the cap, in the order the nodes
+    # were compiled, is named, before any table is built.
+    argv = [sig if a == "SIG" else a for a in argv]
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (2, "")
+    assert err == f"error: a formula table needs {rows} rows, over the cap of 1048576\n"
+
+
+def test_countermodel_of_a_huge_rank_is_bounded_work(sig, capsys):
+    # Over one element every table is one row, whatever the rank, and
+    # over two a rank-10^12 table is over the row cap.
+    formula = "(r(x1000000000000, x1) -> r(x1000000000000, x1))"
+    argv = ["countermodel", "--signature", sig, "--formula", formula, "--max-size"]
+    start = time.perf_counter()
+    assert run(capsys, [*argv, "1"]) == (0, "NO COUNTERMODEL\n", "")
+    assert run(capsys, [*argv, "2"]) == (
+        2, "", "error: a formula table needs 2^1000000000000 rows, over the cap of 1048576\n"
+    )
+    assert time.perf_counter() - start < 5.0
+
+
 def test_qa_laws_rank_bound_zero_refuses_empty_sample(capsys):
     # No atom of e fits coordinates 1..0, so the sample is empty: Q1-Q3
     # and Q5 would pass with checked=0, so the command refuses it.

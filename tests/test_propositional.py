@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from clonelogic import propositional
 from clonelogic.errors import BoundExceeded
 from clonelogic.formulas import Atom, FAnd, FNot, f_iff, f_imp, f_or
 from clonelogic.proofs import (
@@ -249,6 +250,32 @@ def test_ded_closure_is_the_least_containing_filter(algebra) -> None:
         for f in filters:
             if t & ~f == 0:
                 assert closed & ~f == 0
+
+
+def chain(n: int) -> FinitePropAlgebra:
+    """The n-element chain: conjunction is min, negation reverses."""
+    return FinitePropAlgebra(
+        tuple(n - 1 - i for i in range(n)),
+        tuple(tuple(min(i, j) for j in range(n)) for i in range(n)),
+    )
+
+
+def test_enumerate_filters_computes_the_axiom_elements_once(monkeypatch) -> None:
+    # The axiom elements are an O(n^3) walk; computed once per subset,
+    # they were nearly all of the enumeration's time.
+    calls = []
+
+    def spy(algebra):
+        calls.append(algebra)
+        return axiom_elements(algebra)
+
+    monkeypatch.setattr(propositional, "axiom_elements", spy)
+    small = chain(6)
+    assert enumerate_filters(small) == [f for f in range(1 << 6) if is_filter(small, f)]
+    calls.clear()
+    for algebra in (chain(10), bitmask_algebra(3), GODEL3):
+        enumerate_filters(algebra)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from clonelogic.errors import BoundExceeded
+from clonelogic.errors import BoundExceeded, LogicError
 from clonelogic.formulas import (
     Atom,
     FAnd,
@@ -45,7 +45,7 @@ from clonelogic.semantics import (
     table_index,
     zmod_structure,
 )
-from clonelogic.terms import App, Var, sigma_at, subst_from_list
+from clonelogic.terms import App, Var, cons_subst, sigma_at, subst_from_list
 
 from strategies import LANG, formulas, substitutions
 
@@ -148,6 +148,23 @@ def test_zmod_term_values() -> None:
     z3 = zmod_structure(3)
     assert eval_term(z3, App("S", (App("0", ()),)), Env()) == 1
     assert eval_term(z3, App("add", (x1, x1)), Env((2,), 0)) == 1
+
+
+def test_deep_terms_evaluate_without_recursion() -> None:
+    # S applied 5,000 times to x1 over zmod3 is x1 + 5000 = x1 + 2 (mod 3).
+    z3 = zmod_structure(3)
+    deep = x1
+    for _ in range(5000):
+        deep = App("S", (deep,))
+    assert eval_term(z3, deep, Env((2,), 0)) == 1
+    env = Env((1,), 0)
+    assert env_after_subst(z3, env, subst_from_list([deep])) == Env((), 0)
+    assert env_after_subst(z3, env, cons_subst(deep)) == Env((0, 1), 0)
+
+
+def test_a_term_without_a_table_is_refused() -> None:
+    with pytest.raises(LogicError, match="no function table for 'h'"):
+        eval_term(STRUCT2, App("f", (App("h", (x1,)),)), Env((0,), 0))
 
 
 def test_forall_is_meet_over_the_domain() -> None:
@@ -280,7 +297,7 @@ def test_countermodel_search_finds_first_and_is_thread_stable() -> None:
     found = countermodel_search(lang, phi, 3)
     assert found is not None
     assert found.size == 2 and found.rel_tables == {"r": (0, 1)}
-    assert countermodel_search(lang, phi, 3, threads=4) == found
+    assert countermodel_search(lang, phi, 3) == found
     assert countermodel_search(lang, Forall(f_imp(Forall(r(x1)), r(x1))), 3) is None
 
 

@@ -383,7 +383,7 @@ def test_a_new_sample_frees_the_previous_one() -> None:
 def test_q2_side_through_the_binder_is_the_same_node(p) -> None:
     # (forall p)+ built as the shift of a kernel Forall, or as the
     # forall of p under the lifted shift: one formula, one node.
-    program = semantics._Program(2)
+    program = semantics._Program()
     through_kernel = program.add(fsubst(Forall(p), SHIFT_UP))
     assert program.forall(program.add(fsubst(p, lift(SHIFT_UP)))) == through_kernel
 
@@ -391,7 +391,7 @@ def test_q2_side_through_the_binder_is_the_same_node(p) -> None:
 @settings(deadline=None)
 @given(formulas(max_index=3), formulas(max_index=3))
 def test_constructors_match_add(p, q) -> None:
-    program = semantics._Program(2)
+    program = semantics._Program()
     a, b = program.add(p), program.add(q)
     assert program.not_(a) == program.add(FNot(p))
     assert program.and_(a, b) == program.add(FAnd(p, q))
@@ -406,7 +406,7 @@ def test_constructors_match_add(p, q) -> None:
 def test_add_finds_a_rebuilt_formula_without_new_entries(p) -> None:
     # Formulas are interned, so a formula built again is the object the
     # program compiled, and its (formula, depth) pair is one lookup.
-    program = semantics._Program(2)
+    program = semantics._Program()
     for depth in (None, 0, 1, 2):
         node = program.add(p, depth)
         entries = (len(program._index), len(program.nodes))
@@ -418,7 +418,7 @@ def test_equal_lifts_are_one_node() -> None:
     # r(x1) & s(x1, x2), s(x1, x2) & r(x1) and the compiled FAnd(s12, r1)
     # lift r(x1) to rank 2 through one node; an operand at the
     # conjunction's rank is not lifted.
-    program = semantics._Program(2)
+    program = semantics._Program()
     r, s = program.add(r1), program.add(s12)
     lifted = program.lift_to(r, 2)
     assert program.nodes[lifted] == (semantics._LIFT, r, 2, 2)
@@ -439,10 +439,10 @@ def test_lifted_law_sides_match_lift(bits) -> None:
     d = other_structure(lang_structure(2, 3 - bits, {}))
     assert d.truth_bits == bits
     sample = [r1, s12, Forall(s12), FAnd(r1, Atom("r", (Var(3),)))]
-    program, laws = semantics._compile_laws(d, FiniteBooleanAlg(bits), sample, 3)
+    program, laws = semantics._compile_laws(d.language, sample, 3)
     tables = semantics._Tables(d, program=program)
     tables.evaluate()
-    planes, lanes = tables.planes, program.lanes
+    planes, lanes = tables.planes, tables.shape.lanes
     assert lanes == bits
     lifts = 0
     for _, instances in laws:
@@ -454,12 +454,70 @@ def test_lifted_law_sides_match_lift(bits) -> None:
                     continue
                 lifts += 1
                 low = program.rank(a)
-                assert planes[side] == program.lift(planes[a], low, depth)
+                assert planes[side] == tables.shape.lift(planes[a], low, depth)
                 for row in range(d.size ** depth):
                     assert semantics._value(planes[side], row, lanes) == semantics._value(
                         planes[a], row // d.size ** (depth - low), lanes
                     )
     assert lifts > 0
+
+
+def mixed_structure(size, bits):
+    """A structure over LANG with fixed tables of every kind and broken
+    equality, so every symbol's values vary with its arguments."""
+    fn_tables = {
+        name: tuple((5 * i + 1) % size for i in range(size ** arity))
+        for name, arity in LANG.functions.items()
+    }
+    rel_tables = {
+        name: tuple((7 * i + 3) % (1 << bits) for i in range(size ** arity))
+        for name, arity in LANG.predicates.items()
+    }
+    return Structure(LANG, size, fn_tables, rel_tables, eq_identity=False, truth_bits=bits)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(formulas(max_index=3), min_size=1, max_size=4))
+def test_one_program_evaluates_at_every_size_and_lane_count(sample) -> None:
+    # The program holds no domain: compiled once, it gives at sizes 1-4
+    # with one and two lanes the planes of a program compiled afresh in
+    # each structure, and those are the oracle's values row by row.
+    program = semantics._Program()
+    nodes = [program.add(p) for p in sample]
+    compiled = len(program.nodes)
+    for size in (1, 2, 3, 4):
+        for bits in (1, 2):
+            d = mixed_structure(size, bits)
+            algebra = FiniteBooleanAlg(bits)
+            shared = semantics._Tables(d, program=program)
+            shared.evaluate()
+            fresh = semantics._Tables(d)
+            for p, node in zip(sample, nodes):
+                rank, plane = fresh.table(p)
+                assert shared.planes[node] == plane
+                for row in range(size ** rank):
+                    env = Env(semantics._digits(row, size, rank), 0)
+                    assert semantics._value(plane, row, bits) == oracle_eval(d, algebra, p, env)
+    assert len(program.nodes) == compiled
+
+
+def test_countermodel_search_compiles_once_per_call(monkeypatch) -> None:
+    # One program serves every size the search tries.
+    made = []
+    init = semantics._Program.__init__
+
+    def spy(program):
+        made.append(program)
+        init(program)
+
+    monkeypatch.setattr(semantics._Program, "__init__", spy)
+    valid = f_imp(Forall(Atom("s", (x1, c))), Atom("s", (c, c)))
+    assert countermodel_search(SMALL_LANG, valid, 3) is None
+    assert len(made) == 1
+    made.clear()
+    found = countermodel_search(SMALL_LANG, f_imp(r1, Forall(r1)), 3)
+    assert found is not None and found.size == 2
+    assert len(made) == 1
 
 
 def test_add_compiles_deep_chains_without_recursion() -> None:
@@ -469,7 +527,7 @@ def test_add_compiles_deep_chains_without_recursion() -> None:
     phi = Atom("s", (x1, Var(150)))
     for level in range(5000):
         phi = Forall(phi) if level % 50 == 0 else FNot(phi)
-    program = semantics._Program(1)
+    program = semantics._Program()
     assert program.rank(program.add(phi)) == 50
 
 
@@ -483,7 +541,7 @@ LAW_SUBSTITUTIONS = [SHIFT_UP, lift(SHIFT_UP), STAR]
 def test_image_matches_add_of_fsubst(p, sub) -> None:
     # The clone's action on a compiled node is the node of the formula's
     # image under fsubst, the simple path.
-    program = semantics._Program(2)
+    program = semantics._Program()
     for sigma in (*LAW_SUBSTITUTIONS, sub):
         assert program.image(program.add(p), sigma, {}) == program.add(fsubst(p, sigma))
 
@@ -491,7 +549,7 @@ def test_image_matches_add_of_fsubst(p, sub) -> None:
 def test_image_of_the_fragment_matches_add_of_fsubst() -> None:
     # Over the whole qa_fragment(), with a fresh memo per formula and with
     # one memo shared across the sample, as the law compile shares it.
-    program = semantics._Program(2)
+    program = semantics._Program()
     for sigma in LAW_SUBSTITUTIONS:
         shared = {}
         for p in qa_fragment():
@@ -505,7 +563,7 @@ def test_image_walks_deep_chains_without_recursion() -> None:
     phi = Atom("s", (x1, Var(150)))
     for level in range(5000):
         phi = Forall(phi) if level % 50 == 0 else FNot(phi)
-    program = semantics._Program(1)
+    program = semantics._Program()
     node = program.add(phi)
     for sigma in LAW_SUBSTITUTIONS:
         assert program.image(node, sigma, {}) == program.add(fsubst(phi, sigma))
@@ -532,7 +590,7 @@ def test_law_compile_acts_on_nodes(monkeypatch, structure, sample, nodes, instan
         return fsubst(*args)
 
     monkeypatch.setattr(semantics, "fsubst", spy)
-    program, laws = semantics._compile_laws(structure, FiniteBooleanAlg(1), sample, 2)
+    program, laws = semantics._compile_laws(structure.language, sample, 2)
     assert calls == []
     assert len(program.nodes) == nodes
     assert [len(law) for _, law in laws] == instances
@@ -560,7 +618,6 @@ def test_qa_law_check_truncates_sides_past_the_rank_bound() -> None:
 def test_countermodel_search_matches_full_enumeration(p) -> None:
     expected = oracle_countermodel(SMALL_LANG, FiniteBooleanAlg(1), p, 2)
     assert countermodel_search(SMALL_LANG, p, 2) == expected
-    assert countermodel_search(SMALL_LANG, p, 2, threads=2) == expected
 
 
 
@@ -645,13 +702,13 @@ def test_lane_count_follows_the_widest_table(monkeypatch, lane_bits) -> None:
     # there are candidates (2^2 at size 1, 2^6 at size 2).
     monkeypatch.setattr(semantics, "_LANE_BITS", lane_bits)
     seen = []
-    shaped = semantics._Program.shaped
+    init = semantics._Shape.__init__
 
-    def spy(program, size, lanes):
+    def spy(shape, size, lanes=1):
         seen.append((size, lanes))
-        return shaped(program, size, lanes)
+        init(shape, size, lanes)
 
-    monkeypatch.setattr(semantics._Program, "shaped", spy)
+    monkeypatch.setattr(semantics._Shape, "__init__", spy)
     # Both use r and s; the widest table at size 2 has 1 row, then 2.
     for p, rows in ((FAnd(r_c, s_cc), 1), (FAnd(r_c, Atom("s", (x1, c))), 2)):
         seen.clear()
