@@ -1,10 +1,10 @@
 """Recursive reference walks, the oracles for the package's fast paths.
 
 The evaluator walks the formula tree once per environment, as the
-package did before formulas were evaluated as whole tables, and its
-terms down the tree, as the package did before a term's value was the
-one row of its column; each
-``oracle_*`` function restates a library entry point on top of it.
+package did before formulas were evaluated as whole tables, and
+``oracle_eval_term`` walks each term down the tree, as ``eval_term`` did
+before it read the term's column.  Each ``oracle_*`` function restates a
+library entry point on top of them.
 ``oracle_check_formula`` is the well-formedness check as it was before
 it became an explicit-stack walk over shared nodes, and
 ``oracle_consequence`` is the truth-table route propositional
