@@ -27,6 +27,7 @@ from .formulas import (
 from .proofs import AXIOM_IDS, instantiate_axiom
 from .propositional import (
     algebra_two,
+    axiom_elements,
     bitmask_algebra,
     enumerate_filters,
     enumerate_valuations,
@@ -196,7 +197,8 @@ def completeness_survey(corpus) -> CompletenessReport:
     verdicts = []
     for algebra in corpus:
         valuations = enumerate_valuations(algebra)
-        filters = enumerate_filters(algebra)
+        axioms = axiom_elements(algebra)
+        filters = enumerate_filters(algebra, axioms=axioms)
         as_intersections = True
         for filt in filters:
             meet = (1 << algebra.size) - 1
@@ -209,7 +211,7 @@ def completeness_survey(corpus) -> CompletenessReport:
         maximal = {
             filt
             for filt in filters
-            if is_maximal_filter(algebra, filt, filters=filters)
+            if is_maximal_filter(algebra, filt, filters=filters, axioms=axioms)
         }
         match = maximal == set(valuations)
         verdicts.append(

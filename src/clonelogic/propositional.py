@@ -273,11 +273,15 @@ def _is_closed(algebra: FinitePropAlgebra, subset: int, axioms: int) -> bool:
     return True
 
 
-def enumerate_filters(algebra: FinitePropAlgebra, bound: int = 16) -> list[int]:
+def enumerate_filters(
+    algebra: FinitePropAlgebra, bound: int = 16, axioms: int | None = None
+) -> list[int]:
     """All filter subsets, ascending as bitmasks.  The axiom elements
-    are computed once, not once per subset."""
+    are computed once, not once per subset; ``axioms``, if given, is
+    their mask, ``axiom_elements(algebra)``."""
     _check_bound(algebra, bound)
-    axioms = axiom_elements(algebra)
+    if axioms is None:
+        axioms = axiom_elements(algebra)
     return [f for f in range(1 << algebra.size) if _is_closed(algebra, f, axioms)]
 
 
@@ -286,24 +290,30 @@ def is_maximal_filter(
     subset: int,
     filters: Sequence[int] | None = None,
     bound: int = 16,
+    axioms: int | None = None,
 ) -> bool:
     """Proper filter contained in no strictly larger proper filter.
 
     Computed from the definition over the enumerated filters, then
     cross-checked against the negation criterion (p in F iff not-p outside F);
-    the two must agree.
+    the two must agree.  ``axioms``, if given, is the mask
+    ``axiom_elements(algebra)``, so a caller testing many subsets of one
+    algebra computes it once.
     """
+    if axioms is None:
+        axioms = axiom_elements(algebra)
     if filters is None:
-        filters = enumerate_filters(algebra, bound)
+        filters = enumerate_filters(algebra, bound, axioms)
     full = _full(algebra)
+    closed = _is_closed(algebra, subset, axioms)
     by_definition = (
         subset != full
-        and is_filter(algebra, subset)
+        and closed
         and not any(
             f != full and f != subset and (subset & ~f) == 0 for f in filters
         )
     )
-    by_negation = is_filter(algebra, subset) and all(
+    by_negation = closed and all(
         bool(subset >> p & 1) != bool(subset >> algebra.neg(p) & 1)
         for p in range(algebra.size)
     )

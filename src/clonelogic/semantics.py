@@ -1049,15 +1049,21 @@ class QAReport:
 _MAX_LAW_SAMPLE = 1 << 13
 
 
-# The compiled Q1–Q5 program of the last sample checked, at most one
-# entry: {(tuple(sample), rank_bound, function items, predicate items,
-# equality symbol): (program, laws)}.  The key holds everything the
-# compile checks, so a hit skips it.  Formulas are interned, so the key
-# hashes and compares the sample by identity.  One entry bounds the
-# memory the cache holds to one compiled sample.  A compiled program is
-# never changed: each call evaluates it in tables of its own, so threads
-# share the slot without a lock.  A race at most compiles twice, or
-# leaves two entries until the next miss clears them.
+# The compiled Q1–Q5 programs of the last _LAW_ENTRIES samples checked,
+# least recent first: {_law_key(language, sample, rank_bound): (program,
+# laws)}.  The key holds everything the compile checks, so a hit skips
+# it.  Formulas are interned, so the key hashes and compares the sample
+# by identity.  Two entries hold both samples a caller alternates
+# between, such as a language's relation sample and its equality
+# sample.  Each program is stripped of its hash-cons tables once
+# compiled, which about halves it, and a miss drops all entries but the
+# newest before it compiles, so at most one other program is held
+# during a compile.  A compiled program is never changed: each call
+# evaluates it in tables of its own, so threads share the cache without
+# a lock.  Eviction reads a snapshot of the keys and pops with a
+# default, so a race at most compiles twice, loses an entry, or leaves
+# an extra entry until the next miss.
+_LAW_ENTRIES = 2
 _LAW_SLOT: dict = {}
 
 
@@ -1086,11 +1092,13 @@ def qa_law_check(
     The sides of the laws depend only on the sample, the rank bound and
     the language, not on the structure, which supplies only the domain
     and the values of the atoms.  So they are compiled once per sample
-    (see ``_compile_laws``) and kept in a one-entry cache: a call with
-    the same sample, bound and language evaluates the compiled program
-    in this structure, and a call with another key drops the entry
-    before compiling its own.  The entry is filed only once its program
-    has been evaluated, so a refused call leaves the cache empty.
+    (see ``_compile_laws``) and kept in a cache of the last two samples
+    checked, each stripped to what evaluation reads: a call with a
+    cached sample, bound and language evaluates that compiled program in
+    this structure, and a call with another key drops all entries but
+    the newest before compiling its own, so the least recent goes first.
+    An entry is filed, as the newest, only once its program has been
+    evaluated, so a refused call files nothing.
     Every call refuses what a first call would, with the same error in
     the same order: a negative bound, then the sample cap; then, formula
     by formula, a rank over the bound, then an undeclared symbol; then a
@@ -1108,21 +1116,29 @@ def qa_law_check(
             f"the law sample holds {len(sample)} formulas, over the cap of "
             f"{_MAX_LAW_SAMPLE}"
         )
-    language = structure.language
-    key = (
-        tuple(sample), rank_bound, tuple(language.functions.items()),
-        tuple(language.predicates.items()), language.equality,
-    )
+    key = _law_key(structure.language, sample, rank_bound)
     compiled = _LAW_SLOT.get(key)
     if compiled is None:
-        _LAW_SLOT.clear()
-        compiled = _compile_laws(language, sample, rank_bound)
+        # Only the newest _LAW_ENTRIES - 1 entries stay while it compiles.
+        stale = list(_LAW_SLOT)
+        for old in stale[:max(len(stale) - _LAW_ENTRIES + 1, 0)]:
+            _LAW_SLOT.pop(old, None)
+        compiled = _compile_laws(structure.language, sample, rank_bound)
     _check_width(structure, algebra)
     program, laws = compiled
     tables = _Tables(structure, program=program)
     tables.evaluate()
+    _LAW_SLOT.pop(key, None)  # filed again as the newest
     _LAW_SLOT[key] = compiled
     return QAReport(tuple(_run_law(law, instances, tables) for law, instances in laws))
+
+
+def _law_key(language: Language, sample: list[Formula], rank_bound: int) -> tuple:
+    """The ``_LAW_SLOT`` key of a sample: everything its compile checks."""
+    return (
+        tuple(sample), rank_bound, tuple(language.functions.items()),
+        tuple(language.predicates.items()), language.equality,
+    )
 
 
 def _compile_laws(
@@ -1140,7 +1156,9 @@ def _compile_laws(
     formula is built for a side.  Every other side is a node made by the
     program's constructors.  Each substitution keeps one ``image`` memo
     across the sample, whose formulas share subformulas, and structurally
-    equal sides, such as p inside Q1, Q2 and Q5, share one node.
+    equal sides, such as p inside Q1, Q2 and Q5, share one node.  The
+    program is returned without its hash-cons tables, so it can be
+    evaluated but not extended.
     """
     program = _Program()
     nodes = []
@@ -1194,6 +1212,9 @@ def _compile_laws(
             instance(p, None, and_(e, a), and_(e, image(a, STAR, collapsed)))
             for p, a in zip(sample, nodes)
         ]))
+    # From here the program is only evaluated, which never reads the
+    # hash-cons tables, and they are about half of its memory.
+    del program._keys, program._index
     return program, laws
 
 

@@ -7,7 +7,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from clonelogic import propositional
+from clonelogic import checks, propositional
+from clonelogic.checks import completeness_survey
 from clonelogic.errors import BoundExceeded
 from clonelogic.formulas import Atom, FAnd, FNot, f_iff, f_imp, f_or
 from clonelogic.proofs import (
@@ -276,6 +277,23 @@ def test_enumerate_filters_computes_the_axiom_elements_once(monkeypatch) -> None
     for algebra in (chain(10), bitmask_algebra(3), GODEL3):
         enumerate_filters(algebra)
     assert len(calls) == 3
+
+
+def test_completeness_survey_computes_the_axiom_elements_once_per_algebra(monkeypatch) -> None:
+    # The maximal-filter pass tests every filter; computing the axiom
+    # elements for each of them was most of the survey on 16 elements.
+    corpus = [chain(6), bitmask_algebra(3), GODEL3, algebra_two()]
+    expected = completeness_survey(corpus)
+    calls = []
+
+    def spy(algebra):
+        calls.append(algebra)
+        return axiom_elements(algebra)
+
+    monkeypatch.setattr(propositional, "axiom_elements", spy)
+    monkeypatch.setattr(checks, "axiom_elements", spy)
+    assert completeness_survey(corpus) == expected
+    assert calls == corpus
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import sys
 import threading
+import time
 import weakref
 
 import pytest
@@ -265,33 +266,76 @@ def test_qa_law_check_warm_slot_matches_cold_calls() -> None:
     warm, programs = [], []
     for d, sample in calls:
         warm.append(qa_law_check(d, FiniteBooleanAlg(d.truth_bits), sample, 2))
-        ((_, (program, _)),) = semantics._LAW_SLOT.items()
-        programs.append(program)
+        programs.append(semantics._LAW_SLOT[semantics._law_key(d.language, sample, 2)][0])
     cold = []
     for d, sample in calls:
         semantics._LAW_SLOT.clear()
         cold.append(qa_law_check(d, FiniteBooleanAlg(d.truth_bits), sample, 2))
     assert warm == cold
     assert not all(report.ok for report in cold)
-    # A sample checked right after itself is not compiled again.
+    # A sample checked right after itself is not compiled again, nor is
+    # A after A, B: the cache holds both.
     again = [i for i in range(1, len(calls)) if calls[i][1] is calls[i - 1][1]]
     assert again and all(programs[i] is programs[i - 1] for i in again)
+    assert all(programs[i + 2] is programs[i] for i in range(0, 3 * len(structures), 3))
 
 
 def test_qa_law_check_from_threads_matches_one_thread() -> None:
-    # Threads share the slot and reshape its program for their own
+    # Threads share the cache and evaluate its program in their own
     # structures; each still gets the report of its own structure.
     structures = [other_structure(lang_structure(size, 2, {})) for size in (3, 1, 2)]
     sample = [s12, FNot(FAnd(r1, e12)), Forall(Atom("s", (x1, Var(2))))]
-    expected = [qa_law_check(d, FiniteBooleanAlg(d.truth_bits), sample, 2) for d in structures]
-    errors = []
+    _check_from_threads(structures, [sample])
+
+
+class _YieldingDict(dict):
+    """A dict that lets other threads run between listing its keys and
+    using them, and before each pop, which widens every race window of
+    the law cache."""
+
+    def __iter__(self):
+        keys = list(self.keys())  # list(self) would call this method
+        time.sleep(0)
+        return iter(keys)
+
+    def pop(self, *args):
+        time.sleep(0)
+        return super().pop(*args)
+
+
+def test_qa_law_check_evicting_from_threads_matches_one_thread(monkeypatch) -> None:
+    # Three samples, alternated, outnumber the two cache entries, so the
+    # threads evict and file entries while others read them; a key
+    # another thread has dropped must not raise.
+    structures = [other_structure(lang_structure(size, 2, {})) for size in (3, 1, 2)]
+    samples = [
+        [s12, FNot(FAnd(r1, e12)), Forall(Atom("s", (x1, Var(2))))],
+        [FNot(Atom("s", (Var(2), x1))), FAnd(r1, Forall(e12))],
+        [r1, Atom("e", (Var(2), c)), FNot(Forall(s12))],
+    ]
+    monkeypatch.setattr(semantics, "_LAW_SLOT", _YieldingDict())
+    _check_from_threads(structures, samples, rounds=400)
+
+
+def _check_from_threads(structures, samples, rounds=30) -> None:
+    """Four threads check every sample in every structure, the samples
+    in turn, each thread from another start, under a short switch
+    interval; every call must return the one-thread report."""
+    calls = [(d, sample) for d in structures for sample in samples]
+    expected = [qa_law_check(d, FiniteBooleanAlg(d.truth_bits), sample, 2) for d, sample in calls]
+    errors, done = [], []
 
     def work(start):
-        for k in range(30):
-            i = (start + k) % len(structures)
-            d = structures[i]
-            if qa_law_check(d, FiniteBooleanAlg(d.truth_bits), sample, 2) != expected[i]:
-                errors.append((start, k))
+        for k in range(rounds):
+            i = (start + k) % len(calls)
+            d, sample = calls[i]
+            try:
+                report = qa_law_check(d, FiniteBooleanAlg(d.truth_bits), sample, 2)
+            except Exception as exc:  # a race error must fail the test, not end the thread
+                report = exc
+            if report != expected[i]:
+                errors.append((start, k, report))
+        done.append(start)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -304,7 +348,7 @@ def test_qa_law_check_from_threads_matches_one_thread() -> None:
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
+    assert errors == [] and sorted(done) == [0, 1, 2, 3]
 
 
 TWO_VALUED = FiniteBooleanAlg(1)
@@ -364,8 +408,9 @@ def test_warm_and_cold_slots_refuse_alike(
 
 
 def test_a_new_sample_frees_the_previous_one() -> None:
-    # The slot holds one compiled sample: once sample B is checked, a
-    # formula that only sample A held is gone.
+    # The cache holds two compiled samples: a formula that only sample A
+    # held outlives sample B, and is gone once B and a third sample C
+    # have been checked.
     d = lang_structure(2, 1, {})
     sample = [FNot(Forall(Atom("s", (App("f", (Var(3),)), App("f", (c,))))))]
     probe = weakref.ref(sample[0])
@@ -375,7 +420,32 @@ def test_a_new_sample_frees_the_previous_one() -> None:
     assert probe() is not None
     qa_law_check(d, TWO_VALUED, [r1], 3)
     gc.collect()
+    assert probe() is not None
+    qa_law_check(d, TWO_VALUED, [s12], 3)
+    gc.collect()
     assert probe() is None
+
+
+def test_cached_programs_are_stripped_and_refusals_file_nothing() -> None:
+    # A cached program keeps what evaluation reads and no hash-cons
+    # table.  A refused call files no entry and moves none: a miss drops
+    # the least recent entry before its compile, a hit keeps its place.
+    d = lang_structure(2, 1, {})
+    a, b = [s12, FNot(r1)], [Forall(s12)]
+    semantics._LAW_SLOT.clear()
+    qa_law_check(d, TWO_VALUED, a, 2)
+    qa_law_check(d, TWO_VALUED, b, 2)
+    keys = [semantics._law_key(d.language, sample, 2) for sample in (a, b)]
+    assert list(semantics._LAW_SLOT) == keys
+    for program, laws in semantics._LAW_SLOT.values():
+        assert program.nodes and program.atoms and program.ranks and laws
+        assert not hasattr(program, "_keys") and not hasattr(program, "_index")
+    with pytest.raises(ValueError, match="mask width mismatch"):
+        qa_law_check(d, FiniteBooleanAlg(2), a, 2)
+    assert list(semantics._LAW_SLOT) == keys
+    with pytest.raises(ValueError, match="over the bound 1"):
+        qa_law_check(d, TWO_VALUED, a, 1)
+    assert list(semantics._LAW_SLOT) == keys[1:]
 
 
 @settings(deadline=None)
