@@ -849,6 +849,20 @@ def countermodel_search(
     of a countermodel gives a countermodel no later in the order, so the
     first one has them zero.
 
+    Function assignments are pruned by symmetry.  A bijection of domains
+    commutes with the clone's action on environments, so isomorphic
+    structures satisfy the same formulas.  The function tables F are the
+    order's major key and the relation cells its minor key.  If (F, R)
+    is a countermodel and a domain transposition tau maps F to an
+    earlier tau(F), then (tau(F), tau(R)) with its unused tables zeroed
+    again is a countermodel that comes earlier; the pinned identity
+    table of equality is fixed by every tau.  So each F that some
+    transposition maps earlier is skipped: only an F that is not least
+    in its orbit is ever skipped, and the first countermodel is the same.
+    The n(n-1)/2 transpositions cost no factorial, and pruning by any
+    subset of the permutations is exact.  ``CANDIDATES_CAP`` counts the
+    candidates before pruning.
+
     Relation candidates are evaluated a block at a time, one candidate
     per lane (see the notes on tables above): the last relation cells in
     enumeration order are the lanes, so a block is a run of consecutive
@@ -886,6 +900,21 @@ def _lane_pattern(bit: int, lanes: int) -> int:
     """The lanes whose index has the given bit set, as an L-bit chunk."""
     half = 1 << bit
     return int(("1" * half + "0" * half) * (lanes // (2 * half)), 2)
+
+
+def _least_in_orbit(flat: list[int], swaps) -> bool:
+    """Whether no transposition maps the function tables ``flat`` to an
+    earlier assignment, comparing each image cell by cell up to the first
+    cell where it differs."""
+    for a, b, source in swaps:
+        for value, j in zip(flat, source):
+            image = flat[j]
+            image = b if image == a else a if image == b else image
+            if image != value:
+                if image < value:
+                    return False
+                break
+    return True
 
 
 def _search_size(
@@ -941,6 +970,21 @@ def _search_size(
     fn_space = itertools.product(*(
         itertools.product(range(size), repeat=size ** a) for _, a in fn_free
     ))
+    # Each domain transposition (a b), with the cell of the concatenated
+    # tables of fn_free that each cell of its image of F reads: the image
+    # holds F[j], a and b swapped, at cell i for the i-th j.  An
+    # assignment F that some transposition maps earlier is skipped (see
+    # countermodel_search).
+    swaps = []
+    for a, b in itertools.combinations(range(size) if fn_free else (), 2):
+        source: list[int] = []
+        for _, arity in fn_free:
+            base = len(source)
+            source += [
+                base + table_index([b if v == a else a if v == b else v for v in cell], size)
+                for cell in itertools.product(range(size), repeat=arity)
+            ]
+        swaps.append((a, b, source))
     # Term columns and atom entries depend only on the function tables,
     # and consecutive assignments of the odometer below mostly differ in
     # the last table.  An unchanged table is the same tuple object, so
@@ -957,6 +1001,10 @@ def _search_size(
     kept: list = [None] * len(program.atoms)
     entries: list = [None] * len(program.atoms)
     for fn_combo in fn_space:
+        if swaps and not _least_in_orbit(
+            list(itertools.chain.from_iterable(fn_combo)), swaps
+        ):
+            continue
         fns = {name: zeros[name] for name in language.functions}
         fns.update(zip((name for name, _ in fn_free), fn_combo))
         changed = columns.set_tables(fns)

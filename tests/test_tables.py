@@ -733,6 +733,57 @@ def test_kept_columns_match_full_enumeration(monkeypatch, lane_bits, data) -> No
         assert countermodel_search(language, p, max_size) == expected
 
 
+# Each example enumerates 682 structures by the oracle, so hypothesis's
+# default profile draws 10 examples; a profile that a run loads, such as
+# the "countermodel" profile CI runs, sets the count.
+ORACLE_EXAMPLES = (
+    10 if settings.default is settings.get_profile("default") else settings.default.max_examples
+)
+
+
+@settings(max_examples=ORACLE_EXAMPLES, deadline=None)
+@given(st.data())
+def test_symmetry_broken_search_matches_full_enumeration(data) -> None:
+    # The search skips every function assignment that a domain
+    # transposition maps to an earlier one; the oracle skips none.  At
+    # size 3 the oracle enumerates 682 structures over UNARY_LANG.
+    for language, symbol, arity, max_size in ((UNARY_LANG, "f", 1, 3), (BINARY_LANG, "h", 2, 2)):
+        p = data.draw(_nested_formulas(symbol, arity))
+        expected = oracle_countermodel(language, FiniteBooleanAlg(1), p, max_size)
+        assert countermodel_search(language, p, max_size) == expected
+
+
+def test_search_evaluates_only_assignments_least_under_transpositions(monkeypatch) -> None:
+    # An A5 instance over {c/0, g/1, s/2} is valid, so every size is
+    # searched to the end.  Of the 1 + 8 + 81 function assignments up to
+    # size 3, one transposition or another maps all but 1 + 4 + 15 to an
+    # earlier one, and only those reach set_tables.
+    language = Language(FunctionType({"c": 0, "g": 1}), PredicateType({"s": 2}))
+    gc_ = App("g", (c,))
+    valid = f_imp(Forall(Atom("s", (x1, gc_))), Atom("s", (gc_, gc_)))
+    calls = []
+    set_tables = semantics._Columns.set_tables
+
+    def spy(columns, fn_tables):
+        calls.append(columns.size)
+        return set_tables(columns, fn_tables)
+
+    monkeypatch.setattr(semantics._Columns, "set_tables", spy)
+    assert countermodel_search(language, valid, 3) is None
+    assert [calls.count(size) for size in (1, 2, 3)] == [1, 4, 15]
+
+
+def test_transpositions_cost_no_factorial() -> None:
+    # A constant and a unary predicate reach size 12 under the candidates
+    # cap, and 12! permutations would be 4.8e8; the search tries the
+    # 66 transpositions, which leave c = 0 alone of 12 constants.
+    language = Language(FunctionType({"c": 0}), PredicateType({"r": 1}))
+    valid = f_imp(Forall(Atom("r", (x1,))), Atom("r", (c,)))
+    start = time.perf_counter()
+    assert countermodel_search(language, valid, 12) is None
+    assert time.perf_counter() - start < 2.0
+
+
 
 # Relation candidates over SMALL_LANG are r's cells, then s's; equality
 # is pinned.  At size 1 that is two cells, so four lanes hold both r and
