@@ -20,9 +20,13 @@ perfect valuations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress, count, repeat
+from operator import and_, itemgetter, rshift, xor
 
 from .errors import BoundExceeded, LogicError
 from .formulas import (
@@ -307,6 +311,21 @@ def _value(plane: int, row: int, lanes: int) -> int:
     return (plane >> row * lanes) & ((1 << lanes) - 1)
 
 
+_FIRST, _SECOND = itemgetter(1), itemgetter(2)
+
+
+def _getter(ids: list[int]):
+    """The function from a list to the tuple of its items at the ids:
+    one C-level pass for two ids or more.  The ids come as a list, whose
+    tuple is made at its exact size: a tuple built from an iterator is
+    resized, and the tuples that frees pile up in CPython's free lists,
+    which held 2 MB more in a worker checking laws at the benchmark's
+    rate."""
+    if len(ids) > 1:
+        return itemgetter(*ids)
+    return lambda seq: tuple([seq[i] for i in ids])
+
+
 def _rows(size: int, rank: int) -> int:
     """Rows of a rank-``rank`` table over a domain of ``size`` elements;
     BoundExceeded past the cap."""
@@ -335,12 +354,20 @@ class _Program:
     the order they first appeared.  A domain enters only when a
     ``_Shape`` evaluates the program, so one program serves every size
     and lane count.
+
+    A program that is complete can be frozen (``freeze``): its nodes are
+    renumbered in level order and cut into ``runs``, stretches of
+    consecutive nodes of one kind, rank and operand rank whose operands
+    all come before the stretch, so ``_Shape.evaluate`` does one pass per
+    run instead of one step per node.  A frozen program has no hash-cons
+    tables and is never extended; ``runs`` is None until then.
     """
 
     def __init__(self):
         self.nodes: list[tuple[int, int, int, int]] = []
         self.atoms: list[tuple[Atom, int]] = []
         self.ranks: dict[int, None] = {}
+        self.runs: list[tuple[int, int, int, int, int]] | None = None
         self._keys: dict = {}
         self._index: dict[tuple[Formula, int | None], int] = {}
 
@@ -481,6 +508,72 @@ class _Program:
             stack.pop()
         return memo[node, 0]
 
+    def freeze(self) -> list[int]:
+        """Renumber the nodes in level order, cut them into runs, drop the
+        hash-cons tables, and return the new id of each old node.
+
+        An atom is at level 0 and any other node one level above its
+        highest operand, so no node reads a node of its own level or a
+        later one.  Nodes are ordered by (level, kind, rank, operand
+        rank), each key's nodes in their old order, and the nodes of one
+        key are a run: (kind, rank, operand rank, lo, hi) for the nodes
+        lo..hi-1.  The atoms are the first run, in the order of
+        ``atoms``, so atom node i reads atom i.  ``ranks`` keeps the order
+        in which ranks first appeared, and with it the rank that
+        BoundExceeded names.
+        """
+        # Evaluation never reads the hash-cons tables, which are about
+        # half of the program's memory and would name the old ids; they
+        # go first, so the old and the new nodes are not held beside them.
+        del self._keys, self._index
+        nodes = self.nodes
+        levels: list[int] = []
+        buckets: dict[tuple[int, int, int, int], list[int]] = {}
+        for node, (kind, a, b, rank) in enumerate(nodes):
+            if kind == _AND:  # both operands at its rank, lifted if need be
+                level = levels[a] if levels[a] > levels[b] else levels[b]
+                key = (level + 1, kind, rank, rank)
+            elif kind == _ATOM:
+                level, key = -1, (0, _ATOM, 0, 0)
+            else:
+                level = levels[a]
+                key = (level + 1, kind, rank, nodes[a][3])
+            levels.append(level + 1)
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [node]
+            else:
+                bucket.append(node)
+        order: list[int] = []
+        runs = []
+        for key in sorted(buckets):
+            bucket = buckets[key]
+            runs.append((*key[1:], len(order), len(order) + len(bucket)))
+            order += bucket
+        new = [0] * len(nodes)
+        for node, old in enumerate(order):
+            new[old] = node
+        # Each run's nodes rebuilt at C level, their operands renumbered.
+        # The old nodes are let go run by run, so the new ones reuse
+        # their memory and the program is never held twice.
+        frozen: list[tuple[int, int, int, int]] = []
+        renumber = new.__getitem__
+        for kind, rank, _, lo, hi in runs:
+            ids = order[lo:hi]
+            old = _getter(ids)(nodes)
+            for node in ids:
+                nodes[node] = None
+            if kind == _ATOM:
+                frozen += old
+                continue
+            right = map(_SECOND, old)
+            if kind == _AND:
+                right = map(renumber, right)
+            frozen += zip(repeat(kind), map(renumber, map(_FIRST, old)), right, repeat(rank))
+        self.nodes = frozen
+        self.runs = runs
+        return new
+
 
 class _Shape:
     """Evaluation of compiled programs over a domain of ``size``
@@ -489,7 +582,9 @@ class _Shape:
     ``fit`` makes the all-ones plane of each rank a program holds, under
     the row cap, walking the ranks in the order they first appeared: the
     rank that BoundExceeded names is that of the first node over the
-    cap.  It runs before any table or column is built.
+    cap.  It runs before any table or column is built.  ``evaluate``
+    steps node by node through a program that is still growing, and
+    makes one pass per run of a frozen one.
     """
 
     def __init__(self, size: int, lanes: int = 1):
@@ -524,8 +619,43 @@ class _Shape:
     def evaluate(self, program: _Program, planes: list[int], atom_planes: list[int]) -> None:
         """Extend ``planes``, one plane per node, to the program's nodes
         that it does not cover yet, given the plane of each atom.  The
-        program has been fitted."""
+        program has been fitted.
+
+        A program that is still growing is evaluated one node at a time,
+        and so is a frozen one whose planes were begun, since level order
+        puts operands first.  Otherwise a frozen program is evaluated one
+        pass per run: each run's operand planes are gathered by one
+        ``itemgetter`` over its nodes and combined by ``map`` over the
+        ``operator`` functions, so the loop runs at C level.  The search's
+        programs, of 8 to 18 nodes, are never frozen: most of their runs
+        would hold one or two nodes, and a pass per run made its rounds
+        3-8 % slower.
+        """
         nodes, full, n, lanes = program.nodes, self.full, self.size, self.lanes
+        if program.runs is not None and not planes:
+            for kind, rank, low, lo, hi in program.runs:
+                if kind == _ATOM:
+                    planes += atom_planes[lo:hi]
+                    continue
+                run = nodes[lo:hi]
+                body = _getter(list(map(_FIRST, run)))(planes)
+                if kind == _AND:
+                    planes += map(and_, body, _getter(list(map(_SECOND, run)))(planes))
+                elif kind == _NOT:
+                    planes += map(xor, body, repeat(full[rank]))
+                elif kind == _LIFT:  # over one element, a lift is its operand
+                    planes += body if n == 1 else map(self.lift, body, repeat(low), repeat(rank))
+                elif low == 0:
+                    planes += body
+                else:
+                    # One list per element, so the maps never nest more
+                    # than two deep, whatever the domain's size.
+                    block = n ** rank * lanes
+                    out = list(map(and_, body, repeat(full[rank])))
+                    for k in range(1, n):
+                        out = list(map(and_, out, map(rshift, body, repeat(k * block))))
+                    planes += out
+            return
         for node in range(len(planes), len(nodes)):
             kind, a, b, rank = nodes[node]
             if kind == _AND:
@@ -917,6 +1047,15 @@ def _least_in_orbit(flat: list[int], swaps) -> bool:
     return True
 
 
+def _first_occurrences_ascend(flat: list[int]) -> bool:
+    """Whether the values first occur in the order 0, 1, 2, ...  For
+    constants alone, whose cells no transposition moves, that is
+    ``_least_in_orbit`` over all transpositions: (a b) with a < b maps
+    the values to earlier ones exactly when b occurs before a does."""
+    seen = list(dict.fromkeys(flat))
+    return seen == list(range(len(seen)))
+
+
 def _search_size(
     language: Language, program: _Program, root: int, size: int
 ) -> Structure | None:
@@ -970,21 +1109,29 @@ def _search_size(
     fn_space = itertools.product(*(
         itertools.product(range(size), repeat=size ** a) for _, a in fn_free
     ))
-    # Each domain transposition (a b), with the cell of the concatenated
-    # tables of fn_free that each cell of its image of F reads: the image
-    # holds F[j], a and b swapped, at cell i for the i-th j.  An
-    # assignment F that some transposition maps earlier is skipped (see
-    # countermodel_search).
-    swaps = []
-    for a, b in itertools.combinations(range(size) if fn_free else (), 2):
-        source: list[int] = []
-        for _, arity in fn_free:
-            base = len(source)
-            source += [
-                base + table_index([b if v == a else a if v == b else v for v in cell], size)
-                for cell in itertools.product(range(size), repeat=arity)
-            ]
-        swaps.append((a, b, source))
+    # An assignment F that some domain transposition maps earlier is
+    # skipped (see countermodel_search); ``least`` tells the others, and
+    # is None when no transposition moves anything.  With constants alone
+    # it reads F's first occurrences, with no transposition built.
+    # Otherwise each transposition (a b) comes with the cell of the
+    # concatenated tables of fn_free that each cell of its image of F
+    # reads: the image holds F[j], a and b swapped, at cell i for the
+    # i-th j.
+    least = None
+    if size > 1 and fn_free and not any(arity for _, arity in fn_free):
+        least = _first_occurrences_ascend
+    elif size > 1 and fn_free:
+        swaps = []
+        for a, b in itertools.combinations(range(size), 2):
+            source: list[int] = []
+            for _, arity in fn_free:
+                base = len(source)
+                source += [
+                    base + table_index([b if v == a else a if v == b else v for v in cell], size)
+                    for cell in itertools.product(range(size), repeat=arity)
+                ]
+            swaps.append((a, b, source))
+        least = functools.partial(_least_in_orbit, swaps=swaps)
     # Term columns and atom entries depend only on the function tables,
     # and consecutive assignments of the odometer below mostly differ in
     # the last table.  An unchanged table is the same tuple object, so
@@ -1001,9 +1148,7 @@ def _search_size(
     kept: list = [None] * len(program.atoms)
     entries: list = [None] * len(program.atoms)
     for fn_combo in fn_space:
-        if swaps and not _least_in_orbit(
-            list(itertools.chain.from_iterable(fn_combo)), swaps
-        ):
+        if least is not None and not least(list(itertools.chain.from_iterable(fn_combo))):
             continue
         fns = {name: zeros[name] for name in language.functions}
         fns.update(zip((name for name, _ in fn_free), fn_combo))
@@ -1191,7 +1336,7 @@ def _law_key(language: Language, sample: list[Formula], rank_bound: int) -> tupl
 
 def _compile_laws(
     language: Language, sample: list[Formula], rank_bound: int
-) -> tuple[_Program, list[tuple[str, list[tuple]]]]:
+) -> tuple[_Program, list[tuple[str, _Instances]]]:
     """The program of the Q1–Q5 sides for the sample, each formula
     checked against the bound and the language as qa_law_check
     describes, and each law's instances as (p, q, left node, right node,
@@ -1205,8 +1350,9 @@ def _compile_laws(
     program's constructors.  Each substitution keeps one ``image`` memo
     across the sample, whose formulas share subformulas, and structurally
     equal sides, such as p inside Q1, Q2 and Q5, share one node.  The
-    program is returned without its hash-cons tables, so it can be
-    evaluated but not extended.
+    program is returned frozen (see ``_Program.freeze``), with the
+    instances' node ids renumbered to match, so it can be evaluated a run
+    at a time but not extended.
     """
     program = _Program()
     nodes = []
@@ -1260,13 +1406,29 @@ def _compile_laws(
             instance(p, None, and_(e, a), and_(e, image(a, STAR, collapsed)))
             for p, a in zip(sample, nodes)
         ]))
-    # From here the program is only evaluated, which never reads the
-    # hash-cons tables, and they are about half of its memory.
-    del program._keys, program._index
-    return program, laws
+    # From here the program is only evaluated, in runs.  Each instance
+    # is renumbered in place, so the old and new are not held together.
+    new = program.freeze()
+    for _, instances in laws:
+        for i, (p, q, left, right, depth, width) in enumerate(instances):
+            instances[i] = p, q, new[left], new[right], depth, width
+    return program, [(law, _Instances(instances)) for law, instances in laws]
 
 
-def _run_law(law: str, instances: list[tuple], tables: _Tables) -> LawReport:
+class _Instances(list):
+    """One law's instances, each (p, q, left node, right node, depth,
+    width), with what ``_run_law`` reads of all of them at once: the
+    getters of their left and right sides' planes, and how many
+    instances have each width."""
+
+    def __init__(self, instances):
+        super().__init__(instances)
+        self.lefts = _getter([left for _, _, left, _, _, _ in self])
+        self.rights = _getter([right for _, _, _, right, _, _ in self])
+        self.widths = Counter([width for *_, width in self])
+
+
+def _run_law(law: str, instances: _Instances, tables: _Tables) -> LawReport:
     """The report of one law: its instances compared in order up to the
     first that fails.
 
@@ -1275,14 +1437,19 @@ def _run_law(law: str, instances: list[tuple], tables: _Tables) -> LawReport:
     longer environment as well.  Environments are compared in ascending
     prefix order, each with default 0.  Both sides are lifted to that
     rank in the program, so an instance holds when the XOR of their
-    planes is 0.  Otherwise the sides differ at a row when some lane of
-    it does: the lanes of each row are ORed into its lowest bit, and
-    only the bits of the rows whose coordinates past ``width`` are 0 are
-    kept.
+    planes is 0.  All the law's sides are compared in one pass, and only
+    from the first instance whose XOR is not 0 are the instances looked
+    at one by one.  There the sides differ at a row when some lane of it
+    does: the lanes of each row are ORed into its lowest bit, and only
+    the bits of the rows whose coordinates past ``width`` are 0 are kept.
     """
     n, lanes, planes = tables.structure.size, tables.shape.lanes, tables.planes
-    checked = 0
-    for p, q, left, right, depth, width in instances:
+    lefts, rights = instances.lefts(planes), instances.rights(planes)
+    if lefts == rights:
+        return LawReport(law, True, sum([k * n ** w for w, k in instances.widths.items()]))
+    first = next(compress(count(), map(xor, lefts, rights)))
+    checked = sum([n ** width for *_, width in instances[:first]])
+    for p, q, left, right, depth, width in instances[first:]:
         differ = planes[left] ^ planes[right]
         if differ:
             stride = n ** (depth - width)

@@ -332,6 +332,19 @@ def sigma_at(sub: Substitution, j: int) -> Term:
     return tail.term
 
 
+# The shift by each depth ``apply`` has been asked to work under, made
+# once: building a Substitution runs its canonicalization.
+_SHIFTS: dict[int, Substitution] = {}
+
+
+def _shift(depth: int) -> Substitution:
+    """The substitution [x(1 + depth), x(2 + depth), ...]."""
+    shift = _SHIFTS.get(depth)
+    if shift is None:
+        shift = _SHIFTS[depth] = Substitution((), Shift(depth))
+    return shift
+
+
 def apply(term: Term, sub: Substitution, depth: int = 0) -> Term:
     """Substitute: replace each variable xj in ``term`` by coordinate j of
     ``sub``, or under ``depth`` binders by coordinate j of its
@@ -341,7 +354,7 @@ def apply(term: Term, sub: Substitution, depth: int = 0) -> Term:
     own image and is not walked, and a shared subterm is mapped once."""
     if type(term) is Var and not depth:
         return sigma_at(sub, term.index)
-    shift = Substitution((), Shift(depth)) if depth else None
+    shift = _shift(depth) if depth else None
     images: dict[Term, Term] = {}
     stack = [term]
     while stack:

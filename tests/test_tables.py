@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import sys
 import threading
 import time
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -571,6 +573,134 @@ def test_one_program_evaluates_at_every_size_and_lane_count(sample) -> None:
     assert len(program.nodes) == compiled
 
 
+def check_runs(program) -> None:
+    """The runs of a frozen program tile its nodes in order, every node
+    has its run's kind, rank and operand rank, and every operand lies
+    before the run; the atoms are the first run, atom node i reading
+    atom i."""
+    nodes, end = program.nodes, 0
+    for kind, rank, low, lo, hi in program.runs:
+        assert lo == end < hi
+        end = hi
+        for node in range(lo, hi):
+            got, a, b, node_rank = nodes[node]
+            assert got == kind
+            if kind == semantics._ATOM:
+                assert lo == 0 and a == node
+                continue
+            assert node_rank == rank and program.rank(a) == low and a < lo
+            if kind == semantics._AND:
+                assert program.rank(b) == low and b < lo
+    assert end == len(nodes) and program.runs[0][0] == semantics._ATOM
+    assert program.runs[0][4] == len(program.atoms)
+
+
+def unfrozen_laws(language, sample, rank_bound):
+    """The law program and instances that ``_compile_laws`` freezes,
+    before it does."""
+    with mock.patch.object(semantics._Program, "freeze", lambda program: range(len(program.nodes))):
+        return semantics._compile_laws(language, sample, rank_bound)
+
+
+# Q5 holds at r(c), which reads no variable, and fails at r(x1) in the
+# structure of size 2 and one lane below, whose equality is broken: its
+# only failing instance is its last one, which _run_law finds past its
+# one-pass comparison.
+LAST_FAILS = [Atom("r", (c,)), r1]
+
+
+# 30 examples under hypothesis's default profile; a profile that a run
+# loads, such as the "oracle" profile CI runs it under, sets the count.
+LAW_EXAMPLES = (
+    30 if settings.default is settings.get_profile("default") else settings.default.max_examples
+)
+
+
+@settings(max_examples=LAW_EXAMPLES, deadline=None)
+@given(st.lists(formulas(max_index=3), min_size=1, max_size=4))
+@example(LAST_FAILS)
+def test_frozen_law_program_matches_the_unfrozen_one(sample) -> None:
+    # At sizes 1-4 with one and two lanes, the frozen program gives every
+    # node the plane the node-by-node loop gives it before the freeze,
+    # and each instance's sides are the renumbered nodes.  Each law's
+    # report, from its sides compared in one pass, is that of its
+    # instances checked one at a time.
+    rank_bound = max(frank(p) for p in sample)
+    program, laws = semantics._compile_laws(LANG, sample, rank_bound)
+    check_runs(program)
+    grown, grown_laws = unfrozen_laws(LANG, sample, rank_bound)
+    assert grown.runs is None
+    structures = [mixed_structure(size, bits) for size in (1, 2, 3, 4) for bits in (1, 2)]
+    before = []
+    for d in structures:
+        tables = semantics._Tables(d, program=grown)
+        tables.evaluate()
+        before.append(tables.planes)
+    new = grown.freeze()
+    assert (grown.nodes, grown.runs) == (program.nodes, program.runs)
+    for (law, instances), (grown_law, grown_instances) in zip(laws, grown_laws, strict=True):
+        assert law == grown_law
+        assert instances == [
+            (p, q, new[left], new[right], depth, width)
+            for p, q, left, right, depth, width in grown_instances
+        ]
+    for d, planes in zip(structures, before):
+        tables = semantics._Tables(d, program=program)
+        tables.evaluate()
+        assert [tables.planes[node] for node in new] == planes
+        for law, instances in laws:
+            checked, failure = 0, None
+            for instance in instances:
+                one = semantics._run_law(law, semantics._Instances([instance]), tables)
+                checked += one.checked
+                if not one.ok:
+                    failure = one.failure
+                    break
+            expected = semantics.LawReport(law, failure is None, checked, failure)
+            assert semantics._run_law(law, instances, tables) == expected
+
+
+def test_last_fails_example_fails_only_at_its_last_instance() -> None:
+    program, laws = semantics._compile_laws(LANG, LAST_FAILS, 1)
+    tables = semantics._Tables(mixed_structure(2, 1), program=program)
+    tables.evaluate()
+    q5 = dict(laws)["Q5"]
+    assert [
+        semantics._run_law("Q5", semantics._Instances([instance]), tables).ok
+        for instance in q5
+    ] == [True, False]
+
+
+def test_frozen_binder_run_over_a_large_domain() -> None:
+    # A binder run ANDs its body's blocks one element at a time.  Over
+    # 100,000 elements, where maps nested once per element overflowed the
+    # C stack, the frozen program gives every node the plane of the
+    # node-by-node loop.
+    language = Language(FunctionType({}), PredicateType({"r": 1}))
+    size = 100_000
+    d = Structure(language, size, {}, {"r": tuple(int(i % 7 != 3) for i in range(size))})
+    sample = [Forall(Atom("r", (x1,)))]
+    program, _ = semantics._compile_laws(language, sample, 0)
+    assert any(kind == semantics._FORALL and low == 1 for kind, _, low, _, _ in program.runs)
+    grown, _ = unfrozen_laws(language, sample, 0)
+    before = semantics._Tables(d, program=grown)
+    before.evaluate()
+    new = grown.freeze()
+    tables = semantics._Tables(d, program=program)
+    tables.evaluate()
+    assert [tables.planes[node] for node in new] == before.planes
+
+
+def test_fragment_program_forms_few_runs() -> None:
+    # Level order groups the 4,115 nodes of the qa_fragment() law program
+    # into a few dozen runs, so a frozen evaluation makes a few dozen
+    # passes, not one step per node.
+    program, _ = semantics._compile_laws(R2.language, qa_fragment(), 2)
+    assert len(program.nodes) == 4115
+    assert len(program.runs) <= 70
+    check_runs(program)
+
+
 def test_countermodel_search_compiles_once_per_call(monkeypatch) -> None:
     # One program serves every size the search tries.
     made = []
@@ -775,13 +905,52 @@ def test_search_evaluates_only_assignments_least_under_transpositions(monkeypatc
 
 def test_transpositions_cost_no_factorial() -> None:
     # A constant and a unary predicate reach size 12 under the candidates
-    # cap, and 12! permutations would be 4.8e8; the search tries the
-    # 66 transpositions, which leave c = 0 alone of 12 constants.
+    # cap, and 12! permutations would be 4.8e8; the search reads c's
+    # first occurrence, which leaves c = 0 alone of 12 constants.
     language = Language(FunctionType({"c": 0}), PredicateType({"r": 1}))
     valid = f_imp(Forall(Atom("r", (x1,))), Atom("r", (c,)))
     start = time.perf_counter()
     assert countermodel_search(language, valid, 12) is None
     assert time.perf_counter() - start < 2.0
+
+
+def test_constants_alone_build_no_transposition(monkeypatch) -> None:
+    # e(c, c) over {c/0, e/2 equality} is valid, so sizes 1..60 are
+    # searched to the end.  With constants alone the first occurrences
+    # decide: at each size only c = 0 reaches set_tables, and no
+    # transposition's source list is built or compared, where the
+    # n(n - 1)/2 transpositions per size took time growing as n^2.
+    language = Language(FunctionType({"c": 0}), PredicateType({"e": 2}, equality="e"))
+    counts = {"table_index": 0, "_least_in_orbit": 0, "set_tables": 0}
+
+    def count(owner, name):
+        function = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    count(semantics, "table_index")
+    count(semantics, "_least_in_orbit")
+    count(semantics._Columns, "set_tables")
+    assert countermodel_search(language, Atom("e", (c, c)), 60, cells_cap=4000) is None
+    assert counts == {"table_index": 0, "_least_in_orbit": 0, "set_tables": 60}
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_first_occurrences_agree_with_transpositions(size) -> None:
+    # The cells of constants are not moved by a transposition, so its
+    # source list is the identity; over every assignment of one to three
+    # constants the first occurrences skip exactly what the
+    # transpositions do.
+    for constants in (1, 2, 3):
+        swaps = [(a, b, list(range(constants))) for a, b in itertools.combinations(range(size), 2)]
+        for flat in itertools.product(range(size), repeat=constants):
+            assert semantics._first_occurrences_ascend(list(flat)) == semantics._least_in_orbit(
+                list(flat), swaps
+            )
 
 
 

@@ -159,6 +159,25 @@ def test_apply_under_binders_reads_the_lifted_substitution(t, sub, depth) -> Non
     assert apply(t, sub, depth) == apply(t, lifted)
 
 
+def test_repeated_applies_at_one_depth_build_no_substitution(monkeypatch) -> None:
+    # Under a binder each variable's image is shifted by the depth; that
+    # shift is built once per depth, not once per call.
+    built = []
+    post_init = Substitution.__post_init__
+
+    def spy(sub):
+        built.append(sub)
+        post_init(sub)
+
+    t = App("g", (Var(5), App("f", (Var(4),))))
+    sub = Substitution((App("f", (Var(1),)), Var(3)), Shift(1))
+    expected = [apply(t, sub, depth) for depth in (1, 2, 3)]
+    monkeypatch.setattr(Substitution, "__post_init__", spy)
+    for _ in range(50):
+        assert [apply(t, sub, depth) for depth in (1, 2, 3)] == expected
+    assert built == []
+
+
 # ------------- composition: frozen identities and coordinatewise oracle -------------
 
 def test_shift_up_then_minus_is_identity() -> None:
