@@ -298,7 +298,8 @@ def fsubst(
     ``images`` maps each pair already visited to its image under ``sub``,
     so a subformula shared several times over is mapped once.  A caller
     applying one substitution to many formulas may share it across calls,
-    as ``qa_law_check`` does across its sample.
+    as ``semantics._Tables.value`` does for every formula it evaluates
+    under one environment's substitution.
     """
     if images is None:
         images = {}

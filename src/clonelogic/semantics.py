@@ -231,10 +231,31 @@ def table_index(values: tuple[int, ...], size: int) -> int:
 
 
 def eval_term(structure: Structure, term: Term, env: Env) -> int:
-    """Value of the term under the environment: the one row of its
-    rank-0 column, so a term of any depth is read."""
+    """Value of the term under the environment (see ``_eval_terms``)."""
+    return _eval_terms(structure, [term], env)[0]
+
+
+def _eval_terms(structure: Structure, terms: list[Term], env: Env) -> tuple[int, ...]:
+    """Values of the terms under the environment: the rank-0 columns of
+    their closed instances (see ``_element_constants``), read at any
+    depth, with one set of constants and columns for all of them."""
     structure.check_env(env)
-    return _Columns(structure.size, structure.fn_tables, env).term(term, 0)[0]
+    tables, sigma = _element_constants(structure, env)
+    columns = _Columns(structure.size, tables)
+    return tuple([columns.term(apply(t, sigma), 0)[0] for t in terms])
+
+
+def _element_constants(structure: Structure, env: Env) -> tuple[dict, Substitution]:
+    """The function tables with a nullary table c(v) added per element v
+    the environment holds, and the environment as the substitution
+    [c(e1), ..., c(ek) ; const c(default)]: truth under it is truth of
+    the closed instance, as in Robinson's diagram.  c(v) is named
+    ``x{v+1}``, a name FunctionType refuses, so no table of a structure
+    has it."""
+    constants = {v: App(f"x{v + 1}", ()) for v in (*env.prefix, env.default)}
+    tables = {**structure.fn_tables, **{c.symbol: (v,) for v, c in constants.items()}}
+    sigma = Substitution(tuple([constants[v] for v in env.prefix]), Const(constants[env.default]))
+    return tables, sigma
 
 
 # ------------------------------------------------------------------
@@ -258,12 +279,9 @@ def eval_term(structure: Structure, term: Term, env: Env) -> int:
 # candidates in the lanes instead: L structures that share their
 # function tables make one structure valued in the algebra 2^L.
 #
-# Evaluating under one environment uses the same tables, cut down to
-# the rows that environment reaches: below q binders a subformula of
-# rank r is read only at prefixes (d1..dq, e1, e2, ...), so its table
-# covers D^min(r, q) and every coordinate i past q reads e_(i-q).  At
-# q = 0 the whole formula is a one-row table, and the work is that of
-# walking the tree once per quantified environment.
+# Evaluating under one environment reads the one-row table of the
+# formula's closed instance (see ``_element_constants``): below q
+# binders its subformulas have rank at most q, so n^q rows at most.
 
 _ATOM, _NOT, _AND, _FORALL, _LIFT = range(5)
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -343,11 +361,11 @@ class _Program:
     Nodes are kept in post-order as (kind, a, b, rank): for an atom, a
     indexes ``atoms``; otherwise a and b are operand node ids.  The
     constructors ``atom``, ``not_``, ``and_``, ``forall`` and ``lift_to``
-    hash-cons on the key (kind, a, b), the atom itself and its rank
-    standing in for a and b, so structurally equal formulas get one node
-    and no key hashes a whole subtree; ``add`` compiles a formula through
-    them and remembers the node of each (formula, depth) pair it
-    compiled, and ``image`` maps a node by a substitution through them.
+    hash-cons on the key (kind, a, b), the atom itself standing in for a,
+    so structurally equal formulas get one node and no key hashes a whole
+    subtree; ``add`` compiles a formula through them and remembers the
+    node of each formula it compiled, and ``image`` maps a node by a
+    substitution through them.
     A lift node is keyed (kind, node, rank): ``and_`` lifts
     its lower-rank operand through one, so each distinct lift is
     computed once per evaluation.  ``ranks`` holds the nodes' ranks in
@@ -369,7 +387,7 @@ class _Program:
         self.ranks: dict[int, None] = {}
         self.runs: list[tuple[int, int, int, int, int]] | None = None
         self._keys: dict = {}
-        self._index: dict[tuple[Formula, int | None], int] = {}
+        self._index: dict[Formula, int] = {}
 
     def rank(self, node: int) -> int:
         return self.nodes[node][3]
@@ -382,18 +400,13 @@ class _Program:
             self.ranks[rank] = None
             if kind == _ATOM:
                 self.atoms.append((a, rank))
-                a, b = len(self.atoms) - 1, 0
+                a = len(self.atoms) - 1
             node = self._keys[key] = len(self.nodes)
             self.nodes.append((kind, a, b, rank))
         return node
 
-    def atom(self, phi: Atom, depth: int | None = None) -> int:
-        """Node of an atom; below ``depth`` binders its rank is clipped
-        there (see the notes above)."""
-        rank = phi.rank
-        if depth is not None:
-            rank = min(rank, depth)
-        return self._node(_ATOM, phi, rank, rank)
+    def atom(self, phi: Atom) -> int:
+        return self._node(_ATOM, phi, 0, phi.rank)
 
     def not_(self, a: int) -> int:
         return self._node(_NOT, a, 0, self.nodes[a][3])
@@ -417,54 +430,42 @@ class _Program:
             return a
         return self._node(_LIFT, a, rank, rank)
 
-    def add(self, formula: Formula, depth: int | None = None) -> int:
+    def add(self, formula: Formula) -> int:
         """Node id of the formula, compiling its new subformulas.
-
-        With a depth, the formula sits below that many binders and each
-        table keeps only the rows an environment reaches (see above);
-        without one, tables are whole.  Formulas are interned and hash by
-        identity, so a (formula, depth) pair compiled before is one
-        lookup.
-        """
+        Formulas are interned and hash by identity, so a formula compiled
+        before is one lookup."""
         index = self._index
-        stack = [(formula, depth)]
+        stack = [formula]
         while stack:
-            key = stack[-1]
-            if key in index:
+            phi = stack[-1]
+            if phi in index:
                 stack.pop()
                 continue
-            phi, d = key
             kind = type(phi)
             if kind is Atom:
-                node = self.atom(phi, d)
+                node = self.atom(phi)
             elif kind is FAnd:
-                left, right = (phi.left, d), (phi.right, d)
+                left, right = phi.left, phi.right
                 if left not in index or right not in index:
                     stack.extend(p for p in (left, right) if p not in index)
                     continue
                 node = self.and_(index[left], index[right])
-            elif kind is FNot:
-                body = (phi.body, d)
+            elif kind is FNot or kind is Forall:
+                body = phi.body
                 if body not in index:
                     stack.append(body)
                     continue
-                node = self.not_(index[body])
-            elif kind is Forall:
-                body = (phi.body, None if d is None else d + 1)
-                if body not in index:
-                    stack.append(body)
-                    continue
-                node = self.forall(index[body])
+                node = self.not_(index[body]) if kind is FNot else self.forall(index[body])
             else:
                 raise TypeError(f"not a formula: {phi!r}")
             stack.pop()
-            index[key] = node
-        return index[formula, depth]
+            index[phi] = node
+        return index[formula]
 
     def image(self, node: int, sub: Substitution, memo: dict[tuple[int, int], int]) -> int:
         """Node of the formula of ``node`` under ``sub``: the clone's
         action on compiled nodes, the same node as ``add(fsubst(p, sub))``
-        for the formula p compiled whole (with no depth) as ``node``.
+        for the formula p compiled as ``node``.
 
         An explicit-stack walk over (node, depth) pairs, shaped like
         ``fsubst``: a node of rank at most ``depth`` is its own image, and
@@ -604,8 +605,6 @@ class _Shape:
         table, an L-bit chunk, becomes a run of size**(to - rank) equal
         rows.  With one lane a row is one binary digit, so a single
         translate repeats them all."""
-        if rank == to:
-            return plane
         copies, lanes = self.size ** (to - rank), self.lanes
         text = format(plane, f"0{self.size ** rank * lanes}b")
         if lanes > 1:
@@ -677,9 +676,8 @@ class _Shape:
 
 class _Columns:
     """Values of terms at each row of a table, under one assignment of
-    function tables.  Coordinates past a table's rank read ``tail``
-    shifted down by that rank (see the notes above); whole tables never
-    read it.
+    function tables.  A term's variables are all coordinates of the
+    table: no term is read at a rank below its own.
 
     A column is built once and kept, keyed by (term, rank), with the set
     of function symbols its term reads.  ``set_tables`` moves the
@@ -687,10 +685,9 @@ class _Columns:
     reads a table that changed.
     """
 
-    def __init__(self, size: int, fn_tables, tail: Env = Env()):
+    def __init__(self, size: int, fn_tables):
         self.size = size
         self.fn_tables = fn_tables
-        self.tail = tail
         self._memo: dict[tuple[Term, int], list[int]] = {}
         self._reads: dict[Term, frozenset[str]] = {}
 
@@ -729,14 +726,11 @@ class _Columns:
                 continue
             if isinstance(node, Var):
                 index = node.index
-                if index > rank:
-                    column = [self.tail.at(index - rank)] * size ** rank
-                else:
-                    repeat = size ** (rank - index)
-                    column = [
-                        v for _ in range(size ** (index - 1))
-                        for v in range(size) for _ in range(repeat)
-                    ]
+                repeat = size ** (rank - index)
+                column = [
+                    v for _ in range(size ** (index - 1))
+                    for v in range(size) for _ in range(repeat)
+                ]
                 reads[node] = frozenset()
             elif isinstance(node, App):
                 table = self.fn_tables.get(node.symbol)
@@ -772,22 +766,24 @@ class _Tables:
     """Tables of formulas in one structure, one compiled program for all,
     so structurally equal subformulas are evaluated once.  Each truth bit
     of the structure is a lane, so one pass over the program evaluates
-    all of them.  ``env`` is the environment that ``value`` evaluates
-    under.  ``program`` is a program compiled before; by default the
-    tables start with an empty one."""
+    all of them.  ``value`` evaluates under ``env``, by the closed
+    instance (see ``_element_constants``), made with one ``fsubst`` memo.
+    ``program`` is a program compiled before; by default the tables
+    start with an empty one."""
 
     def __init__(self, structure: Structure, env: Env = Env(), program: _Program | None = None):
         self.structure = structure
+        self.env = env
         self.program = _Program() if program is None else program
         self.shape = _Shape(structure.size, structure.truth_bits)
         self.planes: list[int] = []
         self.atom_planes: list[int] = []
-        self.columns = _Columns(structure.size, structure.fn_tables, env)
+        self.columns = _Columns(structure.size, structure.fn_tables)
+        self._sigma, self._images = None, {}
 
-    def table(self, formula: Formula, depth: int | None = None) -> tuple[int, int]:
-        """Rank and plane of the formula's table, cut down to the rows the
-        environment reaches below ``depth`` binders if given."""
-        node = self.program.add(formula, depth)
+    def table(self, formula: Formula) -> tuple[int, int]:
+        """Rank and plane of the formula's whole table."""
+        node = self.program.add(formula)
         self.evaluate()
         return self.program.rank(node), self.planes[node]
 
@@ -809,7 +805,11 @@ class _Tables:
 
     def value(self, formula: Formula) -> int:
         """The formula's value under the environment, as a bitmask."""
-        return _value(self.table(formula, 0)[1], 0, self.shape.lanes)
+        if self._sigma is None:
+            tables, self._sigma = _element_constants(self.structure, self.env)
+            self.columns.set_tables(tables)
+        closed = fsubst(formula, self._sigma, self._images)
+        return _value(self.table(closed)[1], 0, self.shape.lanes)
 
 
 def _check_width(structure: Structure, algebra: FiniteBooleanAlg) -> None:
@@ -857,16 +857,12 @@ def env_after_subst(structure: Structure, env: Env, sub: Substitution) -> Env:
     Evaluating a substituted formula under env agrees with evaluating
     the original under this environment.
     """
-    n = len(sub.prefix)
     if isinstance(sub.tail, Const):
-        constant = eval_term(structure, sub.tail.term, env)
-        values = tuple(eval_term(structure, t, env) for t in sub.prefix)
-        return Env(values, constant)
-    upto = max(n, len(env.prefix) - sub.tail.offset, 0)
-    values = tuple(
-        eval_term(structure, sigma_at(sub, i), env) for i in range(1, upto + 1)
-    )
-    return Env(values, env.default)
+        constant, *values = _eval_terms(structure, [sub.tail.term, *sub.prefix], env)
+        return Env(tuple(values), constant)
+    upto = max(len(sub.prefix), len(env.prefix) - sub.tail.offset, 0)
+    terms = [sigma_at(sub, i) for i in range(1, upto + 1)]
+    return Env(_eval_terms(structure, terms, env) if terms else (), env.default)
 
 
 def counterexample_env(
@@ -1369,12 +1365,11 @@ def _compile_laws(
     lift_to = program.lift_to
 
     def instance(p, q, left, right):
-        # Most sides have equal ranks, so lift_to runs only on the lower.
+        # In every law the right side's rank is at least the left's:
+        # Q2's right side is the left and p, the others' ranks are equal.
         depth, other = made[left][3], made[right][3]
         if depth < other:
             depth, left = other, lift_to(left, other)
-        elif other < depth:
-            right = lift_to(right, depth)
         return p, q, left, right, depth, depth if depth <= rank_bound else rank_bound + 1
 
     shifted, lifted, collapsed = {}, {}, {}

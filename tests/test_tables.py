@@ -64,6 +64,16 @@ SMALL_LANG = Language(
 )
 x1 = Var(1)
 c = App("c", ())
+
+
+def profile_examples(default: int) -> int:
+    """The example count of a test: ``default`` under hypothesis's default
+    profile, and the count of the profile a run loads otherwise, such as
+    the "oracle" and "countermodel" profiles CI runs."""
+    if settings.default is settings.get_profile("default"):
+        return default
+    return settings.default.max_examples
+
 closed_terms = st.recursive(
     st.just(c),
     lambda inner: st.builds(lambda a: App("f", (a,)), inner)
@@ -122,6 +132,44 @@ def test_eval_under_one_environment_reads_only_its_rows() -> None:
     assert eval_formula_B(z2, FiniteBooleanAlg(1), FNot(far), Env((1,) * 30, 1)) == 0
     with pytest.raises(BoundExceeded, match="rows"):
         counterexample_env(z2, far)
+    # x(10^12) reads the default, and x40 the last entry of a 40-entry
+    # prefix: e(S(x), 0) holds over zmod 2 exactly when x is 1.
+    zero = App("0", ())
+
+    def is_one(term):
+        return Atom(e.symbol, (App("S", (term,)), zero))
+
+    cases = [
+        (is_one(Var(10**12)), Env((0,), 1), 1),
+        (is_one(Var(10**12)), Env((1,) * 40, 0), 0),
+        (is_one(Var(40)), Env((0,) * 39 + (1,), 0), 1),
+        (is_one(Var(40)), Env((1,) * 39 + (0,), 1), 0),
+    ]
+    for phi, env, want in cases:
+        assert eval_formula(z2, phi, env) == want
+        assert eval_formula_B(z2, FiniteBooleanAlg(1), FNot(phi), env) == 1 - want
+        tables = semantics._Tables(z2, env)
+        tables.value(phi)
+        assert list(tables.program.ranks) == [0]  # one row per table
+
+
+def test_law_check_and_search_make_no_element_constants() -> None:
+    # Only evaluation under one environment closes formulas by element
+    # constants; the law check and the search read whole tables.
+    z2 = zmod_structure(2)
+    e = equality_atom(z2.language)
+    constants = mock.patch.object(
+        semantics, "_element_constants", wraps=semantics._element_constants
+    )
+    semantics._LAW_SLOT.clear()
+    with constants as spy:
+        qa_law_check(z2, FiniteBooleanAlg(1), [e, FNot(e)], 2)
+        qa_law_check(z2, FiniteBooleanAlg(1), [e, FNot(e)], 2)
+        countermodel_search(LANG, Forall(Atom("s", (App("f", (x1,)), c))), 2)
+        assert spy.call_count == 0
+        eval_formula(z2, e, Env())
+        assert spy.call_count == 1
+    semantics._LAW_SLOT.clear()
 
 
 def test_eval_under_one_environment_caps_quantified_rows() -> None:
@@ -187,7 +235,7 @@ s12, r1 = Atom("s", (x1, Var(2))), Atom("r", (x1,))
 e12 = Atom("e", (x1, Var(2)))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=profile_examples(40), deadline=None)
 @given(
     structures(),
     st.lists(formulas(max_index=2), min_size=1, max_size=4),
@@ -477,13 +525,12 @@ def test_constructors_match_add(p, q) -> None:
 @given(formulas(max_index=3))
 def test_add_finds_a_rebuilt_formula_without_new_entries(p) -> None:
     # Formulas are interned, so a formula built again is the object the
-    # program compiled, and its (formula, depth) pair is one lookup.
+    # program compiled, and finding it is one lookup.
     program = semantics._Program()
-    for depth in (None, 0, 1, 2):
-        node = program.add(p, depth)
-        entries = (len(program._index), len(program.nodes))
-        assert program.add(rebuild(p), depth) == node
-        assert (len(program._index), len(program.nodes)) == entries
+    node = program.add(p)
+    entries = (len(program._index), len(program.nodes))
+    assert program.add(rebuild(p)) == node
+    assert (len(program._index), len(program.nodes)) == entries
 
 
 def test_equal_lifts_are_one_node() -> None:
@@ -609,14 +656,7 @@ def unfrozen_laws(language, sample, rank_bound):
 LAST_FAILS = [Atom("r", (c,)), r1]
 
 
-# 30 examples under hypothesis's default profile; a profile that a run
-# loads, such as the "oracle" profile CI runs it under, sets the count.
-LAW_EXAMPLES = (
-    30 if settings.default is settings.get_profile("default") else settings.default.max_examples
-)
-
-
-@settings(max_examples=LAW_EXAMPLES, deadline=None)
+@settings(max_examples=profile_examples(30), deadline=None)
 @given(st.lists(formulas(max_index=3), min_size=1, max_size=4))
 @example(LAST_FAILS)
 def test_frozen_law_program_matches_the_unfrozen_one(sample) -> None:
@@ -864,14 +904,8 @@ def test_kept_columns_match_full_enumeration(monkeypatch, lane_bits, data) -> No
 
 
 # Each example enumerates 682 structures by the oracle, so hypothesis's
-# default profile draws 10 examples; a profile that a run loads, such as
-# the "countermodel" profile CI runs, sets the count.
-ORACLE_EXAMPLES = (
-    10 if settings.default is settings.get_profile("default") else settings.default.max_examples
-)
-
-
-@settings(max_examples=ORACLE_EXAMPLES, deadline=None)
+# default profile draws 10 examples.
+@settings(max_examples=profile_examples(10), deadline=None)
 @given(st.data())
 def test_symmetry_broken_search_matches_full_enumeration(data) -> None:
     # The search skips every function assignment that a domain
