@@ -74,6 +74,7 @@ def profile_examples(default: int) -> int:
         return default
     return settings.default.max_examples
 
+
 closed_terms = st.recursive(
     st.just(c),
     lambda inner: st.builds(lambda a: App("f", (a,)), inner)
