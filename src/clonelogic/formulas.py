@@ -299,7 +299,8 @@ def fsubst(
     so a subformula shared several times over is mapped once.  A caller
     applying one substitution to many formulas may share it across calls,
     as ``semantics._Tables.value`` does for every formula it evaluates
-    under one environment's substitution.
+    under one environment's substitution, and ``semantics._compile_laws``
+    for the shift and the collapse of every formula of a law sample.
     """
     if images is None:
         images = {}

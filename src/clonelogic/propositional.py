@@ -183,22 +183,26 @@ def is_valuation(algebra: FinitePropAlgebra, subset: int) -> bool:
     return True
 
 
-def _check_bound(algebra: FinitePropAlgebra, bound: int) -> None:
-    if algebra.size > bound:
+# Largest carrier whose subsets are enumerated for valuations and filters.
+ENUMERATION_BOUND = 16
+
+
+def _check_bound(algebra: FinitePropAlgebra) -> None:
+    if algebra.size > ENUMERATION_BOUND:
         raise BoundExceeded(
-            f"carrier of size {algebra.size} exceeds enumeration bound {bound}"
+            f"carrier of size {algebra.size} exceeds enumeration bound {ENUMERATION_BOUND}"
         )
 
 
-def enumerate_valuations(algebra: FinitePropAlgebra, bound: int = 16) -> list[int]:
+def enumerate_valuations(algebra: FinitePropAlgebra) -> list[int]:
     """All valuation subsets, ascending as bitmasks."""
-    _check_bound(algebra, bound)
+    _check_bound(algebra)
     return [v for v in range(1 << algebra.size) if is_valuation(algebra, v)]
 
 
-def val_set(algebra: FinitePropAlgebra, bound: int = 16) -> int:
+def val_set(algebra: FinitePropAlgebra) -> int:
     """Intersection of all valuations; the whole carrier when there are none."""
-    valuations = enumerate_valuations(algebra, bound)
+    valuations = enumerate_valuations(algebra)
     if not valuations:
         return _full(algebra)
     out = _full(algebra)
@@ -273,13 +277,11 @@ def _is_closed(algebra: FinitePropAlgebra, subset: int, axioms: int) -> bool:
     return True
 
 
-def enumerate_filters(
-    algebra: FinitePropAlgebra, bound: int = 16, axioms: int | None = None
-) -> list[int]:
+def enumerate_filters(algebra: FinitePropAlgebra, axioms: int | None = None) -> list[int]:
     """All filter subsets, ascending as bitmasks.  The axiom elements
     are computed once, not once per subset; ``axioms``, if given, is
     their mask, ``axiom_elements(algebra)``."""
-    _check_bound(algebra, bound)
+    _check_bound(algebra)
     if axioms is None:
         axioms = axiom_elements(algebra)
     return [f for f in range(1 << algebra.size) if _is_closed(algebra, f, axioms)]
@@ -289,7 +291,6 @@ def is_maximal_filter(
     algebra: FinitePropAlgebra,
     subset: int,
     filters: Sequence[int] | None = None,
-    bound: int = 16,
     axioms: int | None = None,
 ) -> bool:
     """Proper filter contained in no strictly larger proper filter.
@@ -303,7 +304,7 @@ def is_maximal_filter(
     if axioms is None:
         axioms = axiom_elements(algebra)
     if filters is None:
-        filters = enumerate_filters(algebra, bound, axioms)
+        filters = enumerate_filters(algebra, axioms)
     full = _full(algebra)
     closed = _is_closed(algebra, subset, axioms)
     by_definition = (

@@ -53,7 +53,6 @@ from .terms import (
     apply,
     cons_subst,
     is_closed,
-    lift as lift_subst,
     sigma_at,
 )
 
@@ -119,10 +118,6 @@ class FiniteBooleanAlg:
     @property
     def top(self) -> int:
         return (1 << self.atom_count) - 1
-
-    def check(self, value: int) -> None:
-        if not 0 <= value < self.size:
-            raise ValueError(f"value {value} outside the {self.size}-element algebra")
 
     def meet(self, a: int, b: int) -> int:
         return a & b
@@ -364,8 +359,7 @@ class _Program:
     hash-cons on the key (kind, a, b), the atom itself standing in for a,
     so structurally equal formulas get one node and no key hashes a whole
     subtree; ``add`` compiles a formula through them and remembers the
-    node of each formula it compiled, and ``image`` maps a node by a
-    substitution through them.
+    node of each formula it compiled.
     A lift node is keyed (kind, node, rank): ``and_`` lifts
     its lower-rank operand through one, so each distinct lift is
     computed once per evaluation.  ``ranks`` holds the nodes' ranks in
@@ -461,53 +455,6 @@ class _Program:
             stack.pop()
             index[phi] = node
         return index[formula]
-
-    def image(self, node: int, sub: Substitution, memo: dict[tuple[int, int], int]) -> int:
-        """Node of the formula of ``node`` under ``sub``: the clone's
-        action on compiled nodes, the same node as ``add(fsubst(p, sub))``
-        for the formula p compiled as ``node``.
-
-        An explicit-stack walk over (node, depth) pairs, shaped like
-        ``fsubst``: a node of rank at most ``depth`` is its own image, and
-        an atom's terms are mapped by ``terms.apply`` under ``depth``
-        binders.  A lift node's image is its operand's, since ``and_``
-        lifts again by the new ranks.  ``memo`` maps each pair already
-        visited to its image under ``sub``; a caller applying one
-        substitution to many nodes may share it across calls.
-        """
-        nodes, atoms = self.nodes, self.atoms
-        stack = [(node, 0)]
-        while stack:
-            key = stack[-1]
-            if key in memo:
-                stack.pop()
-                continue
-            n, depth = key
-            kind, a, b, rank = nodes[n]
-            if rank <= depth:
-                out = n
-            elif kind == _ATOM:
-                phi = atoms[a][0]
-                out = self.atom(Atom(phi.symbol, tuple([apply(t, sub, depth) for t in phi.args])))
-            elif kind == _AND:
-                left, right = (a, depth), (b, depth)
-                if left not in memo or right not in memo:
-                    stack += (right, left)
-                    continue
-                out = self.and_(memo[left], memo[right])
-            else:  # a lift or a negation, or a binder one level deeper
-                inner = (a, depth + 1 if kind == _FORALL else depth)
-                if inner not in memo:
-                    stack.append(inner)
-                    continue
-                out = memo[inner]
-                if kind == _NOT:
-                    out = self.not_(out)
-                elif kind == _FORALL:
-                    out = self.forall(out)
-            memo[key] = out
-            stack.pop()
-        return memo[node, 0]
 
     def freeze(self) -> list[int]:
         """Renumber the nodes in level order, cut them into runs, drop the
@@ -1339,16 +1286,15 @@ def _compile_laws(
     depth, width): both sides are lifted to rank ``depth`` and compared
     over the rows of that table whose coordinates past ``width`` are 0.
 
-    Each sampled formula is compiled once, and p+, (forall p)+ and p*
-    are the clone's action on its node, ``_Program.image``, by the shift,
-    the lifted shift under the binder and the collapse, so no kernel
-    formula is built for a side.  Every other side is a node made by the
-    program's constructors.  Each substitution keeps one ``image`` memo
-    across the sample, whose formulas share subformulas, and structurally
-    equal sides, such as p inside Q1, Q2 and Q5, share one node.  The
-    program is returned frozen (see ``_Program.freeze``), with the
-    instances' node ids renumbered to match, so it can be evaluated a run
-    at a time but not extended.
+    Each sampled formula is compiled once.  p+, (forall p)+ and p* are
+    the clone's action on the formula, ``fsubst`` by the shift and the
+    collapse, each compiled with ``add``; every other side is a node made
+    by the program's constructors.  Each substitution keeps one
+    ``images`` memo across the sample, whose formulas share subformulas,
+    and structurally equal sides, such as p inside Q1, Q2 and Q5, share
+    one node.  The program is returned frozen (see ``_Program.freeze``),
+    with the instances' node ids renumbered to match, so it can be
+    evaluated a run at a time but not extended.
     """
     program = _Program()
     nodes = []
@@ -1361,7 +1307,7 @@ def _compile_laws(
             )
         check_formula(p, language, seen)
         nodes.append(node)
-    forall, and_, image, made = program.forall, program.and_, program.image, program.nodes
+    forall, and_, add, made = program.forall, program.and_, program.add, program.nodes
     lift_to = program.lift_to
 
     def instance(p, q, left, right):
@@ -1372,8 +1318,7 @@ def _compile_laws(
             depth, left = other, lift_to(left, other)
         return p, q, left, right, depth, depth if depth <= rank_bound else rank_bound + 1
 
-    shifted, lifted, collapsed = {}, {}, {}
-    lifted_shift = lift_subst(SHIFT_UP)
+    shifted, collapsed = {}, {}
     laws = []
     m = len(sample)
     foralls = [forall(a) for a in nodes]
@@ -1384,21 +1329,22 @@ def _compile_laws(
             b = nodes[j]
             q1.append(instance(p, sample[j], forall(and_(a, b)), and_(all_a, foralls[j])))
     laws.append(("Q1", q1))
-    halves = [forall(image(a, lifted_shift, lifted)) for a in nodes]
+    halves = [add(fsubst(Forall(p), SHIFT_UP, shifted)) for p in sample]
     laws.append(("Q2", [
         instance(p, None, half, and_(half, a)) for p, a, half in zip(sample, nodes, halves)
     ]))
     laws.append(("Q3", [
-        instance(p, None, forall(image(a, SHIFT_UP, shifted)), a)
+        instance(p, None, forall(add(fsubst(p, SHIFT_UP, shifted))), a)
         for p, a in zip(sample, nodes)
     ]))
     if language.equality is not None:
         e_atom = equality_atom(language)
         e = program.atom(e_atom)
         top = program.not_(and_(e, program.not_(e)))
-        laws.append(("Q4", [instance(e_atom, None, image(e, STAR, collapsed), top)]))
+        e_star = add(fsubst(e_atom, STAR, collapsed))
+        laws.append(("Q4", [instance(e_atom, None, e_star, top)]))
         laws.append(("Q5", [
-            instance(p, None, and_(e, a), and_(e, image(a, STAR, collapsed)))
+            instance(p, None, and_(e, a), and_(e, add(fsubst(p, STAR, collapsed))))
             for p, a in zip(sample, nodes)
         ]))
     # From here the program is only evaluated, in runs.  Each instance

@@ -185,8 +185,10 @@ def test_one_element_algebra_has_no_valuations() -> None:
 
 
 def test_enumeration_bound_is_enforced() -> None:
-    with pytest.raises(BoundExceeded):
-        enumerate_valuations(bitmask_algebra(3), bound=4)
+    # 32 elements, over the bound of 16: refused before any subset is
+    # enumerated.
+    with pytest.raises(BoundExceeded, match="carrier of size 32 exceeds enumeration bound 16"):
+        enumerate_valuations(bitmask_algebra(5))
 
 
 def test_boolean_recognition() -> None:
