@@ -280,6 +280,10 @@ def _element_constants(structure: Structure, env: Env) -> tuple[dict, Substituti
 
 _ATOM, _NOT, _AND, _FORALL, _LIFT = range(5)
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# The lifted binary text one pass of a frozen lift run may build: a run
+# is lifted in slices of planes that spread to at most this many
+# characters, or of one plane if that plane alone spreads to more.
+_LIFT_CHARS = 1 << 16
 
 
 def _bitset(flags: bytes, stride: int = 1) -> int:
@@ -333,7 +337,8 @@ def _getter(ids: list[int]):
     tuple is made at its exact size: a tuple built from an iterator is
     resized, and the tuples that frees pile up in CPython's free lists,
     which held 2 MB more in a worker checking laws at the benchmark's
-    rate."""
+    rate.  A getter is built once per use and kept, as ``freeze`` keeps
+    each run's and ``_Instances`` each law's: evaluation only calls them."""
     if len(ids) > 1:
         return itemgetter(*ids)
     return lambda seq: tuple([seq[i] for i in ids])
@@ -371,8 +376,10 @@ class _Program:
     renumbered in level order and cut into ``runs``, stretches of
     consecutive nodes of one kind, rank and operand rank whose operands
     all come before the stretch, so ``_Shape.evaluate`` does one pass per
-    run instead of one step per node.  A frozen program has no hash-cons
-    tables and is never extended; ``runs`` is None until then.
+    run instead of one step per node.  Beside each run, ``gathers`` holds
+    the getters of its operands' planes, built once by the freeze.  A
+    frozen program has no hash-cons tables and is never extended;
+    ``runs`` and ``gathers`` are None until then.
     """
 
     def __init__(self):
@@ -380,6 +387,7 @@ class _Program:
         self.atoms: list[tuple[Atom, int]] = []
         self.ranks: dict[int, None] = {}
         self.runs: list[tuple[int, int, int, int, int]] | None = None
+        self.gathers: list[tuple] | None = None
         self._keys: dict = {}
         self._index: dict[Formula, int] = {}
 
@@ -469,6 +477,12 @@ class _Program:
         ``atoms``, so atom node i reads atom i.  ``ranks`` keeps the order
         in which ranks first appeared, and with it the rank that
         BoundExceeded names.
+
+        Each run's entry in ``gathers`` is (first, second): the getter of
+        its nodes' first operands, and for an AND run that of their
+        second, else None; the atom run's is (None, None).  They are
+        built here, before the program is shared, so a frozen program
+        never changes.
         """
         # Evaluation never reads the hash-cons tables, which are about
         # half of the program's memory and would name the old ids; they
@@ -505,6 +519,7 @@ class _Program:
         # The old nodes are let go run by run, so the new ones reuse
         # their memory and the program is never held twice.
         frozen: list[tuple[int, int, int, int]] = []
+        gathers: list[tuple] = []
         renumber = new.__getitem__
         for kind, rank, _, lo, hi in runs:
             ids = order[lo:hi]
@@ -513,13 +528,16 @@ class _Program:
                 nodes[node] = None
             if kind == _ATOM:
                 frozen += old
+                gathers.append((None, None))
                 continue
-            right = map(_SECOND, old)
+            left, right = list(map(renumber, map(_FIRST, old))), map(_SECOND, old)
             if kind == _AND:
-                right = map(renumber, right)
-            frozen += zip(repeat(kind), map(renumber, map(_FIRST, old)), right, repeat(rank))
+                right = list(map(renumber, right))
+            gathers.append((_getter(left), _getter(right) if kind == _AND else None))
+            frozen += zip(repeat(kind), left, right, repeat(rank))
         self.nodes = frozen
         self.runs = runs
+        self.gathers = gathers
         return new
 
 
@@ -550,17 +568,38 @@ class _Shape:
     def lift(self, plane: int, rank: int, to: int) -> int:
         """The same plane read at a higher rank: each row of the lower
         table, an L-bit chunk, becomes a run of size**(to - rank) equal
-        rows.  With one lane a row is one binary digit, so a single
-        translate repeats them all."""
-        copies, lanes = self.size ** (to - rank), self.lanes
-        text = format(plane, f"0{self.size ** rank * lanes}b")
-        if lanes > 1:
-            return int(_repeat_rows(text, lanes, copies), 2)
+        rows."""
+        text = format(plane, f"0{self.size ** rank * self.lanes}b")
+        return int(self._spread(text, self.size ** (to - rank)), 2)
+
+    def _spread(self, text: str, copies: int) -> str:
+        """The binary text of planes with each row's L-character chunk
+        repeated ``copies`` times.  With one lane a row is one digit, so a
+        single translate repeats them all."""
+        if self.lanes > 1:
+            return _repeat_rows(text, self.lanes, copies)
         spread = self._spreaders.get(copies)
         if spread is None:
             spread = str.maketrans({"0": "0" * copies, "1": "1" * copies})
             self._spreaders[copies] = spread
-        return int(text.translate(spread), 2)
+        return text.translate(spread)
+
+    def _lift_run(self, body: tuple[int, ...], rank: int, to: int) -> list[int]:
+        """``lift`` of each plane of a run, a slice of planes at a time:
+        their binary texts are joined, spread in one pass and cut at the
+        lifted width.  Every text is a whole number of rows wide, so the
+        rows of the joined text are those of the planes.  A slice spreads
+        to at most _LIFT_CHARS characters, or is one plane if that plane
+        spreads to more, so at a large domain a pass holds the text of
+        lifting one plane, as ``lift`` does."""
+        width, copies = self.size ** rank * self.lanes, self.size ** (to - rank)
+        lifted = width * copies
+        step, spec = max(_LIFT_CHARS // lifted, 1), f"0{width}b"
+        out: list[int] = []
+        for i in range(0, len(body), step):
+            text = self._spread("".join(map(format, body[i:i + step], repeat(spec))), copies)
+            out += map(int, [text[j:j + lifted] for j in range(0, len(text), lifted)], repeat(2))
+        return out
 
     def evaluate(self, program: _Program, planes: list[int], atom_planes: list[int]) -> None:
         """Extend ``planes``, one plane per node, to the program's nodes
@@ -570,27 +609,28 @@ class _Shape:
         A program that is still growing is evaluated one node at a time,
         and so is a frozen one whose planes were begun, since level order
         puts operands first.  Otherwise a frozen program is evaluated one
-        pass per run: each run's operand planes are gathered by one
-        ``itemgetter`` over its nodes and combined by ``map`` over the
-        ``operator`` functions, so the loop runs at C level.  The search's
-        programs, of 8 to 18 nodes, are never frozen: most of their runs
-        would hold one or two nodes, and a pass per run made its rounds
-        3-8 % slower.
+        pass per run: each run's operand planes are gathered by the
+        getters the freeze built (``_Program.gathers``) and combined by
+        ``map`` over the ``operator`` functions, so the loop runs at C
+        level, and a lift run is lifted a slice of planes at a time
+        (``_lift_run``).  The node-by-node loop lifts one plane per call,
+        which is faster for a single plane.  The search's programs, of 8
+        to 18 nodes, are never frozen: most of their runs would hold one
+        or two nodes, and a pass per run made its rounds 3-8 % slower.
         """
         nodes, full, n, lanes = program.nodes, self.full, self.size, self.lanes
         if program.runs is not None and not planes:
-            for kind, rank, low, lo, hi in program.runs:
+            for (kind, rank, low, lo, hi), (first, second) in zip(program.runs, program.gathers):
                 if kind == _ATOM:
                     planes += atom_planes[lo:hi]
                     continue
-                run = nodes[lo:hi]
-                body = _getter(list(map(_FIRST, run)))(planes)
+                body = first(planes)
                 if kind == _AND:
-                    planes += map(and_, body, _getter(list(map(_SECOND, run)))(planes))
+                    planes += map(and_, body, second(planes))
                 elif kind == _NOT:
                     planes += map(xor, body, repeat(full[rank]))
                 elif kind == _LIFT:  # over one element, a lift is its operand
-                    planes += body if n == 1 else map(self.lift, body, repeat(low), repeat(rank))
+                    planes += body if n == 1 else self._lift_run(body, low, rank)
                 elif low == 0:
                     planes += body
                 else:

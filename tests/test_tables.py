@@ -661,9 +661,11 @@ LAST_FAILS = [Atom("r", (c,)), r1]
 @given(st.lists(formulas(max_index=3), min_size=1, max_size=4))
 @example(LAST_FAILS)
 def test_frozen_law_program_matches_the_unfrozen_one(sample) -> None:
-    # At sizes 1-4 with one and two lanes, the frozen program gives every
-    # node the plane the node-by-node loop gives it before the freeze,
-    # and each instance's sides are the renumbered nodes.  Each law's
+    # At sizes 1-4 with one, two and three lanes, the frozen program
+    # gives every node the plane the node-by-node loop gives it before
+    # the freeze, and each instance's sides are the renumbered nodes.
+    # Three lanes make a row chunk whose width is not a power of two, so
+    # a lift run's joined text must keep its rows aligned.  Each law's
     # report, from its sides compared in one pass, is that of its
     # instances checked one at a time.
     rank_bound = max(frank(p) for p in sample)
@@ -671,7 +673,7 @@ def test_frozen_law_program_matches_the_unfrozen_one(sample) -> None:
     check_runs(program)
     grown, grown_laws = unfrozen_laws(LANG, sample, rank_bound)
     assert grown.runs is None
-    structures = [mixed_structure(size, bits) for size in (1, 2, 3, 4) for bits in (1, 2)]
+    structures = [mixed_structure(size, bits) for size in (1, 2, 3, 4) for bits in (1, 2, 3)]
     before = []
     for d in structures:
         tables = semantics._Tables(d, program=grown)
@@ -730,6 +732,72 @@ def test_frozen_binder_run_over_a_large_domain() -> None:
     tables = semantics._Tables(d, program=program)
     tables.evaluate()
     assert [tables.planes[node] for node in new] == before.planes
+
+
+@pytest.mark.parametrize("size", [100, 300])
+@pytest.mark.parametrize("bits", [1, 2])
+def test_frozen_lift_run_over_a_large_domain(size, bits) -> None:
+    # A lift run is lifted in slices of planes that spread to at most
+    # _LIFT_CHARS characters, or one plane if it is wider.  Eight rank-1
+    # atoms each ANDed with s(x1, x2) make one run of eight lifts to rank
+    # 2, whose lifted text crosses that bound: over 100 elements in
+    # slices of several planes, over 300 one plane a slice.  The frozen
+    # program gives every node the plane of the node-by-node loop.
+    names = [f"r{k}" for k in range(8)]
+    language = Language(FunctionType({}), PredicateType({**dict.fromkeys(names, 1), "s": 2}))
+    rel_tables = {
+        name: tuple((i * (k + 3) + k) % (1 << bits) for i in range(size))
+        for k, name in enumerate(names)
+    }
+    rel_tables["s"] = tuple((5 * i + i // size) % (1 << bits) for i in range(size * size))
+    d = Structure(language, size, {}, rel_tables, truth_bits=bits)
+    s = Atom("s", (x1, Var(2)))
+
+    def compiled():
+        program = semantics._Program()
+        for name in names:
+            program.add(FAnd(Atom(name, (x1,)), s))
+        return program
+
+    lifted = size * size * bits
+    assert len(names) * lifted > semantics._LIFT_CHARS
+    assert (lifted > semantics._LIFT_CHARS) == (size == 300)
+    grown = compiled()
+    before = semantics._Tables(d, program=grown)
+    before.evaluate()
+    new = grown.freeze()
+    program = compiled()
+    program.freeze()
+    assert (semantics._LIFT, 2, 1) in [run[:3] for run in program.runs if run[4] - run[3] == 8]
+    tables = semantics._Tables(d, program=program)
+    tables.evaluate()
+    assert [tables.planes[node] for node in new] == before.planes
+
+
+def test_cached_law_checks_build_no_getter_and_lift_no_single_plane(monkeypatch) -> None:
+    # Once a sample is compiled, its frozen program holds every getter
+    # and lifts whole runs: checking it again, at sizes 2 and 3 with one
+    # and two lanes, builds no getter and makes no per-plane lift, and
+    # gives the reports of the first checks.
+    sample = [r1, s12, Forall(s12), FAnd(r1, Atom("r", (Var(3),))), FNot(Atom("s", (Var(2), x1)))]
+    structures = [mixed_structure(size, bits) for size in (2, 3) for bits in (1, 2)]
+    first = [qa_law_check(d, FiniteBooleanAlg(d.truth_bits), sample, 3) for d in structures]
+    assert not all(report.ok for report in first)
+    program, _ = semantics._LAW_SLOT[semantics._law_key(LANG, sample, 3)]
+    assert any(kind == semantics._LIFT for kind, *_ in program.runs)
+    calls = {"_getter": 0, "lift": 0}
+
+    def counted(name, function):
+        def spy(*args):
+            calls[name] += 1
+            return function(*args)
+        return spy
+
+    monkeypatch.setattr(semantics, "_getter", counted("_getter", semantics._getter))
+    monkeypatch.setattr(semantics._Shape, "lift", counted("lift", semantics._Shape.lift))
+    again = [qa_law_check(d, FiniteBooleanAlg(d.truth_bits), sample, 3) for d in structures]
+    assert calls == {"_getter": 0, "lift": 0}
+    assert again == first
 
 
 def test_fragment_program_forms_few_runs() -> None:
