@@ -894,23 +894,20 @@ def enumerate_structures(
     language: Language,
     size: int,
     truth_bits: int = 1,
-    eq_identity: bool = True,
     cells_cap: int = DEFAULT_CELLS_CAP,
 ):
     """All structures of one domain size, in a reproducible order.
 
     Function tables vary before relation tables, each in declaration
     order, and each table runs through its entries row-major
-    lexicographically.  When the language declares equality and
-    eq_identity is set, the equality table is pinned to the identity
-    relation rather than enumerated.
+    lexicographically.  When the language declares equality, the
+    equality table is pinned to the identity relation rather than
+    enumerated.
     """
     eq = language.equality
     fn_symbols = list(language.functions.items())
     rel_symbols = [
-        (name, arity)
-        for name, arity in language.predicates.items()
-        if not (eq_identity and name == eq)
+        (name, arity) for name, arity in language.predicates.items() if name != eq
     ]
     _check_cells(language, size, cells_cap)
     full = (1 << truth_bits) - 1
@@ -930,10 +927,7 @@ def enumerate_structures(
             name: combo[len(fn_symbols) + i]
             for i, (name, _) in enumerate(rel_symbols)
         }
-        yield Structure(
-            language, size, fn_tables, rel_tables,
-            eq_identity=eq_identity, truth_bits=truth_bits,
-        )
+        yield Structure(language, size, fn_tables, rel_tables, truth_bits=truth_bits)
 
 
 def _term_symbols(term: Term, out: set[str]) -> None:

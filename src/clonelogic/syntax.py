@@ -23,11 +23,9 @@ from .formulas import (
     Formula,
     Language,
     PredicateType,
-    exists_xi,
     f_iff,
     f_imp,
     f_or,
-    forall_xi,
     exists,
 )
 from .propositional import FinitePropAlgebra
@@ -72,10 +70,6 @@ _WORD_START = frozenset(string.ascii_letters + string.digits + "_'")
 # Binary connective text -> formula builder.
 _CONNECTIVES = {"&": FAnd, "|": f_or, "->": f_imp, "<->": f_iff}
 
-# A named binder nested under this many others is refused: each one
-# substitutes into its whole scope, so a deep chain costs quadratic time.
-MAX_NAMED_NESTING = 1000
-
 # Group frames nested deeper than this inside other groups skip the memo:
 # an entry holds its group's source text, so one stack of nested groups
 # copies the line at most this many times.
@@ -94,6 +88,12 @@ def _recall(memo: dict, source: str, start: int):
         if source.startswith(entry[0], start):
             return key, entry
     return key, None
+
+
+def _position(names: dict, depth: int, shift: int, index: int) -> Var:
+    """``x<index>`` read in a named scope (see ``_Parser.formula``)."""
+    depths = names.get(index - shift)
+    return Var(depth - depths[-1] + 1 if depths else index - shift + depth)
 
 
 class _Parser:
@@ -211,13 +211,13 @@ class _Parser:
         return App(name, tuple(args))
 
     def term(
-        self, functions: FunctionType, outer: list[Term] | None = None
+        self, functions: FunctionType, outer: list[Term] | None = None, var=Var
     ) -> Term | list[Term]:
         """A term; or, given a list ``outer``, the rest of an argument list
         whose '(' is read, appended to ``outer``, which is returned.  Each
         stack frame is an argument list being read: its function symbol
         (None for ``outer``), the symbol's match and the arguments read so
-        far."""
+        far.  ``var`` maps a variable's index to its term."""
         source, match = self.source, _TOKEN_RE.match
         m = self.m
         stack: list[tuple[str | None, object, list[Term]]] = []
@@ -230,7 +230,7 @@ class _Parser:
             at = m
             m = match(source, m.end())
             if _VARIABLE_SHAPE.match(name):
-                value = Var(int(name[1:]))
+                value = var(int(name[1:]))
             elif name not in functions:
                 raise self.error(f"unknown function symbol {name!r}", at.start(1))
             else:
@@ -271,17 +271,26 @@ class _Parser:
         builder; an open group pushes a list frame ``[prefix, start]``
         that becomes ``[prefix, start, builder, left]`` once its
         connective is read, where ``start`` is the offset of its '(' and
-        ``prefix`` its memo key, or None past the memo's nesting bound.
+        ``prefix`` its memo key, or None when the group skips the memo.
         Binary connectives are always parenthesized, so no precedence is
-        needed.  ``named`` counts the named binders on the stack, and the
-        outermost ``bound`` open groups hold one: they skip the memo, so
-        every named binder is counted wherever its group was read before.
-        Atoms hold no binder and never nest, so each enters the memo.
+        needed.
+
+        Named binders become positions as they are read, to the node
+        ``formulas.forall_xi`` builds.  From the outermost open named
+        binder on, each binder pushes ``(builder, key, step)``; ``depth``
+        counts them and ``shift`` the positional ones (``step`` 1).  ``xj``
+        read under ``shift`` has the key ``j - shift``, a binder ``xN``
+        the key ``N - shift``, a positional one ``1 - shift`` (itself
+        counted).  ``names`` maps a key to its open binders' depths: the
+        innermost binds ``xj`` as ``x(depth - d + 1)``, else it is free,
+        ``x(key + depth)``.  Groups and atoms read in a scope skip the
+        memo; a binder closes before its group, so other groups enter it.
         """
         source, memo, match = self.source, self.memo, _TOKEN_RE.match
         m = self.m
         stack: list = []
-        groups = named = bound = 0
+        groups = depth = shift = 0
+        names: dict[int, list[int]] = {}
         while True:
             # Read prefixes down to an atom, a letter or a memoized group.
             while True:
@@ -293,7 +302,7 @@ class _Parser:
                 if text == "(":
                     start = m.end() - 1
                     prefix = None
-                    if groups < _MEMO_NESTING:
+                    if groups < _MEMO_NESTING and not depth:
                         prefix, hit = _recall(memo, source, start)
                         if hit is not None:
                             m = match(source, start + len(hit[0]))
@@ -314,23 +323,22 @@ class _Parser:
                         value = memo[text] = Atom(text, ())
                     break
                 if text == "forall" or text == "exists":
-                    name = m[1]
-                    if _VARIABLE_SHAPE.match(name):
-                        after = match(source, m.end())
-                        if after[1] == ".":
-                            if named >= MAX_NAMED_NESTING:
-                                message = f"named binders nest at most {MAX_NAMED_NESTING} deep"
-                                raise self.error(message, at.start(1))
-                            named += 1
-                            bound = groups
-                            binder = forall_xi if text == "forall" else exists_xi
-                            stack.append(partial(binder, int(name[1:])))
-                            m = match(source, after.end())
-                            continue
-                    stack.append(Forall if text == "forall" else exists)
+                    builder = Forall if text == "forall" else exists
+                    if _VARIABLE_SHAPE.match(m[1]) and (after := match(source, m.end()))[1] == ".":
+                        key, step = int(m[1][1:]) - shift, 0
+                        m = match(source, after.end())
+                    elif not depth:
+                        stack.append(builder)
+                        continue
+                    else:
+                        shift += 1
+                        key, step = 1 - shift, 1
+                    depth += 1
+                    names.setdefault(key, []).append(depth)
+                    stack.append((builder, key, step))
                     continue
                 start = at.start(1)
-                prefix, hit = _recall(memo, source, start)
+                prefix, hit = (None, None) if depth else _recall(memo, source, start)
                 if hit is not None:
                     m = match(source, start + len(hit[0]))
                     value = hit[1]
@@ -344,7 +352,8 @@ class _Parser:
                         m = match(source, m.end())
                     else:
                         self.m = m
-                        args = self.term(language.functions, [])
+                        var = partial(_position, names, depth, shift) if depth else Var
+                        args = self.term(language.functions, [], var)
                         m = self.m
                     # The text ends at its ')', where the next token's match starts.
                     atom = source[start:m.start()]
@@ -352,7 +361,7 @@ class _Parser:
                 if len(args) != want:
                     raise self.error(f"{text!r} expects {want} argument(s), got {len(args)}", start)
                 value = Atom(text, tuple(args))
-                if atom is not None:
+                if atom is not None and prefix is not None:
                     memo.setdefault(prefix, []).append((atom, value))
                 break
             # Hand the finished formula to the frames waiting for it.
@@ -360,8 +369,10 @@ class _Parser:
                 frame = stack[-1]
                 if type(frame) is not list:
                     stack.pop()
-                    if type(frame) is partial:
-                        named -= 1
+                    if type(frame) is tuple:
+                        frame, key, step = frame
+                        names[key].pop()
+                        depth, shift = depth - 1, shift - step
                     value = frame(value)
                     continue
                 text = m[1]
@@ -378,11 +389,9 @@ class _Parser:
                 stack.pop()
                 if len(frame) == 4:
                     value = frame[2](frame[3], value)
-                if frame[0] is not None and groups > bound:
+                if frame[0] is not None:
                     memo.setdefault(frame[0], []).append((source[frame[1]:end], value))
                 groups -= 1
-                if bound > groups:
-                    bound = groups
             else:
                 self.m = m
                 return value
@@ -468,10 +477,8 @@ class _Parser:
         return AxiomInstanceSpec(axiom, **fields)
 
     def prop_axiom(self) -> AxiomInstanceSpec:
-        at = self.pos
+        """An A1/A2/A3 recipe; the caller has checked the axiom's name."""
         axiom = self.expect_word()
-        if axiom not in ("A1", "A2", "A3"):
-            raise self.error(f"unknown propositional axiom {axiom!r}", at)
         fields: dict[str, Formula] = {}
         self.expect_punct("(")
         while not self.at_punct(")"):

@@ -467,9 +467,8 @@ def is_closed(term: Term) -> bool:
     return term.rank == 0
 
 
-# Largest coordinate a named binder may bind: its rotation holds one
-# prefix entry per coordinate up to it.  The same order as the semantics'
-# cap on table rows.
+# Largest coordinate the library's forall_xi, exists_xi and close_off bind:
+# a rotation holds one prefix entry per coordinate.  The parser builds none.
 MAX_BINDER_INDEX = 1 << 20
 
 

@@ -3,9 +3,9 @@
 Parsing, printing, ``terms.apply``, ``fsubst`` and proof checking walk
 with explicit stacks, and every node stores its rank when it is built,
 so depth alone never makes them or ``frank`` fail, and a rank costs
-nothing however large the unfolded tree of a shared DAG.  Only named
-binders are bounded by depth: each one substitutes into its whole scope,
-so the parser refuses one nested under ``MAX_NAMED_NESTING`` others.
+nothing however large the unfolded tree of a shared DAG.  Named binders
+become positions as they are read, so neither their depth nor their
+index bounds what the parser reads.
 Whatever the input, ``main()`` exits 0, 1 or 2, lets no exception
 escape, and writes nothing to stderr but one ``error:`` line.
 """
@@ -23,11 +23,10 @@ from hypothesis import given, settings, strategies as st
 
 from clonelogic.cli import main
 from clonelogic.errors import ParseError
-from clonelogic.formulas import Atom, FAnd, FNot, Forall, close_off, frank, is_sentence
+from clonelogic.formulas import Atom, FAnd, FNot, Forall, close_off, exists_xi, frank, is_sentence
 from clonelogic.proofs import instantiate_axiom
 from clonelogic.semantics import FiniteBooleanAlg, qa_law_check
 from clonelogic.syntax import (
-    MAX_NAMED_NESTING,
     format_formula,
     format_term,
     load_signature,
@@ -191,49 +190,61 @@ def test_axiom_with_many_outer_binders_prints_its_instance(tmp_path) -> None:
     assert first.startswith("forall " * 100_000) and rank_line == "rank 0"
 
 
-def parse_named_chain(tmp_path, depth: int):
+def test_deep_named_binder_chain_parses_promptly(tmp_path) -> None:
+    # Named binders become positions as they are read, with no
+    # substitution into their scope, so a chain whose free variable moves
+    # costs time linear in its depth.
     signature = tmp_path / "signature.txt"
     signature.write_text(SIGNATURE)
-    return run_main(
-        ["parse", "formula", "--signature", str(signature), "--", "exists x1. " * depth + "r(x1)"]
-    )
-
-
-@pytest.mark.parametrize("depth", [1_500, 3_000])
-def test_deep_named_binder_chain_exits_2_promptly(tmp_path, depth) -> None:
-    # Each named binder substitutes into its whole scope, so a chain whose
-    # free variables move costs time quadratic in its depth; the parser
-    # refuses the binder past the cap before any substitution.
+    depth = 100_000
     start = time.perf_counter()
-    code, out, err = parse_named_chain(tmp_path, depth)
-    assert time.perf_counter() - start < 2.0
-    column = 11 * MAX_NAMED_NESTING + 1
-    assert (code, out, err) == (
-        2, "", f"error: line 1, column {column}: "
-        f"named binders nest at most {MAX_NAMED_NESTING} deep\n",
+    code, out, err = run_main(
+        ["parse", "formula", "--signature", str(signature), "--", "exists x1. " * depth + "t(x2, x1)"]
     )
-
-
-def test_named_binder_chain_at_the_cap_parses(tmp_path) -> None:
-    # Over a sentence each binder's substitution returns at once.
-    start = time.perf_counter()
-    code, out, err = parse_named_chain(tmp_path, MAX_NAMED_NESTING)
     assert time.perf_counter() - start < 2.0
-    canonical = "~forall ~" * MAX_NAMED_NESTING + "r(x1)"
-    assert (code, out, err) == (0, f"{canonical}\nrank 0\nsentence yes\n", "")
+    canonical = "~forall ~" * depth + f"t(x{depth + 2}, x1)"
+    assert (code, out, err) == (0, f"{canonical}\nrank 2\nsentence no\n", "")
 
 
-def test_memoized_group_counts_its_named_binders() -> None:
-    # A group that holds a named binder is not memoized, so its binders
-    # count toward the cap whether or not a line above restated it.
-    group = "(" + "exists x1. " * 600 + "r(x1) & r(x1))"
-    line = "exists x1. " * 600 + group
+def test_large_binder_indices_parse_promptly() -> None:
+    # A named binder's index costs nothing: no rotation is built for it.
+    count = 10_000
+    text = "(forall x1048576. r(x1) & " * (count - 1) + "forall x1048576. r(x1)" + ")" * (count - 1)
     language = load_signature(SIGNATURE)
-    message = f"column 11002: named binders nest at most {MAX_NAMED_NESTING} deep"
-    with pytest.raises(ParseError, match=f"line 2, {message}"):
-        load_theory(f"theory t\n{line}\n", language)
-    with pytest.raises(ParseError, match=f"line 3, {message}"):
-        load_theory(f"theory t\n{group}\n{line}\n", language)
+    start = time.perf_counter()
+    formula = parse_formula(text, language)
+    assert time.perf_counter() - start < 2.0
+    conjunct = Forall(Atom("r", (Var(2),)))
+    expected = conjunct
+    for _ in range(count - 1):
+        expected = FAnd(conjunct, expected)
+    assert formula is expected
+
+
+def test_named_binder_past_the_library_cap_parses() -> None:
+    # terms.MAX_BINDER_INDEX bounds the rotations of formulas.forall_xi;
+    # the parser builds none, so it reads any index.
+    language = load_signature("rel r/2\n")
+    formula = parse_formula("forall x1048577. r(x1, x1048577)", language)
+    assert format_formula(formula) == "forall r(x2, x1)"
+
+
+def test_memoized_group_reads_its_named_binders_the_same() -> None:
+    # A group that holds a named binder closes the binder inside it, so
+    # it is memoized like any other: the line reads the same alone and
+    # after the same group, as the binders' rotations build it.
+    group = "(" + "exists x1. " * 200 + "t(x1, x2) & r(x1))"
+    line = "exists x1. " * 200 + group
+    language = load_signature(SIGNATURE)
+    inner = Atom("t", (Var(1), Var(2)))
+    for _ in range(200):
+        inner = exists_xi(1, inner)
+    expected = FAnd(inner, Atom("r", (Var(1),)))
+    for _ in range(200):
+        expected = exists_xi(1, expected)
+    assert load_theory(f"theory t\n{line}\n", language).formulas == (expected,)
+    restated = load_theory(f"theory t\n{group}\n{line}\n", language).formulas
+    assert restated == (FAnd(inner, Atom("r", (Var(1),))), expected)
 
 
 # ----- the exit-code contract under random and deep input -----
