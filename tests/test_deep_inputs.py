@@ -206,6 +206,43 @@ def test_deep_named_binder_chain_parses_promptly(tmp_path) -> None:
     assert (code, out, err) == (0, f"{canonical}\nrank 2\nsentence no\n", "")
 
 
+def parse_named_chain(tmp_path, depth: int, body: str):
+    signature = tmp_path / "signature.txt"
+    signature.write_text(SIGNATURE)
+    return run_main(
+        ["parse", "formula", "--signature", str(signature), "--", "exists x1. " * depth + body]
+    )
+
+
+@pytest.mark.parametrize("depth", [1_500, 3_000])
+def test_deep_named_binder_chain_exits_2_promptly(tmp_path, depth) -> None:
+    # A chain deeper than the 1,000 levels named binders were once capped
+    # at is read in linear time up to the bad atom at its end, and the
+    # error names that atom's column, past every binder.
+    start = time.perf_counter()
+    code, out, err = parse_named_chain(tmp_path, depth, "r(x1, x2)")
+    assert time.perf_counter() - start < 2.0
+    column = 11 * depth + 1
+    assert (code, out, err) == (
+        2, "", f"error: line 1, column {column}: 'r' expects 1 argument(s), got 2\n",
+    )
+
+
+def test_named_binder_chain_at_the_cap_parses(tmp_path) -> None:
+    # 1,000 levels, the deepest chain the capped parser accepted, reads
+    # to the same text over a sentence as it did under the cap, and over
+    # a free variable that every binder moves.
+    depth = 1_000
+    start = time.perf_counter()
+    code, out, err = parse_named_chain(tmp_path, depth, "r(x1)")
+    assert time.perf_counter() - start < 2.0
+    canonical = "~forall ~" * depth + "r(x1)"
+    assert (code, out, err) == (0, f"{canonical}\nrank 0\nsentence yes\n", "")
+    code, out, err = parse_named_chain(tmp_path, depth, "t(x2, x1)")
+    canonical = "~forall ~" * depth + f"t(x{depth + 2}, x1)"
+    assert (code, out, err) == (0, f"{canonical}\nrank 2\nsentence no\n", "")
+
+
 def test_large_binder_indices_parse_promptly() -> None:
     # A named binder's index costs nothing: no rotation is built for it.
     count = 10_000
