@@ -1,10 +1,10 @@
 """Command line frontend.
 
-Every operation in the package is reachable from a subcommand, with
-plain-text output that is one result per line and byte-identical for
-identical inputs.  Exit codes: 0 for success or a passing check, 1 for
-a failed check or a found counterexample, 2 for malformed or
-over-budget input.
+Subcommands parse, substitute, evaluate, search and check, with plain-text
+output that is one result per line and byte-identical for identical
+inputs; ``perfect_check_bounded``, ``lindenbaum`` and ``env_after_subst``
+have none.  Exit codes: 0 for success or a passing check, 1 for a failed
+check or a found counterexample, 2 for malformed or over-budget input.
 """
 
 from __future__ import annotations

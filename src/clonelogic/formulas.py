@@ -15,7 +15,7 @@ structurally equal formulas are one object, so ``==`` is ``is``.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ArityMismatch, BoundExceeded
 from . import terms
@@ -155,48 +155,34 @@ class Forall(Interned):
 Formula = Union[Atom, FNot, FAnd, Forall]
 
 
-class PredicateType:
-    """Predicate signature, optionally designating one binary symbol as equality."""
+class PredicateType(FunctionType):
+    """Predicate signature: a function signature that may designate one
+    binary symbol as equality.  It never equals a ``FunctionType``."""
 
-    __slots__ = ("_functions", "equality")
+    __slots__ = ("equality",)
 
     def __init__(
         self,
         symbols: Mapping[str, int] | Iterable[tuple[str, int]] = (),
         equality: str | None = None,
     ):
-        self._functions = FunctionType(symbols)
+        super().__init__(symbols)
         if equality is not None:
-            if equality not in self._functions:
+            if equality not in self:
                 raise ValueError(f"equality symbol {equality!r} is not declared")
-            if self._functions.arity(equality) != 2:
+            if self.arity(equality) != 2:
                 raise ValueError(f"equality symbol {equality!r} must be binary")
         self.equality = equality
-
-    def arity(self, name: str) -> int:
-        return self._functions.arity(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._functions
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._functions)
-
-    def items(self):
-        return self._functions.items()
-
-    def __len__(self) -> int:
-        return len(self._functions)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PredicateType)
-            and self._functions == other._functions
+            and self._arities == other._arities
             and self.equality == other.equality
         )
 
     def __repr__(self) -> str:
-        return f"PredicateType({dict(self.items())!r}, equality={self.equality!r})"
+        return f"PredicateType({self._arities!r}, equality={self.equality!r})"
 
 
 class Language:

@@ -150,14 +150,12 @@ def _check_gen_count(spec: AxiomInstanceSpec) -> None:
         raise ValueError("generalization count must be >= 0")
 
 
-def instantiate_axiom(
-    spec: AxiomInstanceSpec, language: Language, seen: set[Interned] | None = None
-) -> Formula:
+def instantiate_axiom(spec: AxiomInstanceSpec, language: Language) -> Formula:
     """The prime instance wrapped in ``gen_count`` outer binders.  A count
     over ``terms.MAX_BINDER_INDEX`` raises BoundExceeded before any binder
     is built."""
     _check_gen_count(spec)
-    out = instantiate_prime_axiom(spec, language, seen)
+    out = instantiate_prime_axiom(spec, language)
     if spec.gen_count > terms.MAX_BINDER_INDEX:
         raise BoundExceeded(
             f"generalization count {spec.gen_count} is over the cap of "

@@ -86,7 +86,6 @@ def random_structure(
     language: Language,
     size: int,
     truth_bits: int = 1,
-    eq_identity: bool = True,
 ) -> Structure:
     fn_tables = {
         name: tuple(rng.randrange(size) for _ in range(size ** arity))
@@ -95,15 +94,12 @@ def random_structure(
     eq = language.equality
     rel_tables = {}
     for name, arity in language.predicates.items():
-        if eq_identity and name == eq:
+        if name == eq:
             continue
         rel_tables[name] = tuple(
             rng.randrange(1 << truth_bits) for _ in range(size ** arity)
         )
-    return Structure(
-        language, size, fn_tables, rel_tables,
-        eq_identity=eq_identity, truth_bits=truth_bits,
-    )
+    return Structure(language, size, fn_tables, rel_tables, truth_bits=truth_bits)
 
 
 def random_prop_algebra(rng: random.Random, size: int) -> FinitePropAlgebra:

@@ -51,6 +51,7 @@ from .terms import (
     Term,
     Var,
     _VARIABLE_SHAPE,
+    check_symbol,
 )
 
 # The token alternatives: words, punctuation (longest first), negative
@@ -158,6 +159,13 @@ class _Parser:
 
     def fail(self, message: str) -> ParseError:
         return self.error(message, self.pos)
+
+    def check(self, offset: int, check, *args) -> None:
+        """Call ``check(*args)``; a ValueError it raises is a ParseError at ``offset``."""
+        try:
+            check(*args)
+        except ValueError as err:
+            raise self.error(str(err), offset) from None
 
     def at_punct(self, text: str) -> bool:
         return self.m[1] == text
@@ -659,22 +667,25 @@ def load_signature(text: str) -> Language:
         name = parser.expect_word()
         if name in functions or name in predicates:
             raise parser.error(f"duplicate symbol {name!r}", at)
+        parser.check(at, check_symbol, name)
         parser.expect_punct("/")
+        at = parser.pos
         arity = parser.expect_int()
+        parser.check(at, check_symbol, name, arity)
         if head == "fn":
             functions[name] = arity
         else:
             predicates[name] = arity
             if parser.at_word():
+                at = parser.pos
                 parser.expect_word("equality")
+                if equality is not None:
+                    raise parser.error(f"{equality!r} is already the equality symbol", at)
+                # The one-symbol signature refuses a non-binary equality.
+                parser.check(at, PredicateType, {name: arity}, name)
                 equality = name
         parser.expect_end()
-    try:
-        return Language(
-            FunctionType(functions), PredicateType(predicates, equality=equality)
-        )
-    except ValueError as err:
-        raise ParseError(str(err), 1, 1) from err
+    return Language(FunctionType(functions), PredicateType(predicates, equality=equality))
 
 
 def load_structure(text: str, language: Language) -> Structure:

@@ -36,7 +36,7 @@ __all__ = [
     "Const",
     "Substitution",
     "FunctionType",
-    "identity",
+    "check_symbol",
     "IDENTITY",
     "SHIFT_UP",
     "MINUS",
@@ -44,9 +44,6 @@ __all__ = [
     "sigma_at",
     "apply",
     "compose",
-    "shift_up",
-    "minus",
-    "star",
     "lift",
     "subst_from_list",
     "cons_subst",
@@ -185,6 +182,16 @@ Term = Union[Var, App]
 _VARIABLE_SHAPE = re.compile(r"^x[1-9][0-9]*$")
 
 
+def check_symbol(name: str, arity: int = 0) -> None:
+    """Raise ValueError unless ``name`` can name a symbol of ``arity`` arguments."""
+    if not name:
+        raise ValueError("empty symbol name")
+    if _VARIABLE_SHAPE.match(name):
+        raise ValueError(f"symbol name {name!r} would collide with a variable")
+    if arity < 0:
+        raise ValueError(f"negative arity for {name!r}")
+
+
 class FunctionType:
     """Function signature: a finite map from symbol names to arities."""
 
@@ -194,14 +201,10 @@ class FunctionType:
         arities: dict[str, int] = {}
         pairs = symbols.items() if isinstance(symbols, Mapping) else symbols
         for name, arity in pairs:
-            if not name:
-                raise ValueError("empty symbol name")
-            if _VARIABLE_SHAPE.match(name):
-                raise ValueError(f"symbol name {name!r} would collide with a variable")
+            # A repeated name passed the check when it was first declared.
             if name in arities:
                 raise ValueError(f"duplicate symbol {name!r}")
-            if arity < 0:
-                raise ValueError(f"negative arity for {name!r}")
+            check_symbol(name, arity)
             arities[name] = arity
         self._arities = arities
 
@@ -228,13 +231,6 @@ class FunctionType:
 
     def __repr__(self) -> str:
         return f"FunctionType({self._arities!r})"
-
-    def term(self, name: str, *args: Term) -> App:
-        """Arity-checked term construction."""
-        expected = self.arity(name)
-        if len(args) != expected:
-            raise ArityMismatch(name, expected, len(args))
-        return App(name, tuple(args))
 
 
 def check_term(
@@ -309,15 +305,12 @@ class Substitution:
         object.__setattr__(self, "prefix", prefix)
 
 
+# [x1, x2, ...]; [x2, x3, ...] behind p+; and the collapses behind p-
+# and p*, [x1, x1, x2, ...] and [x2, x2, x3, ...].
 IDENTITY = Substitution((), Shift(0))
 SHIFT_UP = Substitution((), Shift(1))
 MINUS = Substitution((Var(1), Var(1)), Shift(-1))
 STAR = Substitution((Var(2), Var(2)), Shift(0))
-
-
-def identity() -> Substitution:
-    """The substitution sending every coordinate j to xj."""
-    return IDENTITY
 
 
 def sigma_at(sub: Substitution, j: int) -> Term:
@@ -396,21 +389,6 @@ def compose(first: Substitution, second: Substitution) -> Substitution:
     if isinstance(tail2, Const):
         return Substitution(mapped + extra, Const(tail2.term))
     return Substitution(mapped + extra, Shift(d1 + tail2.offset))
-
-
-def shift_up() -> Substitution:
-    """[x2, x3, ...]: every coordinate bumped one up."""
-    return SHIFT_UP
-
-
-def minus() -> Substitution:
-    """[x1, x1, x2, x3, ...]: inverse of shift_up on its image."""
-    return MINUS
-
-
-def star() -> Substitution:
-    """[x2, x2, x3, x4, ...]: collapse the first coordinate onto the second."""
-    return STAR
 
 
 def lift(sub: Substitution) -> Substitution:

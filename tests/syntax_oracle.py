@@ -52,6 +52,7 @@ from clonelogic.terms import (
     Substitution,
     Term,
     Var,
+    check_symbol,
 )
 
 _VAR_SHAPE = re.compile(r"^x[1-9][0-9]*$")
@@ -444,22 +445,35 @@ def load_signature(text: str) -> Language:
             raise ParseError(
                 f"duplicate symbol {name!r}", name_token.line, name_token.col
             )
+        _check_at(name_token, check_symbol, name)
         parser.expect_punct("/")
+        arity_token = parser.peek()
         arity = parser.expect_int()
+        _check_at(arity_token, check_symbol, name, arity)
         if head.text == "fn":
             functions[name] = arity
         else:
             predicates[name] = arity
             if parser.peek().kind == "word":
-                parser.expect_word("equality")
+                flag = parser.expect_word("equality")
+                if equality is not None:
+                    raise ParseError(
+                        f"{equality!r} is already the equality symbol", flag.line, flag.col
+                    )
+                _check_at(flag, PredicateType, {name: arity}, name)
                 equality = name
         parser.expect_end()
+    return Language(
+        FunctionType(functions), PredicateType(predicates, equality=equality)
+    )
+
+
+def _check_at(token: Token, check, *args) -> None:
+    """Call ``check(*args)``, raising its ValueError as a ParseError at ``token``."""
     try:
-        return Language(
-            FunctionType(functions), PredicateType(predicates, equality=equality)
-        )
+        check(*args)
     except ValueError as err:
-        raise ParseError(str(err), 1, 1) from err
+        raise ParseError(str(err), token.line, token.col) from None
 
 
 def load_structure(text: str, language: Language) -> Structure:

@@ -412,6 +412,14 @@ def test_check_proof_propositional_axiom_without_parameter(tmp_path, capsys, ste
     assert run(capsys, argv) == (1, f"REJECTED step 1: {reason}\n", "")
 
 
+def test_signature_error_names_its_line(tmp_path, capsys):
+    signature = tmp_path / "sig.txt"
+    signature.write_text("fn f/1\nrel r/2\nrel x1/0\n")
+    argv = ["parse", "formula", "r(x1, x1)", "--signature", str(signature)]
+    message = "error: line 3, column 5: symbol name 'x1' would collide with a variable\n"
+    assert run(capsys, argv) == (2, "", message)
+
+
 def test_propositional_letters_shaped_like_variables(tmp_path, capsys):
     # taut reads letters as nullary predicate symbols, which must not look
     # like variables; a propositional proof needs no language and takes them.

@@ -97,6 +97,67 @@ def test_equality_must_be_a_declared_binary_predicate() -> None:
     assert PredicateType({"e": 2}, equality="e").equality == "e"
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FunctionType({"": 0}), "empty symbol name"),
+        (lambda: FunctionType({"x1": 0}), "symbol name 'x1' would collide with a variable"),
+        (lambda: FunctionType([("f", 1), ("f", 2)]), "duplicate symbol 'f'"),
+        (lambda: FunctionType({"f": -1}), "negative arity for 'f'"),
+        (lambda: PredicateType({"x12": 0}), "symbol name 'x12' would collide with a variable"),
+        (lambda: PredicateType([("r", 1), ("r", 1)]), "duplicate symbol 'r'"),
+        (lambda: PredicateType({"r": -2}), "negative arity for 'r'"),
+        (lambda: PredicateType({"r": 1}, equality="e"), "equality symbol 'e' is not declared"),
+        (lambda: PredicateType({"e": 3}, equality="e"), "equality symbol 'e' must be binary"),
+        (
+            lambda: Language(FunctionType({"g": 0, "f": 1}), PredicateType({"f": 2, "g": 1})),
+            "symbols declared twice: ['f', 'g']",
+        ),
+    ],
+)
+def test_signature_validation_messages(build, message) -> None:
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_function_and_predicate_signatures_never_compare_equal() -> None:
+    functions, predicates = FunctionType({"r": 1}), PredicateType({"r": 1})
+    assert functions != predicates and predicates != functions
+    assert not functions == predicates and not predicates == functions
+    assert functions == FunctionType({"r": 1}) and predicates == PredicateType({"r": 1})
+    both = {"e": 2, "f": 2}
+    assert PredicateType(both, equality="e") != PredicateType(both, equality="f")
+    assert PredicateType(both, equality="e") != PredicateType(both)
+    assert PredicateType(both, equality="e") == PredicateType(both, equality="e")
+    assert Language(FunctionType(), PredicateType(both, equality="e")) != Language(
+        FunctionType(), PredicateType(both, equality="f")
+    )
+
+
+def test_signature_reprs() -> None:
+    functions = FunctionType({"c": 0, "f": 1})
+    predicates = PredicateType({"r": 1, "e": 2}, equality="e")
+    assert repr(functions) == "FunctionType({'c': 0, 'f': 1})"
+    assert repr(predicates) == "PredicateType({'r': 1, 'e': 2}, equality='e')"
+    assert repr(PredicateType({"r": 1})) == "PredicateType({'r': 1}, equality=None)"
+    assert repr(Language(functions, predicates)) == (
+        "Language(FunctionType({'c': 0, 'f': 1}), PredicateType({'r': 1, 'e': 2}, equality='e'))"
+    )
+
+
+def test_predicate_signature_lookups() -> None:
+    predicates = PredicateType({"r": 1, "e": 2}, equality="e")
+    assert predicates.arity("e") == 2 and len(predicates) == 2
+    assert "r" in predicates and "f" not in predicates
+    assert list(predicates) == ["r", "e"]
+    assert list(predicates.items()) == [("r", 1), ("e", 2)]
+    with pytest.raises(UndeclaredSymbol, match="undeclared symbol: 'q'"):
+        predicates.arity("q")
+    with pytest.raises(UndeclaredSymbol, match="undeclared symbol: 'q'"):
+        LANG.predicates.arity("q")
+
+
 def test_check_formula_flags_bad_atoms() -> None:
     check_formula(r(f(x1)), LANG)
     with pytest.raises(UndeclaredSymbol):

@@ -324,6 +324,11 @@ def test_fixed_error_positions_agree() -> None:
         ("prop_proof", "1. a by mp 1 1"),
         ("signature", "fn f/1\nrel f/2"),
         ("signature", "fn f/1\nfunction g/1"),
+        ("signature", "fn f/1\nrel r/2\nrel x1/0"),
+        ("signature", "fn x1/"),
+        ("signature", "fn f/-1"),
+        ("signature", "rel e/1 equality"),
+        ("signature", "rel e/2 equality\nrel f/2 equality"),
         ("structure", "domain 2\nrel r: 0 1\nrel s: 1 0 0 1\n  tables\n"),
         ("structure", "rel r: 0 1"),
         ("prop_algebra", "size 2\nnot: 1 0\nand 0: 0 x\n"),

@@ -201,6 +201,30 @@ def test_signature_rejects_duplicates_and_bad_heads() -> None:
         load_signature("function f/1")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # A variable-shaped name is refused at the name.
+        ("fn f/1\nrel r/2\nrel x1/0", "line 3, column 5: symbol name 'x1' would collide with a variable"),
+        ("# comment\n\n  fn x7/1\nrel r/1", "line 3, column 4: symbol name 'x7' would collide with a variable"),
+        # A negative arity at the integer.
+        ("fn f/-1", "line 1, column 6: negative arity for 'f'"),
+        ("rel r/2\nrel s / -3", "line 2, column 9: negative arity for 's'"),
+        # A non-binary equality symbol at the 'equality' word.
+        ("rel e/1 equality", "line 1, column 9: equality symbol 'e' must be binary"),
+        # So is a second equality symbol, which used to replace the first.
+        (
+            "rel e/2 equality\nrel f/2 equality",
+            "line 2, column 9: 'e' is already the equality symbol",
+        ),
+    ],
+)
+def test_signature_errors_name_their_position(text, message) -> None:
+    with pytest.raises(ParseError) as info:
+        load_signature(text)
+    assert str(info.value) == message
+
+
 # ------------- structure files -------------
 
 def test_structure_round_trip_zmod() -> None:
