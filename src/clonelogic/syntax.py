@@ -160,10 +160,10 @@ class _Parser:
     def fail(self, message: str) -> ParseError:
         return self.error(message, self.pos)
 
-    def check(self, offset: int, check, *args) -> None:
-        """Call ``check(*args)``; a ValueError it raises is a ParseError at ``offset``."""
+    def check(self, offset: int, fn, *args):
+        """``fn(*args)``; a ValueError it raises is a ParseError at ``offset``."""
         try:
-            check(*args)
+            return fn(*args)
         except ValueError as err:
             raise self.error(str(err), offset) from None
 
@@ -431,10 +431,7 @@ class _Parser:
             if not prefix:
                 raise self.error("empty substitution needs an explicit tail", opener)
             tail = Const(prefix.pop())
-        try:
-            return Substitution(tuple(prefix), tail)
-        except ValueError as err:
-            raise self.error(str(err), opener) from err
+        return self.check(opener, Substitution, tuple(prefix), tail)
 
     def env(self) -> Env:
         opener = self.pos
@@ -448,10 +445,28 @@ class _Parser:
         self.expect_punct(";")
         default = self.expect_int()
         self.expect_punct("]")
-        try:
-            return Env(tuple(values), default)
-        except ValueError as err:
-            raise self.error(str(err), opener) from err
+        return self.check(opener, Env, tuple(values), default)
+
+    # ----- proof steps -----
+
+    def step(self, count: int, language: Language | None) -> Formula:
+        """The formula of the head ``N. formula by`` of the step after
+        ``count`` steps; ``language`` is None for propositions."""
+        at = self.pos
+        if self.expect_int() != count + 1:
+            raise self.error(f"expected step number {count + 1}", at)
+        self.expect_punct(".")
+        formula = self.formula(language)
+        self.expect_word("by")
+        return formula
+
+    def hyp(self) -> ByHyp:
+        """The reference ``k`` of ``hyp k``, its keyword read."""
+        at = self.pos
+        value = self.expect_int()
+        if value < 1:
+            raise self.error("hypothesis references are 1-based", at)
+        return ByHyp(value - 1)
 
     # ----- axiom instance recipes -----
 
@@ -644,12 +659,16 @@ def format_structure(structure: Structure) -> str:
 # file loaders
 # ---------------------------------------------------------------------------
 
-def _content_lines(text: str):
-    """(line_number, stripped_text) pairs, skipping blanks and comments."""
+def _lines(text: str, memo: dict | None = None):
+    """A parser for each line of ``text`` that is not blank or a comment,
+    sharing ``memo`` if one is given.  Each line must be read to its end:
+    that is checked when the next line is asked for."""
     for number, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("#"):
-            yield number, stripped
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            parser = _Parser(line, number, memo)
+            yield parser
+            parser.expect_end()
 
 
 def load_signature(text: str) -> Language:
@@ -657,8 +676,7 @@ def load_signature(text: str) -> Language:
     functions: dict[str, int] = {}
     predicates: dict[str, int] = {}
     equality = None
-    for number, line in _content_lines(text):
-        parser = _Parser(line, number)
+    for parser in _lines(text):
         at = parser.pos
         head = parser.expect_word()
         if head not in ("fn", "rel"):
@@ -684,7 +702,6 @@ def load_signature(text: str) -> Language:
                 # The one-symbol signature refuses a non-binary equality.
                 parser.check(at, PredicateType, {name: arity}, name)
                 equality = name
-        parser.expect_end()
     return Language(FunctionType(functions), PredicateType(predicates, equality=equality))
 
 
@@ -697,8 +714,7 @@ def load_structure(text: str, language: Language) -> Structure:
     fn_tables: dict[str, tuple[int, ...]] = {}
     rel_tables: dict[str, tuple[int, ...]] = {}
     identity_flag = False
-    for number, line in _content_lines(text):
-        parser = _Parser(line, number)
+    for parser in _lines(text):
         at = parser.pos
         head = parser.expect_word()
         if head == "domain":
@@ -719,7 +735,6 @@ def load_structure(text: str, language: Language) -> Structure:
             raise parser.error(
                 "expected 'domain', 'bits', 'fn', 'rel', or 'equality'", at
             )
-        parser.expect_end()
     if size is None:
         raise ParseError("missing 'domain' line", 1, 1)
     eq = language.equality
@@ -734,8 +749,7 @@ def load_prop_algebra(text: str) -> FinitePropAlgebra:
     size = None
     not_table: tuple[int, ...] | None = None
     and_rows: dict[int, tuple[int, ...]] = {}
-    for number, line in _content_lines(text):
-        parser = _Parser(line, number)
+    for parser in _lines(text):
         at = parser.pos
         head = parser.expect_word()
         if head == "size":
@@ -749,7 +763,6 @@ def load_prop_algebra(text: str) -> FinitePropAlgebra:
             and_rows[row] = parser.ints()
         else:
             raise parser.error("expected 'size', 'not', or 'and'", at)
-        parser.expect_end()
     if size is None or not_table is None:
         raise ParseError("algebra file needs 'size' and 'not' lines", 1, 1)
     # The count first: the row list is as long as the file, not the size.
@@ -773,16 +786,12 @@ def load_theory(text: str, language: Language) -> Theory:
     """Theory from a `theory NAME` header and one formula per line."""
     name = None
     formulas = []
-    memo: dict = {}
-    for number, line in _content_lines(text):
-        parser = _Parser(line, number, memo)
+    for parser in _lines(text, {}):
         if name is None:
             parser.expect_word("theory")
             name = parser.expect_word()
-            parser.expect_end()
-            continue
-        formulas.append(parser.formula(language))
-        parser.expect_end()
+        else:
+            formulas.append(parser.formula(language))
     if name is None:
         raise ParseError("missing 'theory NAME' header", 1, 1)
     return Theory(name, language, tuple(formulas))
@@ -797,7 +806,6 @@ def load_proof(text: str, language: Language) -> tuple[Proof, str | None]:
     kind = None
     theory_name = None
     steps: list[ProofStep] = []
-    memo: dict = {}
 
     def step_ref(parser: _Parser) -> int:
         at = parser.pos
@@ -810,38 +818,24 @@ def load_proof(text: str, language: Language) -> tuple[Proof, str | None]:
             )
         return value - 1
 
-    for number, line in _content_lines(text):
-        parser = _Parser(line, number, memo)
+    for parser in _lines(text, {}):
         if kind is None:
             at = parser.pos
-            head = parser.expect_word()
-            if head not in ("local", "global"):
+            kind = parser.expect_word()
+            if kind not in ("local", "global"):
                 raise parser.error("expected 'local' or 'global'", at)
-            kind = head
-            parser.expect_end()
             continue
         if theory_name is None and not steps and parser.text() == "theory":
             parser.expect_word("theory")
             theory_name = parser.expect_word()
-            parser.expect_end()
             continue
-        at = parser.pos
-        index = parser.expect_int()
-        if index != len(steps) + 1:
-            raise parser.error(f"expected step number {len(steps) + 1}", at)
-        parser.expect_punct(".")
-        formula = parser.formula(language)
-        parser.expect_word("by")
+        formula = parser.step(len(steps), language)
         at = parser.pos
         keyword = parser.expect_word()
         if keyword == "axiom":
             by = ByAxiom(parser.axiom_spec(language))
         elif keyword == "hyp":
-            at = parser.pos
-            value = parser.expect_int()
-            if value < 1:
-                raise parser.error("hypothesis references are 1-based", at)
-            by = ByHyp(value - 1)
+            by = parser.hyp()
         elif keyword == "mp":
             by = ByMP(step_ref(parser), step_ref(parser))
         elif keyword == "subst":
@@ -853,7 +847,6 @@ def load_proof(text: str, language: Language) -> tuple[Proof, str | None]:
             raise parser.error(
                 "expected 'axiom', 'hyp', 'mp', 'subst', or 'gen'", at
             )
-        parser.expect_end()
         steps.append(ProofStep(formula, by))
     if kind is None:
         raise ParseError("missing proof kind header ('local' or 'global')", 1, 1)
@@ -863,27 +856,15 @@ def load_proof(text: str, language: Language) -> tuple[Proof, str | None]:
 def load_prop_proof(text: str) -> Proof:
     """Local proof over letters: numbered steps with A1/A2/A3, hyp, and mp."""
     steps: list[ProofStep] = []
-    memo: dict = {}
-    for number, line in _content_lines(text):
-        parser = _Parser(line, number, memo)
-        at = parser.pos
-        index = parser.expect_int()
-        if index != len(steps) + 1:
-            raise parser.error(f"expected step number {len(steps) + 1}", at)
-        parser.expect_punct(".")
-        formula = parser.formula(None)
-        parser.expect_word("by")
+    for parser in _lines(text, {}):
+        formula = parser.step(len(steps), None)
         if parser.text() in ("A1", "A2", "A3"):
             by = ByAxiom(parser.prop_axiom())
         else:
             at = parser.pos
             keyword = parser.expect_word()
             if keyword == "hyp":
-                at = parser.pos
-                value = parser.expect_int()
-                if value < 1:
-                    raise parser.error("hypothesis references are 1-based", at)
-                by = ByHyp(value - 1)
+                by = parser.hyp()
             elif keyword == "mp":
                 refs = []
                 for _ in range(2):
@@ -897,6 +878,5 @@ def load_prop_proof(text: str) -> Proof:
                 raise parser.error(
                     "expected 'A1', 'A2', 'A3', 'hyp', or 'mp'", at
                 )
-        parser.expect_end()
         steps.append(ProofStep(formula, by))
     return Proof("local", tuple(steps))
