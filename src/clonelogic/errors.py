@@ -27,8 +27,10 @@ class BoundExceeded(LogicError):
     """A brute-force enumeration would exceed its configured bound."""
 
 
-class ParseError(LogicError):
-    """Malformed input text, with a 1-based source position."""
+class ParseError(LogicError, ValueError):
+    """Malformed input text, with a 1-based source position.  It is also a
+    ValueError: a loader raises the ValueError of a value check it runs,
+    such as a structure's table check, as a ParseError at the value."""
 
     def __init__(self, message: str, line: int, col: int):
         self.line = line

@@ -47,6 +47,7 @@ from .terms import (
     STAR,
     App,
     Const,
+    FunctionType,
     Substitution,
     Term,
     Var,
@@ -172,36 +173,18 @@ class Structure:
                     f"the equality table needs {self.size}^2 entries, over the cap "
                     f"of {DEFAULT_ROWS_CAP}"
                 )
-            identity = identity_table(self.size, full)
             if eq not in self.rel_tables:
                 self.rel_tables = dict(self.rel_tables)
-                self.rel_tables[eq] = identity
-        self._check_tables(self.fn_tables, self.language.functions, self.size - 1, "function")
-        self._check_tables(self.rel_tables, self.language.predicates, full, "relation")
-        if eq is not None and self.rel_tables[eq] != identity:
-            raise ValueError(
-                "structure is flagged equality-preserving but the "
-                "equality table is not the identity relation"
-            )
-
-    def _check_tables(self, tables, symbols, top_value, kind) -> None:
-        for name in tables:
-            if name not in symbols:
-                raise ValueError(f"table for undeclared {kind} symbol {name!r}")
-        for name, arity in symbols.items():
-            if name not in tables:
-                raise ValueError(f"missing {kind} table for {name!r}")
-            table = tables[name]
-            want = self.size ** arity
-            if len(table) != want:
-                raise ValueError(
-                    f"{kind} table for {name!r} has {len(table)} entries, expected {want}"
-                )
-            for value in table:
-                if not 0 <= value <= top_value:
-                    raise ValueError(
-                        f"{kind} table for {name!r} holds {value}, outside 0..{top_value}"
-                    )
+                self.rel_tables[eq] = identity_table(self.size, full)
+        for kind, tables, symbols, top in (
+            ("function", self.fn_tables, self.language.functions, self.size - 1),
+            ("relation", self.rel_tables, self.language.predicates, full),
+        ):
+            for name, table in tables.items():
+                check_table(kind, symbols, self.size, top, name, table, name == eq)
+            for name in symbols:
+                if name not in tables:
+                    raise ValueError(f"missing {kind} table for {name!r}")
 
     def check_env(self, env: Env) -> None:
         for value in (*env.prefix, env.default):
@@ -209,6 +192,28 @@ class Structure:
                 raise ValueError(
                     f"environment element {value} outside domain of size {self.size}"
                 )
+
+
+def check_table(
+    kind: str, symbols: FunctionType, size: int, top: int, name: str, table, identity: bool
+) -> None:
+    """Refuse the ``kind`` table of ``name`` over a domain of ``size``: a
+    symbol ``symbols`` does not declare, a count other than size^arity,
+    an entry outside 0..top, or, when ``identity`` is set, a table other
+    than the identity relation."""
+    if name not in symbols:
+        raise ValueError(f"table for undeclared {kind} symbol {name!r}")
+    want = size ** symbols.arity(name)
+    if len(table) != want:
+        raise ValueError(f"{kind} table for {name!r} has {len(table)} entries, expected {want}")
+    for value in table:
+        if not 0 <= value <= top:
+            raise ValueError(f"{kind} table for {name!r} holds {value}, outside 0..{top}")
+    if identity and table != identity_table(size, top):
+        raise ValueError(
+            "structure is flagged equality-preserving but the "
+            "equality table is not the identity relation"
+        )
 
 
 def identity_table(size: int, diagonal_value: int = 1) -> tuple[int, ...]:

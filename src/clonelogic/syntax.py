@@ -41,7 +41,7 @@ from .proofs import (
     ProofStep,
     Theory,
 )
-from .semantics import MAX_TRUTH_BITS, Env, Structure
+from .semantics import MAX_TRUTH_BITS, Env, Structure, check_table
 from .terms import (
     App,
     Const,
@@ -708,29 +708,42 @@ def load_signature(text: str) -> Language:
 def load_structure(text: str, language: Language) -> Structure:
     """Structure from `domain`, `bits`, `fn`, `rel`, and `equality identity`
     lines.  `bits N` makes relation tables N-bit masks, for the
-    2^N-element Boolean algebra; without it they hold 0 or 1."""
+    2^N-element Boolean algebra; without it they hold 0 or 1.  Each line
+    appears once and each table once per symbol.  Tables may come before
+    the `domain` line, so they are checked after the last line, in file
+    order, each at its name."""
     size = None
     bits = 1
-    fn_tables: dict[str, tuple[int, ...]] = {}
-    rel_tables: dict[str, tuple[int, ...]] = {}
-    identity_flag = False
+    seen: set[str] = set()
+    tables: dict[str, dict[str, tuple[int, ...]]] = {"fn": {}, "rel": {}}
+    rows = []  # (parser, offset of the name, head, name) of each table
     for parser in _lines(text):
         at = parser.pos
         head = parser.expect_word()
+        if head in ("domain", "bits", "equality"):
+            if head in seen:
+                raise parser.error(f"duplicate {head!r} line", at)
+            seen.add(head)
         if head == "domain":
+            at = parser.pos
             size = parser.expect_int()
+            if size < 1:
+                raise parser.error("domain size must be >= 1", at)
         elif head == "bits":
             at = parser.pos
             bits = parser.expect_int()
             if not 1 <= bits <= MAX_TRUTH_BITS:
                 raise parser.error(f"bits must be between 1 and {MAX_TRUTH_BITS}", at)
         elif head in ("fn", "rel"):
+            at = parser.pos
             name = parser.expect_word()
+            if name in tables[head]:
+                raise parser.error(f"duplicate table for {name!r}", at)
             parser.expect_punct(":")
-            (fn_tables if head == "fn" else rel_tables)[name] = parser.ints()
+            tables[head][name] = parser.ints()
+            rows.append((parser, at, head, name))
         elif head == "equality":
             parser.expect_word("identity")
-            identity_flag = True
         else:
             raise parser.error(
                 "expected 'domain', 'bits', 'fn', 'rel', or 'equality'", at
@@ -738,9 +751,17 @@ def load_structure(text: str, language: Language) -> Structure:
     if size is None:
         raise ParseError("missing 'domain' line", 1, 1)
     eq = language.equality
-    eq_identity = eq is not None and (identity_flag or eq not in rel_tables)
+    eq_identity = eq is not None and ("equality" in seen or eq not in tables["rel"])
+    kinds = {
+        "fn": ("function", language.functions, size - 1),
+        "rel": ("relation", language.predicates, (1 << bits) - 1),
+    }
+    for parser, at, head, name in rows:
+        kind, symbols, top = kinds[head]
+        identity = eq_identity and name == eq
+        parser.check(at, check_table, kind, symbols, size, top, name, tables[head][name], identity)
     return Structure(
-        language, size, fn_tables, rel_tables, eq_identity=eq_identity, truth_bits=bits
+        language, size, tables["fn"], tables["rel"], eq_identity=eq_identity, truth_bits=bits
     )
 
 

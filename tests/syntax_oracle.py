@@ -43,7 +43,7 @@ from clonelogic.proofs import (
     Theory,
 )
 from clonelogic.propositional import FinitePropAlgebra
-from clonelogic.semantics import MAX_TRUTH_BITS, Env, Structure
+from clonelogic.semantics import MAX_TRUTH_BITS, Env, Structure, check_table
 from clonelogic.terms import (
     App,
     Const,
@@ -477,17 +477,26 @@ def _check_at(token: Token, check, *args) -> None:
 
 
 def load_structure(text: str, language: Language) -> Structure:
-    """Structure from `domain`, `fn`, `rel`, and `equality identity` lines."""
+    """Structure from `domain`, `fn`, `rel`, and `equality identity` lines,
+    each line once and each table once per symbol; the tables are checked
+    after the last line, in file order, each at its name."""
     size = None
     bits = 1
-    fn_tables: dict[str, tuple[int, ...]] = {}
-    rel_tables: dict[str, tuple[int, ...]] = {}
-    identity_flag = False
+    seen: set[str] = set()
+    tables: dict[str, dict[str, tuple[int, ...]]] = {"fn": {}, "rel": {}}
+    rows = []  # (name token, head, name) of each table, in file order
     for number, line in _content_lines(text):
         parser = _line_parser(line, number)
         head = parser.expect_word()
+        if head.text in ("domain", "bits", "equality"):
+            if head.text in seen:
+                raise ParseError(f"duplicate {head.text!r} line", head.line, head.col)
+            seen.add(head.text)
         if head.text == "domain":
+            token = parser.peek()
             size = parser.expect_int()
+            if size < 1:
+                raise ParseError("domain size must be >= 1", token.line, token.col)
         elif head.text == "bits":
             token = parser.peek()
             bits = parser.expect_int()
@@ -496,18 +505,18 @@ def load_structure(text: str, language: Language) -> Structure:
                     f"bits must be between 1 and {MAX_TRUTH_BITS}", token.line, token.col
                 )
         elif head.text in ("fn", "rel"):
-            name = parser.expect_word().text
+            token = parser.expect_word()
+            name = token.text
+            if name in tables[head.text]:
+                raise ParseError(f"duplicate table for {name!r}", token.line, token.col)
             parser.expect_punct(":")
             values = []
             while parser.peek().kind != "end":
                 values.append(parser.expect_int())
-            if head.text == "fn":
-                fn_tables[name] = tuple(values)
-            else:
-                rel_tables[name] = tuple(values)
+            tables[head.text][name] = tuple(values)
+            rows.append((token, head.text, name))
         elif head.text == "equality":
             parser.expect_word("identity")
-            identity_flag = True
         else:
             raise ParseError(
                 "expected 'domain', 'bits', 'fn', 'rel', or 'equality'",
@@ -518,9 +527,16 @@ def load_structure(text: str, language: Language) -> Structure:
     if size is None:
         raise ParseError("missing 'domain' line", 1, 1)
     eq = language.equality
-    eq_identity = eq is not None and (identity_flag or eq not in rel_tables)
+    eq_identity = eq is not None and ("equality" in seen or eq not in tables["rel"])
+    for token, head, name in rows:
+        if head == "fn":
+            kind, symbols, top = "function", language.functions, size - 1
+        else:
+            kind, symbols, top = "relation", language.predicates, (1 << bits) - 1
+        identity = eq_identity and name == eq
+        _check_at(token, check_table, kind, symbols, size, top, name, tables[head][name], identity)
     return Structure(
-        language, size, fn_tables, rel_tables, eq_identity=eq_identity, truth_bits=bits
+        language, size, tables["fn"], tables["rel"], eq_identity=eq_identity, truth_bits=bits
     )
 
 

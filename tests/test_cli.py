@@ -420,6 +420,24 @@ def test_signature_error_names_its_line(tmp_path, capsys):
     assert run(capsys, argv) == (2, "", message)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("domain 2\nrel r: 0 1\nrel r: 1 1\n", "line 3, column 5: duplicate table for 'r'"),
+        ("domain 2\ndomain 3\nrel r: 0 1\n", "line 2, column 1: duplicate 'domain' line"),
+        ("domain 3\nrel r: 0 1\n", "line 2, column 5: relation table for 'r' has 2 entries, expected 3"),
+        ("domain 2\nrel q: 0 1\nrel r: 0 1\n", "line 2, column 5: table for undeclared relation symbol 'q'"),
+    ],
+)
+def test_structure_error_names_its_line(tmp_path, capsys, text, message):
+    signature = tmp_path / "sig.txt"
+    signature.write_text("rel r/1\n")
+    model = tmp_path / "model.txt"
+    model.write_text(text)
+    argv = ["eval", "--signature", str(signature), "--structure", str(model), "--formula", "r(x1)"]
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 def test_propositional_letters_shaped_like_variables(tmp_path, capsys):
     # taut reads letters as nullary predicate symbols, which must not look
     # like variables; a propositional proof needs no language and takes them.

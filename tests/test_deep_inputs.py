@@ -463,10 +463,10 @@ def algebra_texts(draw) -> str:
 def broken(draw, lines: list[str]) -> str:
     """The file of ``lines``, after, half the time, one to three
     breakages: an integer swapped for one of ``ODD_INTS``, a line
-    dropped, or a line of random tokens."""
+    dropped, a line repeated, or a line of random tokens."""
     for _ in range(draw(st.integers(1, 3)) if draw(st.booleans()) else 0):
         at = draw(st.integers(0, len(lines) - 1))
-        breakage = draw(st.sampled_from(["int", "drop", "tokens"]))
+        breakage = draw(st.sampled_from(["int", "drop", "repeat", "tokens"]))
         if breakage == "int":
             words = lines[at].split()
             numbers = [i for i, word in enumerate(words) if word.lstrip("-").isdigit()]
@@ -475,6 +475,8 @@ def broken(draw, lines: list[str]) -> str:
                 lines[at] = " ".join(words)
         elif breakage == "drop":
             del lines[at]
+        elif breakage == "repeat":
+            lines.insert(draw(st.integers(0, len(lines))), lines[at])
         else:
             lines.insert(at, draw(token_streams()))
     return "\n".join(lines) + "\n"

@@ -331,6 +331,16 @@ def test_fixed_error_positions_agree() -> None:
         ("signature", "rel e/2 equality\nrel f/2 equality"),
         ("structure", "domain 2\nrel r: 0 1\nrel s: 1 0 0 1\n  tables\n"),
         ("structure", "rel r: 0 1"),
+        ("structure", "domain 2\nrel r: 0 1\nrel r: 1 1\n"),
+        ("structure", "domain 2\ndomain 3\nrel r: 0 1\n"),
+        ("structure", "domain 2\nbits 2\nbits 1\n"),
+        ("structure", "domain 2\nequality identity\nequality identity\n"),
+        ("structure", "domain 3\nrel r: 0 1\n"),
+        ("structure", "domain 2\nrel q: 0 1\nrel r: 0 1\n"),
+        ("structure", "rel r: 0 1 1\nfn f: 0 5\ndomain 2\n"),
+        ("structure", "domain 2\nfn f: 0 5\n"),
+        ("structure", "domain 0\n"),
+        ("structure", "domain 2\nrel e: 1 1 0 1\nequality identity\n"),
         ("prop_algebra", "size 2\nnot: 1 0\nand 0: 0 x\n"),
         ("prop_algebra", "size 2\nnot: 1 0\nand 0 0 0\n"),
     ]

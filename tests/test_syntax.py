@@ -281,6 +281,61 @@ def test_structure_bits_outside_the_cap(line) -> None:
         load_structure("domain 2\nbits 2\nrel r: 0 4\n", lang)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # A repeated single line is refused at its head word ...
+        ("domain 2\ndomain 3\nrel r: 0 1\n", "line 2, column 1: duplicate 'domain' line"),
+        ("domain 2\nbits 1\nrel r: 0 1\nbits 2\n", "line 4, column 1: duplicate 'bits' line"),
+        (
+            "domain 2\nequality identity\nrel r: 0 1\nequality identity\n",
+            "line 4, column 1: duplicate 'equality' line",
+        ),
+        # ... and a repeated table at its name, which used to replace the first.
+        ("domain 2\nrel r: 0 1\nrel r: 1 1\n", "line 3, column 5: duplicate table for 'r'"),
+        ("domain 2\nfn h: 0 1\nrel r: 0 1\nfn  h: 1 0\n", "line 4, column 5: duplicate table for 'h'"),
+        # A table is checked at its name: its symbol, its count, its entries.
+        ("domain 3\nrel r: 0 1\n", "line 2, column 5: relation table for 'r' has 2 entries, expected 3"),
+        ("domain 2\nrel q: 0 1\nrel r: 0 1\n", "line 2, column 5: table for undeclared relation symbol 'q'"),
+        ("domain 2\nrel r: 0 1\nfn g: 1 0\n", "line 3, column 4: table for undeclared function symbol 'g'"),
+        ("domain 2\nfn h: 0 2\nrel r: 0 1\n", "line 2, column 4: function table for 'h' holds 2, outside 0..1"),
+        ("domain 2\nbits 2\nrel r: 0 4\n", "line 3, column 5: relation table for 'r' holds 4, outside 0..3"),
+        # Tables may come before the domain line, and are checked in file order.
+        ("rel r: 0 1 1\nfn h: 5\ndomain 2\n", "line 1, column 5: relation table for 'r' has 3 entries, expected 2"),
+        ("fn h: 0 1\nrel r: 0 7\nrel q: 1\ndomain 2\n", "line 2, column 5: relation table for 'r' holds 7, outside 0..1"),
+        # A domain below 1 is refused at its integer.
+        ("domain 0\nrel r:\n", "line 1, column 8: domain size must be >= 1"),
+    ],
+)
+def test_structure_errors_name_their_position(text, message) -> None:
+    lang = load_signature("fn h/1\nrel r/1")
+    with pytest.raises(ParseError) as info:
+        load_structure(text, lang)
+    assert str(info.value) == message
+
+
+def test_structure_equality_table_is_checked_at_its_name() -> None:
+    lang = load_signature("rel e/2 equality\nrel r/1")
+    text = "domain 2\nrel r: 0 1\nrel e: 1 1 0 1\nequality identity\n"
+    with pytest.raises(ParseError) as info:
+        load_structure(text, lang)
+    assert str(info.value) == (
+        "line 3, column 5: structure is flagged equality-preserving but the "
+        "equality table is not the identity relation"
+    )
+    # Without the flag the same table loads as a loose equality.
+    assert not load_structure(text.replace("equality identity\n", ""), lang).eq_identity
+
+
+def test_structure_table_refusals_stay_value_errors() -> None:
+    # The positioned refusals are still ValueErrors, as they were unpositioned.
+    lang = load_signature("rel r/1")
+    with pytest.raises(ValueError, match="line 1, column 8: domain size"):
+        load_structure("domain -1\n", lang)
+    with pytest.raises(ValueError, match="^missing relation table for 'r'$"):
+        load_structure("domain 2\n", lang)
+
+
 # ------------- proposition algebra files -------------
 
 def test_prop_algebra_round_trip() -> None:
