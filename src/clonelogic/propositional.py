@@ -84,6 +84,15 @@ def tautology(formula: Formula) -> bool:
 # finite proposition algebras
 # ------------------------------------------------------------------
 
+def check_row(table: str, row: tuple[int, ...], n: int) -> None:
+    """Refuse a row of the negation or conjunction ``table`` of an algebra
+    of ``n`` elements: a row of another length, or an entry outside 0..n-1."""
+    if len(row) != n:
+        raise ValueError(f"{table} table row has {len(row)} entries, expected {n}")
+    if any(not 0 <= v < n for v in row):
+        raise ValueError(f"{table} table entry out of range")
+
+
 @dataclass(frozen=True)
 class FinitePropAlgebra:
     """Operation tables over the carrier {0, ..., size-1}."""
@@ -97,12 +106,11 @@ class FinitePropAlgebra:
         n = len(self.not_table)
         if n == 0:
             raise ValueError("carrier must be nonempty")
-        if len(self.and_table) != n or any(len(row) != n for row in self.and_table):
+        if len(self.and_table) != n:
             raise ValueError("conjunction table must be n x n")
-        if any(not 0 <= v < n for v in self.not_table):
-            raise ValueError("negation table entry out of range")
-        if any(not 0 <= v < n for row in self.and_table for v in row):
-            raise ValueError("conjunction table entry out of range")
+        check_row("negation", self.not_table, n)
+        for row in self.and_table:
+            check_row("conjunction", row, n)
 
     @property
     def size(self) -> int:

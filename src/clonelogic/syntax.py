@@ -28,7 +28,7 @@ from .formulas import (
     f_or,
     exists,
 )
-from .propositional import FinitePropAlgebra
+from .propositional import FinitePropAlgebra, check_row
 from .proofs import (
     AXIOM_IDS,
     AxiomInstanceSpec,
@@ -766,22 +766,34 @@ def load_structure(text: str, language: Language) -> Structure:
 
 
 def load_prop_algebra(text: str) -> FinitePropAlgebra:
-    """Proposition algebra from `size`, `not:`, and `and i:` rows."""
+    """Proposition algebra from `size`, `not:`, and `and i:` rows, each
+    once.  Once the rows are all there, each is checked at its line."""
     size = None
+    seen: set[str] = set()
     not_table: tuple[int, ...] | None = None
     and_rows: dict[int, tuple[int, ...]] = {}
+    rows = []  # (parser, table, row) of each table row, in file order
     for parser in _lines(text):
         at = parser.pos
         head = parser.expect_word()
+        if head in ("size", "not"):
+            if head in seen:
+                raise parser.error(f"duplicate {head!r} line", at)
+            seen.add(head)
         if head == "size":
             size = parser.expect_int()
         elif head == "not":
             parser.expect_punct(":")
             not_table = parser.ints()
+            rows.append((parser, "negation", not_table))
         elif head == "and":
-            row = parser.expect_int()
+            at = parser.pos
+            index = parser.expect_int()
+            if index in and_rows:
+                raise parser.error(f"duplicate 'and' row {index}", at)
             parser.expect_punct(":")
-            and_rows[row] = parser.ints()
+            and_rows[index] = parser.ints()
+            rows.append((parser, "conjunction", and_rows[index]))
         else:
             raise parser.error("expected 'size', 'not', or 'and'", at)
     if size is None or not_table is None:
@@ -789,10 +801,9 @@ def load_prop_algebra(text: str) -> FinitePropAlgebra:
     # The count first: the row list is as long as the file, not the size.
     if len(and_rows) != size or sorted(and_rows) != list(range(size)):
         raise ParseError(f"expected 'and' rows 0..{size - 1}", 1, 1)
-    try:
-        return FinitePropAlgebra(not_table, tuple(and_rows[i] for i in range(size)))
-    except ValueError as err:
-        raise ParseError(str(err), 1, 1) from err
+    for parser, table, row in rows:
+        parser.check(0, check_row, table, row, size)  # at its head word
+    return FinitePropAlgebra(not_table, tuple(and_rows[i] for i in range(size)))
 
 
 def format_prop_algebra(algebra: FinitePropAlgebra) -> str:

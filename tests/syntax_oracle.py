@@ -42,7 +42,7 @@ from clonelogic.proofs import (
     ProofStep,
     Theory,
 )
-from clonelogic.propositional import FinitePropAlgebra
+from clonelogic.propositional import FinitePropAlgebra, check_row
 from clonelogic.semantics import MAX_TRUTH_BITS, Env, Structure, check_table
 from clonelogic.terms import (
     App,
@@ -541,28 +541,38 @@ def load_structure(text: str, language: Language) -> Structure:
 
 
 def load_prop_algebra(text: str) -> FinitePropAlgebra:
-    """Proposition algebra from `size`, `not:`, and `and i:` rows."""
+    """Proposition algebra from `size`, `not:`, and `and i:` rows, each
+    once; after the whole-file refusals, each row is checked at its line."""
     size = None
+    seen: set[str] = set()
     not_table: tuple[int, ...] | None = None
     and_rows: dict[int, tuple[int, ...]] = {}
+    rows = []  # (head token, table, row) of each table row, in file order
     for number, line in _content_lines(text):
         parser = _line_parser(line, number)
         head = parser.expect_word()
+        if head.text in ("size", "not"):
+            if head.text in seen:
+                raise ParseError(f"duplicate {head.text!r} line", head.line, head.col)
+            seen.add(head.text)
         if head.text == "size":
             size = parser.expect_int()
-        elif head.text == "not":
+        elif head.text in ("not", "and"):
+            if head.text == "and":
+                token = parser.peek()
+                index = parser.expect_int()
+                if index in and_rows:
+                    raise ParseError(f"duplicate 'and' row {index}", token.line, token.col)
             parser.expect_punct(":")
             values = []
             while parser.peek().kind != "end":
                 values.append(parser.expect_int())
-            not_table = tuple(values)
-        elif head.text == "and":
-            row = parser.expect_int()
-            parser.expect_punct(":")
-            values = []
-            while parser.peek().kind != "end":
-                values.append(parser.expect_int())
-            and_rows[row] = tuple(values)
+            if head.text == "not":
+                not_table = tuple(values)
+                rows.append((head, "negation", not_table))
+            else:
+                and_rows[index] = tuple(values)
+                rows.append((head, "conjunction", and_rows[index]))
         else:
             raise ParseError("expected 'size', 'not', or 'and'", head.line, head.col)
         parser.expect_end()
@@ -570,10 +580,9 @@ def load_prop_algebra(text: str) -> FinitePropAlgebra:
         raise ParseError("algebra file needs 'size' and 'not' lines", 1, 1)
     if sorted(and_rows) != list(range(size)):
         raise ParseError(f"expected 'and' rows 0..{size - 1}", 1, 1)
-    try:
-        return FinitePropAlgebra(not_table, tuple(and_rows[i] for i in range(size)))
-    except ValueError as err:
-        raise ParseError(str(err), 1, 1) from err
+    for head, table, row in rows:
+        _check_at(head, check_row, table, row, size)
+    return FinitePropAlgebra(not_table, tuple(and_rows[i] for i in range(size)))
 
 
 def load_theory(text: str, language: Language) -> Theory:

@@ -438,6 +438,19 @@ def test_structure_error_names_its_line(tmp_path, capsys, text, message):
     assert run(capsys, argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("size 2\nnot: 1 5\nand 0: 0 0\nand 1: 0 1\n", "line 2, column 1: negation table entry out of range"),
+        ("size 2\nnot: 1 5\nand 0: 1 1\nand 0: 0 0\nand 1: 0 1\n", "line 4, column 5: duplicate 'and' row 0"),
+    ],
+)
+def test_algebra_error_names_its_line(tmp_path, capsys, text, message):
+    algebra = tmp_path / "algebra.txt"
+    algebra.write_text(text)
+    assert run(capsys, ["propalg", str(algebra)]) == (2, "", f"error: {message}\n")
+
+
 def test_propositional_letters_shaped_like_variables(tmp_path, capsys):
     # taut reads letters as nullary predicate symbols, which must not look
     # like variables; a propositional proof needs no language and takes them.

@@ -343,6 +343,13 @@ def test_fixed_error_positions_agree() -> None:
         ("structure", "domain 2\nrel e: 1 1 0 1\nequality identity\n"),
         ("prop_algebra", "size 2\nnot: 1 0\nand 0: 0 x\n"),
         ("prop_algebra", "size 2\nnot: 1 0\nand 0 0 0\n"),
+        ("prop_algebra", "size 2\nnot: 1 5\nand 0: 0 0\nand 1: 0 1\n"),
+        ("prop_algebra", "size 2\nnot: 1 5\nand 0: 1 1\nand 0: 0 0\nand 1: 0 1\n"),
+        ("prop_algebra", "size 2\nnot: 1 0\nsize 3\n"),
+        ("prop_algebra", "size 2\nnot: 1 0\nnot: 0 1\n"),
+        ("prop_algebra", "size 2\nnot: 1 0\nand 0: 0 0\nand 1: 0 1 1\n"),
+        ("prop_algebra", "and 1: 0 9\nsize 2\nand 0: 0\nnot: 1 0\n"),
+        ("prop_algebra", "size 0\nnot:\n"),
     ]
     for kind, text in cases:
         assert_same(kind, text)

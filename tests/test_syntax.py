@@ -353,6 +353,53 @@ def test_prop_algebra_file_errors() -> None:
         load_prop_algebra("size 2\nnot: 1 0\nand 0: 0 0")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # A repeated single line is refused at its head word ...
+        ("size 2\nnot: 1 0\nsize 2\n", "line 3, column 1: duplicate 'size' line"),
+        ("size 2\nnot: 1 0\nand 0: 0 0\nnot: 0 1\n", "line 4, column 1: duplicate 'not' line"),
+        # ... and a repeated 'and' row at its index, which used to replace the first.
+        (
+            "size 2\nnot: 1 5\nand 0: 1 1\nand 0: 0 0\nand 1: 0 1\n",
+            "line 4, column 5: duplicate 'and' row 0",
+        ),
+        # A row is checked at its line: its length, then its entries.
+        ("size 2\nnot: 1 5\nand 0: 0 0\nand 1: 0 1\n", "line 2, column 1: negation table entry out of range"),
+        (
+            "size 2\nnot: 1 0\nand 1: 0 1\nand 0: 0 -1\n",
+            "line 4, column 1: conjunction table entry out of range",
+        ),
+        (
+            "size 2\nnot: 1 0 1\nand 0: 0 0\nand 1: 0 1\n",
+            "line 2, column 1: negation table row has 3 entries, expected 2",
+        ),
+        (
+            "size 2\nnot: 1 0\nand 0: 0 0\nand 1: 0 1 1\n",
+            "line 4, column 1: conjunction table row has 3 entries, expected 2",
+        ),
+        # Rows are checked in file order.
+        (
+            "and 1: 0 9\nsize 2\nand 0: 0\nnot: 1 0\n",
+            "line 1, column 1: conjunction table entry out of range",
+        ),
+        # The whole-file refusals come first and keep line 1, column 1.
+        ("size 2\nnot: 1 5\nand 1: 0 1\n", "line 1, column 1: expected 'and' rows 0..1"),
+        ("not: 1 5\nand 0: 0 0\nand 1: 0 1\n", "line 1, column 1: algebra file needs 'size' and 'not' lines"),
+    ],
+)
+def test_prop_algebra_errors_name_their_position(text, message) -> None:
+    with pytest.raises(ParseError) as info:
+        load_prop_algebra(text)
+    assert str(info.value) == message
+
+
+def test_empty_prop_algebra_is_refused_as_a_whole() -> None:
+    # An empty carrier belongs to no row, so its refusal names no line.
+    with pytest.raises(ValueError, match="^carrier must be nonempty$"):
+        load_prop_algebra("size 0\nnot:\n")
+
+
 # ------------- theory and proof files -------------
 
 THEORY_TEXT = """theory shapes
