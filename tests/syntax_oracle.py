@@ -557,22 +557,24 @@ def load_prop_algebra(text: str) -> FinitePropAlgebra:
             seen.add(head.text)
         if head.text == "size":
             size = parser.expect_int()
-        elif head.text in ("not", "and"):
-            if head.text == "and":
-                token = parser.peek()
-                index = parser.expect_int()
-                if index in and_rows:
-                    raise ParseError(f"duplicate 'and' row {index}", token.line, token.col)
+        elif head.text == "not":
             parser.expect_punct(":")
             values = []
             while parser.peek().kind != "end":
                 values.append(parser.expect_int())
-            if head.text == "not":
-                not_table = tuple(values)
-                rows.append((head, "negation", not_table))
-            else:
-                and_rows[index] = tuple(values)
-                rows.append((head, "conjunction", and_rows[index]))
+            not_table = tuple(values)
+            rows.append((head, "negation", not_table))
+        elif head.text == "and":
+            token = parser.peek()
+            index = parser.expect_int()
+            if index in and_rows:
+                raise ParseError(f"duplicate 'and' row {index}", token.line, token.col)
+            parser.expect_punct(":")
+            values = []
+            while parser.peek().kind != "end":
+                values.append(parser.expect_int())
+            and_rows[index] = tuple(values)
+            rows.append((head, "conjunction", and_rows[index]))
         else:
             raise ParseError("expected 'size', 'not', or 'and'", head.line, head.col)
         parser.expect_end()
