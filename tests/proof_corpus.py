@@ -8,16 +8,16 @@ edited component no longer rebuilds the step formula; the guards skip
 edits that would accidentally produce another valid proof.
 """
 
-import dataclasses
-
 from clonelogic.formulas import FAnd, FNot, Forall
 from clonelogic.proofs import (
+    AxiomInstanceSpec,
     ByAxiom,
     ByGen,
     ByHyp,
     ByMP,
     BySubst,
     Proof,
+    ProofStep,
     Theory,
 )
 from clonelogic.syntax import load_proof, load_prop_proof, load_signature, load_theory
@@ -211,7 +211,14 @@ def load_propositional_corpus():
 def _with_step(proof, index, step):
     steps = list(proof.steps)
     steps[index] = step
-    return dataclasses.replace(proof, steps=tuple(steps))
+    return Proof(proof.kind, tuple(steps))
+
+
+def _respec(spec, **changes):
+    """A copy of the axiom recipe ``spec`` with ``changes`` to its fields."""
+    return AxiomInstanceSpec(
+        *[changes.get(name, getattr(spec, name)) for name in spec.__match_args__]
+    )
 
 
 def predicate_mutants(proof, theory):
@@ -221,28 +228,28 @@ def predicate_mutants(proof, theory):
         label = f"step {i + 1}"
         yield (
             f"{label} formula negated",
-            _with_step(proof, i, dataclasses.replace(step, formula=FNot(step.formula))),
+            _with_step(proof, i, ProofStep(FNot(step.formula), step.by)),
         )
         yield (
             f"{label} formula wrapped in a binder",
-            _with_step(proof, i, dataclasses.replace(step, formula=Forall(step.formula))),
+            _with_step(proof, i, ProofStep(Forall(step.formula), step.by)),
         )
 
         def rejust(by, note):
-            return (f"{label} {note}", _with_step(proof, i, dataclasses.replace(step, by=by)))
+            return (f"{label} {note}", _with_step(proof, i, ProofStep(step.formula, by)))
 
         by = step.by
         if isinstance(by, ByAxiom):
             spec = by.spec
             if spec.p is not None:
-                yield rejust(ByAxiom(dataclasses.replace(spec, p=FNot(spec.p))), "axiom parameter negated")
+                yield rejust(ByAxiom(_respec(spec, p=FNot(spec.p))), "axiom parameter negated")
             if spec.var_index is not None:
                 yield rejust(
-                    ByAxiom(dataclasses.replace(spec, var_index=spec.var_index + 1)),
+                    ByAxiom(_respec(spec, var_index=spec.var_index + 1)),
                     "axiom variable shifted",
                 )
             yield rejust(
-                ByAxiom(dataclasses.replace(spec, gen_count=spec.gen_count + 1)),
+                ByAxiom(_respec(spec, gen_count=spec.gen_count + 1)),
                 "axiom recipe over-generalized",
             )
         elif isinstance(by, ByHyp):
@@ -286,22 +293,22 @@ def propositional_mutants(proof, hypotheses):
         label = f"step {i + 1}"
         yield (
             f"{label} formula negated",
-            with_step(i, dataclasses.replace(step, formula=FNot(step.formula))),
+            with_step(i, ProofStep(FNot(step.formula), step.by)),
         )
         yield (
             f"{label} formula self-conjoined",
-            with_step(i, dataclasses.replace(step, formula=FAnd(step.formula, step.formula))),
+            with_step(i, ProofStep(FAnd(step.formula, step.formula), step.by)),
         )
 
         def rejust(by, note):
-            return (f"{label} {note}", with_step(i, dataclasses.replace(step, by=by)))
+            return (f"{label} {note}", with_step(i, ProofStep(step.formula, by)))
 
         by = step.by
         if isinstance(by, ByAxiom):
             spec = by.spec
             renumbered = f"A{int(spec.axiom[1]) % 3 + 1}"
-            yield rejust(ByAxiom(dataclasses.replace(spec, p=FNot(spec.p))), "axiom parameter negated")
-            yield rejust(ByAxiom(dataclasses.replace(spec, axiom=renumbered)), "axiom renumbered")
+            yield rejust(ByAxiom(_respec(spec, p=FNot(spec.p))), "axiom parameter negated")
+            yield rejust(ByAxiom(_respec(spec, axiom=renumbered)), "axiom renumbered")
         elif isinstance(by, ByHyp):
             yield rejust(ByHyp(len(hypotheses)), "hypothesis index out of range")
             for j, candidate in enumerate(hypotheses):
