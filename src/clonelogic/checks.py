@@ -8,7 +8,6 @@ command line can print it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import BoundExceeded
 from .formulas import (
@@ -45,7 +44,7 @@ from .semantics import (
     enumerate_structures,
     qa_law_check,
 )
-from .terms import App, Var
+from .terms import App, Record, Var, _set
 
 
 def soundness_language() -> Language:
@@ -57,19 +56,34 @@ def soundness_language() -> Language:
     )
 
 
-@dataclass(frozen=True)
-class SoundnessFailure:
-    axiom: str
-    instance: Formula
-    structure: Structure
-    env_prefix: tuple[int, ...]
+class SoundnessFailure(Record):
+    __slots__ = __match_args__ = ("axiom", "instance", "structure", "env_prefix")
+
+    def __init__(
+        self,
+        axiom: str,
+        instance: Formula,
+        structure: Structure,
+        env_prefix: tuple[int, ...],
+    ):
+        _set(self, "axiom", axiom)
+        _set(self, "instance", instance)
+        _set(self, "structure", structure)
+        _set(self, "env_prefix", env_prefix)
 
 
-@dataclass(frozen=True)
-class SoundnessReport:
-    per_axiom: tuple[tuple[str, int], ...]
-    structures_checked: int
-    failures: tuple[SoundnessFailure, ...]
+class SoundnessReport(Record):
+    __slots__ = __match_args__ = ("per_axiom", "structures_checked", "failures")
+
+    def __init__(
+        self,
+        per_axiom: tuple[tuple[str, int], ...],
+        structures_checked: int,
+        failures: tuple[SoundnessFailure, ...],
+    ):
+        _set(self, "per_axiom", per_axiom)
+        _set(self, "structures_checked", structures_checked)
+        _set(self, "failures", failures)
 
     @property
     def ok(self) -> bool:
@@ -139,23 +153,42 @@ def soundness_survey(
     return SoundnessReport(tuple(counts), structures_checked, tuple(failures))
 
 
-@dataclass(frozen=True)
-class AlgebraVerdict:
-    carrier: int
-    boolean: bool
-    filters: int
-    valuations: int
-    filters_are_intersections: bool
-    maximal_filters_match_valuations: bool
+class AlgebraVerdict(Record):
+    __slots__ = __match_args__ = (
+        "carrier",
+        "boolean",
+        "filters",
+        "valuations",
+        "filters_are_intersections",
+        "maximal_filters_match_valuations",
+    )
+
+    def __init__(
+        self,
+        carrier: int,
+        boolean: bool,
+        filters: int,
+        valuations: int,
+        filters_are_intersections: bool,
+        maximal_filters_match_valuations: bool,
+    ):
+        _set(self, "carrier", carrier)
+        _set(self, "boolean", boolean)
+        _set(self, "filters", filters)
+        _set(self, "valuations", valuations)
+        _set(self, "filters_are_intersections", filters_are_intersections)
+        _set(self, "maximal_filters_match_valuations", maximal_filters_match_valuations)
 
     @property
     def ok(self) -> bool:
         return self.filters_are_intersections and self.maximal_filters_match_valuations
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
-    verdicts: tuple[AlgebraVerdict, ...]
+class CompletenessReport(Record):
+    __slots__ = __match_args__ = ("verdicts",)
+
+    def __init__(self, verdicts: tuple[AlgebraVerdict, ...]):
+        _set(self, "verdicts", verdicts)
 
     @property
     def ok(self) -> bool:
@@ -269,19 +302,33 @@ def qa_fragment(depth: int = 2) -> list[Formula]:
     return enumerate_formulas(atoms, depth)
 
 
-@dataclass(frozen=True)
-class QACell:
-    size: int
-    atom_bits: int
-    structures: int
-    exhaustive: bool
-    ok: bool
-    failing_law: str | None = None
+class QACell(Record):
+    __slots__ = __match_args__ = (
+        "size", "atom_bits", "structures", "exhaustive", "ok", "failing_law"
+    )
+
+    def __init__(
+        self,
+        size: int,
+        atom_bits: int,
+        structures: int,
+        exhaustive: bool,
+        ok: bool,
+        failing_law: str | None = None,
+    ):
+        _set(self, "size", size)
+        _set(self, "atom_bits", atom_bits)
+        _set(self, "structures", structures)
+        _set(self, "exhaustive", exhaustive)
+        _set(self, "ok", ok)
+        _set(self, "failing_law", failing_law)
 
 
-@dataclass(frozen=True)
-class QASurveyReport:
-    cells: tuple[QACell, ...]
+class QASurveyReport(Record):
+    __slots__ = __match_args__ = ("cells",)
+
+    def __init__(self, cells: tuple[QACell, ...]):
+        _set(self, "cells", cells)
 
     @property
     def ok(self) -> bool:

@@ -15,7 +15,6 @@ against a schema.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import BoundExceeded, LogicError
@@ -31,7 +30,7 @@ from .formulas import (
     f_imp,
     fsubst,
 )
-from .terms import Interned, Substitution, Var
+from .terms import Interned, Record, Substitution, Var, _set
 
 __all__ = [
     "AXIOM_IDS",
@@ -56,8 +55,7 @@ __all__ = [
 AXIOM_IDS = ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8")
 
 
-@dataclass(frozen=True)
-class AxiomInstanceSpec:
+class AxiomInstanceSpec(Record):
     """Recipe for one axiom instance.
 
     ``axiom`` names the schema; ``p``/``q``/``r`` are its formula
@@ -67,13 +65,25 @@ class AxiomInstanceSpec:
     in that many outer binders.
     """
 
-    axiom: str
-    p: Formula | None = None
-    q: Formula | None = None
-    r: Formula | None = None
-    subst: Substitution | None = None
-    var_index: int | None = None
-    gen_count: int = 0
+    __slots__ = __match_args__ = ("axiom", "p", "q", "r", "subst", "var_index", "gen_count")
+
+    def __init__(
+        self,
+        axiom: str,
+        p: Formula | None = None,
+        q: Formula | None = None,
+        r: Formula | None = None,
+        subst: Substitution | None = None,
+        var_index: int | None = None,
+        gen_count: int = 0,
+    ):
+        _set(self, "axiom", axiom)
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "r", r)
+        _set(self, "subst", subst)
+        _set(self, "var_index", var_index)
+        _set(self, "gen_count", gen_count)
 
 
 def _need(spec: AxiomInstanceSpec, *names: str):
@@ -182,60 +192,73 @@ class Theory:
         return f"Theory({self.name!r}, {len(self.formulas)} formulas)"
 
 
-@dataclass(frozen=True)
-class ByAxiom:
-    spec: AxiomInstanceSpec
+class ByAxiom(Record):
+    __slots__ = __match_args__ = ("spec",)
+
+    def __init__(self, spec: AxiomInstanceSpec):
+        _set(self, "spec", spec)
 
 
-@dataclass(frozen=True)
-class ByHyp:
-    index: int
+class ByHyp(Record):
+    __slots__ = __match_args__ = ("index",)
+
+    def __init__(self, index: int):
+        _set(self, "index", index)
 
 
-@dataclass(frozen=True)
-class ByMP:
-    premise: int
-    implication: int
+class ByMP(Record):
+    __slots__ = __match_args__ = ("premise", "implication")
+
+    def __init__(self, premise: int, implication: int):
+        _set(self, "premise", premise)
+        _set(self, "implication", implication)
 
 
-@dataclass(frozen=True)
-class BySubst:
-    source: int
-    subst: Substitution
+class BySubst(Record):
+    __slots__ = __match_args__ = ("source", "subst")
+
+    def __init__(self, source: int, subst: Substitution):
+        _set(self, "source", source)
+        _set(self, "subst", subst)
 
 
-@dataclass(frozen=True)
-class ByGen:
-    source: int
+class ByGen(Record):
+    __slots__ = __match_args__ = ("source",)
+
+    def __init__(self, source: int):
+        _set(self, "source", source)
 
 
 Justification = Union[ByAxiom, ByHyp, ByMP, BySubst, ByGen]
 
 
-@dataclass(frozen=True)
-class ProofStep:
-    formula: Formula
-    by: Justification
+class ProofStep(Record):
+    __slots__ = __match_args__ = ("formula", "by")
+
+    def __init__(self, formula: Formula, by: Justification):
+        _set(self, "formula", formula)
+        _set(self, "by", by)
 
 
-@dataclass(frozen=True)
-class Proof:
-    kind: str  # "local" or "global"
-    steps: tuple[ProofStep, ...]
+class Proof(Record):
+    __slots__ = __match_args__ = ("kind", "steps")  # kind: "local" or "global"
 
-    def __post_init__(self):
-        if self.kind not in ("local", "global"):
-            raise ValueError(f"proof kind must be 'local' or 'global', got {self.kind!r}")
-        object.__setattr__(self, "steps", tuple(self.steps))
+    def __init__(self, kind: str, steps: Sequence[ProofStep]):
+        if kind not in ("local", "global"):
+            raise ValueError(f"proof kind must be 'local' or 'global', got {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "steps", tuple(steps))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Outcome of a proof check; ``step`` is the 0-based first failure."""
 
-    ok: bool
-    step: int | None = None
-    reason: str | None = None
+    __slots__ = __match_args__ = ("ok", "step", "reason")
+
+    def __init__(self, ok: bool, step: int | None = None, reason: str | None = None):
+        _set(self, "ok", ok)
+        _set(self, "step", step)
+        _set(self, "reason", reason)
 
 
 def check_proof(proof: Proof, theory: Theory) -> CheckResult:

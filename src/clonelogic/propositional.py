@@ -18,7 +18,6 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import BoundExceeded, LogicError
@@ -33,6 +32,7 @@ from .proofs import (
     build_prime_axiom,
 )
 from .semantics import countermodel_search
+from .terms import Record, _set
 
 __all__ = [
     "tautology",
@@ -93,24 +93,24 @@ def check_row(table: str, row: tuple[int, ...], n: int) -> None:
         raise ValueError(f"{table} table entry out of range")
 
 
-@dataclass(frozen=True)
-class FinitePropAlgebra:
+class FinitePropAlgebra(Record):
     """Operation tables over the carrier {0, ..., size-1}."""
 
-    not_table: tuple[int, ...]
-    and_table: tuple[tuple[int, ...], ...]
+    __slots__ = __match_args__ = ("not_table", "and_table")
 
-    def __post_init__(self):
-        object.__setattr__(self, "not_table", tuple(self.not_table))
-        object.__setattr__(self, "and_table", tuple(tuple(row) for row in self.and_table))
-        n = len(self.not_table)
+    def __init__(self, not_table: Sequence[int], and_table: Sequence[Sequence[int]]):
+        not_table = tuple(not_table)
+        and_table = tuple(tuple(row) for row in and_table)
+        n = len(not_table)
         if n == 0:
             raise ValueError("carrier must be nonempty")
-        if len(self.and_table) != n:
+        if len(and_table) != n:
             raise ValueError("conjunction table must be n x n")
-        check_row("negation", self.not_table, n)
-        for row in self.and_table:
+        check_row("negation", not_table, n)
+        for row in and_table:
             check_row("conjunction", row, n)
+        _set(self, "not_table", not_table)
+        _set(self, "and_table", and_table)
 
     @property
     def size(self) -> int:

@@ -24,7 +24,6 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import compress, count, repeat
 from operator import and_, itemgetter, rshift, xor
 
@@ -48,9 +47,11 @@ from .terms import (
     App,
     Const,
     FunctionType,
+    Record,
     Substitution,
     Term,
     Var,
+    _set,
     apply,
     cons_subst,
     is_closed,
@@ -71,21 +72,21 @@ CANDIDATES_CAP = 1 << 20
 MAX_TRUTH_BITS = 16
 
 
-@dataclass(frozen=True)
-class Env:
+class Env(Record):
     """Eventually-constant assignment of domain elements to variables.
 
     Coordinate i reads prefix[i-1] when available and the default
     element afterwards.
     """
 
-    prefix: tuple[int, ...] = ()
-    default: int = 0
+    __slots__ = __match_args__ = ("prefix", "default")
 
-    def __post_init__(self):
-        for value in (*self.prefix, self.default):
+    def __init__(self, prefix: tuple[int, ...] = (), default: int = 0):
+        for value in (*prefix, default):
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"environment entries must be >= 0, got {value!r}")
+        _set(self, "prefix", prefix)
+        _set(self, "default", default)
 
     def at(self, index: int) -> int:
         if index <= len(self.prefix):
@@ -97,8 +98,7 @@ class Env:
         return Env((element,) + self.prefix, self.default)
 
 
-@dataclass(frozen=True)
-class FiniteBooleanAlg:
+class FiniteBooleanAlg(Record):
     """Boolean algebra of bitmasks over a fixed number of atoms.
 
     Elements are the integers 0 .. 2**atom_count - 1; meet, join, and
@@ -106,11 +106,12 @@ class FiniteBooleanAlg:
     quantifier is defined everywhere.
     """
 
-    atom_count: int
+    __slots__ = __match_args__ = ("atom_count",)
 
-    def __post_init__(self):
-        if self.atom_count < 1 or self.atom_count > MAX_TRUTH_BITS:
+    def __init__(self, atom_count: int):
+        if atom_count < 1 or atom_count > MAX_TRUTH_BITS:
             raise ValueError(f"atom_count must be between 1 and {MAX_TRUTH_BITS}")
+        _set(self, "atom_count", atom_count)
 
     @property
     def size(self) -> int:
@@ -140,8 +141,7 @@ TWO = FiniteBooleanAlg(1)
 FOUR = FiniteBooleanAlg(2)
 
 
-@dataclass
-class Structure:
+class Structure(Record):
     """Finite interpretation of a language over the domain {0..size-1}.
 
     Function tables map argument tuples (read row-major) to domain
@@ -150,41 +150,60 @@ class Structure:
     meant to pair with a FiniteBooleanAlg of that many atoms.  When
     eq_identity is set (the default for equality languages) the
     equality table is pinned to the identity relation and may be
-    omitted from the constructor.
+    omitted from the constructor.  Unlike the other records, a structure
+    may be assigned to, so it is unhashable.
     """
 
-    language: Language
-    size: int
-    fn_tables: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    rel_tables: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    eq_identity: bool = True
-    truth_bits: int = 1
+    __slots__ = __match_args__ = (
+        "language", "size", "fn_tables", "rel_tables", "eq_identity", "truth_bits"
+    )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
 
-    def __post_init__(self):
-        if self.size < 1:
+    def __init__(
+        self,
+        language: Language,
+        size: int,
+        fn_tables: dict[str, tuple[int, ...]] | None = None,
+        rel_tables: dict[str, tuple[int, ...]] | None = None,
+        eq_identity: bool = True,
+        truth_bits: int = 1,
+    ):
+        if fn_tables is None:
+            fn_tables = {}
+        if rel_tables is None:
+            rel_tables = {}
+        if size < 1:
             raise ValueError("domain size must be >= 1")
-        if self.truth_bits < 1:
+        if truth_bits < 1:
             raise ValueError("truth_bits must be >= 1")
-        full = (1 << self.truth_bits) - 1
-        eq = self.language.equality if self.eq_identity else None
+        full = (1 << truth_bits) - 1
+        eq = language.equality if eq_identity else None
         if eq is not None:
-            if self.size * self.size > DEFAULT_ROWS_CAP:
+            if size * size > DEFAULT_ROWS_CAP:
                 raise BoundExceeded(
-                    f"the equality table needs {self.size}^2 entries, over the cap "
+                    f"the equality table needs {size}^2 entries, over the cap "
                     f"of {DEFAULT_ROWS_CAP}"
                 )
-            if eq not in self.rel_tables:
-                self.rel_tables = dict(self.rel_tables)
-                self.rel_tables[eq] = identity_table(self.size, full)
+            if eq not in rel_tables:
+                rel_tables = dict(rel_tables)
+                rel_tables[eq] = identity_table(size, full)
         for kind, tables, symbols, top in (
-            ("function", self.fn_tables, self.language.functions, self.size - 1),
-            ("relation", self.rel_tables, self.language.predicates, full),
+            ("function", fn_tables, language.functions, size - 1),
+            ("relation", rel_tables, language.predicates, full),
         ):
             for name, table in tables.items():
-                check_table(kind, symbols, self.size, top, name, table, name == eq)
+                check_table(kind, symbols, size, top, name, table, name == eq)
             for name in symbols:
                 if name not in tables:
                     raise ValueError(f"missing {kind} table for {name!r}")
+        self.language = language
+        self.size = size
+        self.fn_tables = fn_tables
+        self.rel_tables = rel_tables
+        self.eq_identity = eq_identity
+        self.truth_bits = truth_bits
 
     def check_env(self, env: Env) -> None:
         for value in (*env.prefix, env.default):
@@ -1189,28 +1208,34 @@ def zmod_structure(m: int) -> Structure:
     return Structure(language, m, fn_tables, {})
 
 
-@dataclass(frozen=True)
-class LawFailure:
+class LawFailure(Record):
     """Witness for one failed law instance."""
 
-    p: Formula
-    q: Formula | None
-    env: Env
-    left: int
-    right: int
+    __slots__ = __match_args__ = ("p", "q", "env", "left", "right")
+
+    def __init__(self, p: Formula, q: Formula | None, env: Env, left: int, right: int):
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "env", env)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class LawReport:
-    law: str
-    ok: bool
-    checked: int
-    failure: LawFailure | None = None
+class LawReport(Record):
+    __slots__ = __match_args__ = ("law", "ok", "checked", "failure")
+
+    def __init__(self, law: str, ok: bool, checked: int, failure: LawFailure | None = None):
+        _set(self, "law", law)
+        _set(self, "ok", ok)
+        _set(self, "checked", checked)
+        _set(self, "failure", failure)
 
 
-@dataclass(frozen=True)
-class QAReport:
-    laws: tuple[LawReport, ...]
+class QAReport(Record):
+    __slots__ = __match_args__ = ("laws",)
+
+    def __init__(self, laws: tuple[LawReport, ...]):
+        _set(self, "laws", laws)
 
     @property
     def ok(self) -> bool:
@@ -1455,8 +1480,7 @@ def _run_law(law: str, instances: _Instances, tables: _Tables) -> LawReport:
     return LawReport(law, True, checked)
 
 
-@dataclass(frozen=True)
-class WitnessEntry:
+class WitnessEntry(Record):
     """Outcome of the witness check for one sampled formula.
 
     A formula whose universal closure holds locally lands in the
@@ -1467,16 +1491,28 @@ class WitnessEntry:
     inconclusive flags.
     """
 
-    formula: Formula
-    category: str
-    ok: bool
-    witness: Term | None = None
-    inconclusive: bool = False
+    __slots__ = __match_args__ = ("formula", "category", "ok", "witness", "inconclusive")
+
+    def __init__(
+        self,
+        formula: Formula,
+        category: str,
+        ok: bool,
+        witness: Term | None = None,
+        inconclusive: bool = False,
+    ):
+        _set(self, "formula", formula)
+        _set(self, "category", category)
+        _set(self, "ok", ok)
+        _set(self, "witness", witness)
+        _set(self, "inconclusive", inconclusive)
 
 
-@dataclass(frozen=True)
-class PerfectReport:
-    entries: tuple[WitnessEntry, ...]
+class PerfectReport(Record):
+    __slots__ = __match_args__ = ("entries",)
+
+    def __init__(self, entries: tuple[WitnessEntry, ...]):
+        _set(self, "entries", entries)
 
     @property
     def ok(self) -> bool:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import re
 import weakref
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import ArityMismatch, BoundExceeded, UndeclaredSymbol
@@ -125,6 +124,39 @@ class Interned:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__name__}({fields})"
+
+
+class Record:
+    """Base of the kernel's value records: substitutions, proof steps,
+    environments, structures and the reports built from them.
+
+    A subclass names its fields in ``__slots__`` and ``__match_args__``
+    and sets them in its own ``__init__`` with ``object.__setattr__``.
+    Two records are equal when they are of one class with equal fields,
+    and a record hashes by its fields.  Records are immutable, except
+    that ``Structure`` allows assignment and is unhashable.  As for
+    interned nodes, the repr names each field, and copying or pickling
+    builds the record again through its constructor.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    __setattr__ = Interned.__setattr__
+    __delattr__ = Interned.__delattr__
+    __reduce__ = Interned.__reduce__
+    __repr__ = Interned.__repr__
 
 
 _VARS, _drop_var = intern_table()
@@ -257,22 +289,25 @@ def check_term(
             stack.extend(reversed(args))
 
 
-@dataclass(frozen=True)
-class Shift:
+class Shift(Record):
     """Tail rule: coordinate j maps to the variable x(j + offset)."""
 
-    offset: int
+    __slots__ = __match_args__ = ("offset",)
+
+    def __init__(self, offset: int):
+        _set(self, "offset", offset)
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Record):
     """Tail rule: every remaining coordinate maps to one fixed term."""
 
-    term: Term
+    __slots__ = __match_args__ = ("term",)
+
+    def __init__(self, term: Term):
+        _set(self, "term", term)
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(Record):
     """Finitely represented infinite sequence of terms.
 
     Coordinate ``j`` (1-based) reads ``prefix[j-1]`` when ``j <= len(prefix)``
@@ -280,12 +315,10 @@ class Substitution:
     trailing entry duplicates what the tail rule would produce.
     """
 
-    prefix: tuple[Term, ...]
-    tail: Shift | Const
+    __slots__ = __match_args__ = ("prefix", "tail")
 
-    def __post_init__(self):
-        prefix = tuple(self.prefix)
-        tail = self.tail
+    def __init__(self, prefix: Sequence[Term], tail: Shift | Const):
+        prefix = tuple(prefix)
         if isinstance(tail, Shift) and len(prefix) + tail.offset < 0:
             raise ValueError(
                 f"shift tail {tail.offset} under prefix of length {len(prefix)} "
@@ -302,7 +335,8 @@ class Substitution:
                 if last != tail.term:
                     break
             prefix = prefix[:-1]
-        object.__setattr__(self, "prefix", prefix)
+        _set(self, "prefix", prefix)
+        _set(self, "tail", tail)
 
 
 # [x1, x2, ...]; [x2, x3, ...] behind p+; and the collapses behind p-
