@@ -159,7 +159,7 @@ class Structure(Record):
     )
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
-    __hash__ = None  # type: ignore[assignment]
+    __hash__ = None
 
     def __init__(
         self,
