@@ -39,12 +39,11 @@ from .semantics import (
     DEFAULT_ROWS_CAP,
     FOUR,
     TWO,
-    Structure,
     counterexample_env,
     enumerate_structures,
     qa_law_check,
 )
-from .terms import App, Record, Var, _set
+from .terms import App, Record, Var
 
 
 def soundness_language() -> Language:
@@ -59,31 +58,9 @@ def soundness_language() -> Language:
 class SoundnessFailure(Record):
     __slots__ = __match_args__ = ("axiom", "instance", "structure", "env_prefix")
 
-    def __init__(
-        self,
-        axiom: str,
-        instance: Formula,
-        structure: Structure,
-        env_prefix: tuple[int, ...],
-    ):
-        _set(self, "axiom", axiom)
-        _set(self, "instance", instance)
-        _set(self, "structure", structure)
-        _set(self, "env_prefix", env_prefix)
-
 
 class SoundnessReport(Record):
     __slots__ = __match_args__ = ("per_axiom", "structures_checked", "failures")
-
-    def __init__(
-        self,
-        per_axiom: tuple[tuple[str, int], ...],
-        structures_checked: int,
-        failures: tuple[SoundnessFailure, ...],
-    ):
-        _set(self, "per_axiom", per_axiom)
-        _set(self, "structures_checked", structures_checked)
-        _set(self, "failures", failures)
 
     @property
     def ok(self) -> bool:
@@ -163,22 +140,6 @@ class AlgebraVerdict(Record):
         "maximal_filters_match_valuations",
     )
 
-    def __init__(
-        self,
-        carrier: int,
-        boolean: bool,
-        filters: int,
-        valuations: int,
-        filters_are_intersections: bool,
-        maximal_filters_match_valuations: bool,
-    ):
-        _set(self, "carrier", carrier)
-        _set(self, "boolean", boolean)
-        _set(self, "filters", filters)
-        _set(self, "valuations", valuations)
-        _set(self, "filters_are_intersections", filters_are_intersections)
-        _set(self, "maximal_filters_match_valuations", maximal_filters_match_valuations)
-
     @property
     def ok(self) -> bool:
         return self.filters_are_intersections and self.maximal_filters_match_valuations
@@ -186,9 +147,6 @@ class AlgebraVerdict(Record):
 
 class CompletenessReport(Record):
     __slots__ = __match_args__ = ("verdicts",)
-
-    def __init__(self, verdicts: tuple[AlgebraVerdict, ...]):
-        _set(self, "verdicts", verdicts)
 
     @property
     def ok(self) -> bool:
@@ -306,29 +264,11 @@ class QACell(Record):
     __slots__ = __match_args__ = (
         "size", "atom_bits", "structures", "exhaustive", "ok", "failing_law"
     )
-
-    def __init__(
-        self,
-        size: int,
-        atom_bits: int,
-        structures: int,
-        exhaustive: bool,
-        ok: bool,
-        failing_law: str | None = None,
-    ):
-        _set(self, "size", size)
-        _set(self, "atom_bits", atom_bits)
-        _set(self, "structures", structures)
-        _set(self, "exhaustive", exhaustive)
-        _set(self, "ok", ok)
-        _set(self, "failing_law", failing_law)
+    _defaults = {"failing_law": None}
 
 
 class QASurveyReport(Record):
     __slots__ = __match_args__ = ("cells",)
-
-    def __init__(self, cells: tuple[QACell, ...]):
-        _set(self, "cells", cells)
 
     @property
     def ok(self) -> bool:

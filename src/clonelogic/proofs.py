@@ -254,11 +254,7 @@ class CheckResult(Record):
     """Outcome of a proof check; ``step`` is the 0-based first failure."""
 
     __slots__ = __match_args__ = ("ok", "step", "reason")
-
-    def __init__(self, ok: bool, step: int | None = None, reason: str | None = None):
-        _set(self, "ok", ok)
-        _set(self, "step", step)
-        _set(self, "reason", reason)
+    _defaults = {"step": None, "reason": None}
 
 
 def check_proof(proof: Proof, theory: Theory) -> CheckResult:

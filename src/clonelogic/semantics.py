@@ -82,6 +82,7 @@ class Env(Record):
     __slots__ = __match_args__ = ("prefix", "default")
 
     def __init__(self, prefix: tuple[int, ...] = (), default: int = 0):
+        prefix = tuple(prefix)
         for value in (*prefix, default):
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"environment entries must be >= 0, got {value!r}")
@@ -1213,29 +1214,14 @@ class LawFailure(Record):
 
     __slots__ = __match_args__ = ("p", "q", "env", "left", "right")
 
-    def __init__(self, p: Formula, q: Formula | None, env: Env, left: int, right: int):
-        _set(self, "p", p)
-        _set(self, "q", q)
-        _set(self, "env", env)
-        _set(self, "left", left)
-        _set(self, "right", right)
-
 
 class LawReport(Record):
     __slots__ = __match_args__ = ("law", "ok", "checked", "failure")
-
-    def __init__(self, law: str, ok: bool, checked: int, failure: LawFailure | None = None):
-        _set(self, "law", law)
-        _set(self, "ok", ok)
-        _set(self, "checked", checked)
-        _set(self, "failure", failure)
+    _defaults = {"failure": None}
 
 
 class QAReport(Record):
     __slots__ = __match_args__ = ("laws",)
-
-    def __init__(self, laws: tuple[LawReport, ...]):
-        _set(self, "laws", laws)
 
     @property
     def ok(self) -> bool:
@@ -1492,27 +1478,11 @@ class WitnessEntry(Record):
     """
 
     __slots__ = __match_args__ = ("formula", "category", "ok", "witness", "inconclusive")
-
-    def __init__(
-        self,
-        formula: Formula,
-        category: str,
-        ok: bool,
-        witness: Term | None = None,
-        inconclusive: bool = False,
-    ):
-        _set(self, "formula", formula)
-        _set(self, "category", category)
-        _set(self, "ok", ok)
-        _set(self, "witness", witness)
-        _set(self, "inconclusive", inconclusive)
+    _defaults = {"witness": None, "inconclusive": False}
 
 
 class PerfectReport(Record):
     __slots__ = __match_args__ = ("entries",)
-
-    def __init__(self, entries: tuple[WitnessEntry, ...]):
-        _set(self, "entries", entries)
 
     @property
     def ok(self) -> bool:

@@ -130,8 +130,15 @@ class Record:
     """Base of the kernel's value records: substitutions, proof steps,
     environments, structures and the reports built from them.
 
-    A subclass names its fields in ``__slots__`` and ``__match_args__``
-    and sets them in its own ``__init__`` with ``object.__setattr__``.
+    A subclass names its fields in ``__slots__`` and ``__match_args__``.
+    The shared constructor fills them from positional values, keywords
+    and the class's ``_defaults``, in that order.  Records that check or
+    canonicalize their input, and those built once per proof line or per
+    substitution (``Shift``, ``Const``, ``AxiomInstanceSpec``,
+    ``ProofStep``, the ``By*`` justifications), write their own
+    ``__init__`` with ``object.__setattr__``: the shared one costs about
+    twice as much per call, which shows in proof checking.
+
     Two records are equal when they are of one class with equal fields,
     and a record hashes by its fields.  Records are immutable, except
     that ``Structure`` allows assignment and is unhashable.  As for
@@ -141,6 +148,21 @@ class Record:
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+    _defaults: Mapping[str, object] = {}
+
+    def __init__(self, *args, **kwargs):
+        names, cls = self.__match_args__, type(self).__name__
+        if len(args) > len(names):
+            raise TypeError(f"{cls}() takes {len(names)} values, got {len(args)}")
+        for name in kwargs:
+            if name not in names[len(args):]:
+                what = "a second value for" if name in names else "an unknown"
+                raise TypeError(f"{cls}() got {what} field {name!r}")
+        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        for name in names:
+            if name not in values:
+                raise TypeError(f"{cls}() missing field {name!r}")
+            _set(self, name, values[name])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])

@@ -124,8 +124,55 @@ def _values(record) -> tuple:
     return tuple(getattr(record, name) for name in record.__match_args__)
 
 
+MODULES = (terms, proofs, semantics, propositional, checks)
+# The report records, built by Record's shared constructor; every other
+# record writes its own __init__.
+SHARED = {
+    "LawFailure", "LawReport", "QAReport", "WitnessEntry", "PerfectReport", "CheckResult",
+    "SoundnessFailure", "SoundnessReport", "AlgebraVerdict", "CompletenessReport", "QACell",
+    "QASurveyReport",
+}
+CLASSES = [
+    cls for cls in terms.Record.__subclasses__()
+    if cls.__module__ in {module.__name__ for module in MODULES}
+]
+
+
 def test_every_record_class_is_listed() -> None:
-    assert len(set(IDS)) == len(RECORDS) == 27
+    assert len(set(IDS)) == len(RECORDS)
+    assert sorted(cls.__name__ for cls in CLASSES) == sorted(IDS)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_slots_are_the_match_args(cls) -> None:
+    assert cls.__slots__ == cls.__match_args__
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_only_the_report_records_use_the_shared_constructor(cls) -> None:
+    assert ("__init__" in vars(cls)) is (cls.__name__ not in SHARED)
+
+
+SHARED_REFUSALS = [
+    (lambda: checks.QACell(2, 1, 16), "QACell() missing field 'exhaustive'"),
+    (lambda: checks.QACell(2, 1, 16, True, ok=False, law="Q3"), "QACell() got an unknown field 'law'"),
+    (lambda: checks.QACell(2, 1, 16, True, False, "Q3", 0), "QACell() takes 6 values, got 7"),
+    (lambda: checks.QACell(2, 1, 16, True, False, size=2), "QACell() got a second value for field 'size'"),
+    (lambda: proofs.CheckResult(step=1), "CheckResult() missing field 'ok'"),
+]
+
+
+@pytest.mark.parametrize(("build", "message"), SHARED_REFUSALS)
+def test_shared_constructor_refuses_bad_arguments(build, message) -> None:
+    with pytest.raises(TypeError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+def test_shared_constructor_fills_keywords_then_defaults() -> None:
+    assert checks.QACell(2, 1, exhaustive=True, ok=False, structures=16, failing_law="Q3") == cell()
+    assert proofs.CheckResult(reason="why", ok=False) == proofs.CheckResult(False, None, "why")
+    assert semantics.WitnessEntry(P, "universal", True, inconclusive=True).witness is None
 
 
 @pytest.mark.parametrize(("make", "text"), RECORDS, ids=IDS)
@@ -262,6 +309,9 @@ def test_constructors_canonicalize() -> None:
     assert terms.Substitution((Var(1), Var(2)), Shift(0)).prefix == ()
     assert terms.Substitution((C, C), terms.Const(C)).prefix == ()
     assert terms.Substitution([C], Shift(0)).prefix == (C,)
+    assert semantics.Env([1, 2]) == semantics.Env((1, 2))
+    assert hash(semantics.Env([1, 2])) == hash(semantics.Env((1, 2)))
+    assert repr(semantics.Env([1, 2])) == "Env(prefix=(1, 2), default=0)"
     assert proofs.Proof("local", []).steps == ()
     algebra = propositional.FinitePropAlgebra([1, 0], [[0, 0], [0, 1]])
     assert algebra.not_table == (1, 0) and algebra.and_table == ((0, 0), (0, 1))
