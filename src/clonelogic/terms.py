@@ -151,18 +151,24 @@ class Record:
     _defaults: Mapping[str, object] = {}
 
     def __init__(self, *args, **kwargs):
-        names, cls = self.__match_args__, type(self).__name__
+        names = self.__match_args__
         if len(args) > len(names):
-            raise TypeError(f"{cls}() takes {len(names)} values, got {len(args)}")
-        for name in kwargs:
-            if name not in names[len(args):]:
-                what = "a second value for" if name in names else "an unknown"
-                raise TypeError(f"{cls}() got {what} field {name!r}")
-        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
-        for name in names:
-            if name not in values:
-                raise TypeError(f"{cls}() missing field {name!r}")
-            _set(self, name, values[name])
+            raise TypeError(f"{type(self).__name__}() takes {len(names)} values, got {len(args)}")
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        if kwargs or len(args) < len(names):
+            rest = names[len(args):]
+            for name in kwargs:
+                if name not in rest:
+                    what = "a second value for" if name in names else "an unknown"
+                    raise TypeError(f"{type(self).__name__}() got {what} field {name!r}")
+            for name in rest:
+                if name in kwargs:
+                    _set(self, name, kwargs[name])
+                elif name in self._defaults:
+                    _set(self, name, self._defaults[name])
+                else:
+                    raise TypeError(f"{type(self).__name__}() missing field {name!r}")
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])

@@ -7,7 +7,8 @@ example and the exact text of its repr.  Equality is by class and
 fields, so two records of different classes with the same fields differ
 and no record equals a tuple.  Every record but ``Structure`` is
 immutable and hashable; a ``Structure`` may be assigned to and is
-unhashable.
+unhashable.  The report records in ``SHARED`` are built by ``Record``'s
+shared constructor; every other record writes its own ``__init__``.
 """
 
 from __future__ import annotations
