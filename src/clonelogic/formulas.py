@@ -366,15 +366,10 @@ def is_sentence(formula: Formula) -> bool:
 
 
 def close_off(formula: Formula) -> Formula:
-    """Universally bind every free coordinate, highest binder innermost:
-    one substitution by the reversal [x_r, ..., x_1] under r binders, the
-    node that binding x_r, ..., x_1 in turn with :func:`forall_xi` gives."""
-    rank = frank(formula)
-    if rank > terms.MAX_BINDER_INDEX:
-        raise BoundExceeded(f"binder coordinate {rank} is over the cap of {terms.MAX_BINDER_INDEX}")
-    out = fsubst(formula, Substitution([Var(j) for j in range(rank, 0, -1)], terms.Shift(0)))
-    for _ in range(rank):
-        out = Forall(out)
+    """Universally bind every free coordinate, highest binder innermost."""
+    out = formula
+    for i in range(frank(formula), 0, -1):
+        out = forall_xi(i, out)
     return out
 
 

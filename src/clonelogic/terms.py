@@ -137,7 +137,11 @@ class Record:
     substitution (``Shift``, ``Const``, ``AxiomInstanceSpec``,
     ``ProofStep``, the ``By*`` justifications), write their own
     ``__init__`` with ``object.__setattr__``: the shared one costs about
-    twice as much per call, which shows in proof checking.
+    twice as much per call, which shows in proof checking.  A record
+    on the shared constructor shows the signature ``(*args, **kwargs)``
+    to ``inspect.signature`` and ``help``; its fields are
+    ``__match_args__`` and its defaults ``_defaults``.  A keyword that
+    names no field left unset by position is refused.
 
     Two records are equal when they are of one class with equal fields,
     and a record hashes by its fields.  Records are immutable, except
@@ -156,19 +160,15 @@ class Record:
             raise TypeError(f"{type(self).__name__}() takes {len(names)} values, got {len(args)}")
         for name, value in zip(names, args):
             _set(self, name, value)
-        if kwargs or len(args) < len(names):
-            rest = names[len(args):]
-            for name in kwargs:
-                if name not in rest:
-                    what = "a second value for" if name in names else "an unknown"
-                    raise TypeError(f"{type(self).__name__}() got {what} field {name!r}")
-            for name in rest:
-                if name in kwargs:
-                    _set(self, name, kwargs[name])
-                elif name in self._defaults:
-                    _set(self, name, self._defaults[name])
-                else:
-                    raise TypeError(f"{type(self).__name__}() missing field {name!r}")
+        for name in names[len(args):]:
+            if name in kwargs:
+                _set(self, name, kwargs.pop(name))
+            elif name in self._defaults:
+                _set(self, name, self._defaults[name])
+            else:
+                raise TypeError(f"{type(self).__name__}() missing field {name!r}")
+        if kwargs:
+            raise TypeError(f"{type(self).__name__}() got unexpected fields {', '.join(map(repr, kwargs))}")
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])

@@ -385,35 +385,6 @@ def test_close_off_frozen_example() -> None:
     assert close_off(s(x1, x2)) == Forall(Forall(s(x2, x1)))
 
 
-def close_off_by_named_binders(p):
-    """The oracle: bind x_r, ..., x_1 in turn, one rotation each."""
-    out = p
-    for i in range(frank(p), 0, -1):
-        out = forall_xi(i, out)
-    return out
-
-
-@given(formulas(max_index=6))
-def test_close_off_matches_named_binder_chain(p) -> None:
-    assert close_off(p) is close_off_by_named_binders(p)
-
-
-def test_close_off_substitutes_once(monkeypatch) -> None:
-    from clonelogic import formulas
-
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return fsubst(*args)
-
-    monkeypatch.setattr(formulas, "fsubst", counted)
-    p = FAnd(s(x1, Var(3000)), r(Var(1500)))
-    q = close_off(p)
-    assert len(calls) == 1
-    assert frank(q) == 0
-
-
 # ------------- connective sugar -------------
 
 def test_sugar_expansion_shapes() -> None:

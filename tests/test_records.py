@@ -156,9 +156,9 @@ def test_only_the_report_records_use_the_shared_constructor(cls) -> None:
 
 SHARED_REFUSALS = [
     (lambda: checks.QACell(2, 1, 16), "QACell() missing field 'exhaustive'"),
-    (lambda: checks.QACell(2, 1, 16, True, ok=False, law="Q3"), "QACell() got an unknown field 'law'"),
+    (lambda: checks.QACell(2, 1, 16, True, ok=False, law="Q3"), "QACell() got unexpected fields 'law'"),
     (lambda: checks.QACell(2, 1, 16, True, False, "Q3", 0), "QACell() takes 6 values, got 7"),
-    (lambda: checks.QACell(2, 1, 16, True, False, size=2), "QACell() got a second value for field 'size'"),
+    (lambda: checks.QACell(2, 1, 16, True, False, size=2), "QACell() got unexpected fields 'size'"),
     (lambda: proofs.CheckResult(step=1), "CheckResult() missing field 'ok'"),
 ]
 
