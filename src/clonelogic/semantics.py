@@ -694,12 +694,15 @@ class _Columns:
     A column is built once and kept, keyed by (term, rank), with the set
     of function symbols its term reads.  ``set_tables`` moves the
     columns to other function tables, dropping only those whose term
-    reads a table that changed.
+    reads a table that changed.  With ``read_cells`` set, each
+    application's column also records, in ``read_cells``, the cells of
+    its symbol's table it reads, as a bitmask.
     """
 
-    def __init__(self, size: int, fn_tables):
+    def __init__(self, size: int, fn_tables, read_cells: bool = False):
         self.size = size
         self.fn_tables = fn_tables
+        self.read_cells: dict[tuple[Term, int], int] | None = {} if read_cells else None
         self._memo: dict[tuple[Term, int], list[int]] = {}
         self._reads: dict[Term, frozenset[str]] = {}
 
@@ -752,7 +755,10 @@ class _Columns:
                 if missing:
                     stack.extend(reversed(missing))
                     continue
-                column = [table[c] for c in self.cells(node.args, rank)]
+                cells = self.cells(node.args, rank)
+                column = [table[c] for c in cells]
+                if self.read_cells is not None:
+                    self.read_cells[node, rank] = sum(map((1).__lshift__, set(cells)))
                 if node not in reads:
                     reads[node] = frozenset((node.symbol,)).union(
                         *(reads[arg] for arg in node.args)
@@ -955,15 +961,32 @@ def enumerate_structures(
         yield Structure(language, size, fn_tables, rel_tables, truth_bits=truth_bits)
 
 
-def _term_symbols(term: Term, out: set[str]) -> None:
-    """Add the function symbols the term reads to ``out``, by an
-    explicit-stack walk."""
-    stack = [term]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, App):
-            out.add(node.symbol)
-            stack.extend(node.args)
+def _read_plan(program: _Program) -> tuple[set[str], list[set[str]], list[tuple[App, int]]]:
+    """What the atoms of a program read of the function tables, whatever
+    the domain size: the symbols the program uses, the function symbols
+    each atom's arguments read, and the distinct applications, each with
+    the rank it is read at, whose symbol may be read only in part.  A
+    constant's one cell is always read, and so is every cell of a symbol
+    with an application whose arguments are distinct variables, so no
+    application of those symbols is listed.  The subterms are found by a
+    walk over a growing list, so a term of any depth is read."""
+    reads, apps = [], []
+    for atom, rank in program.atoms:
+        symbols: set[str] = set()
+        subterms = [*atom.args]
+        for node in subterms:
+            if type(node) is App:
+                symbols.add(node.symbol)
+                if node.args:
+                    apps.append((node, rank))
+                    subterms += node.args
+        reads.append(symbols)
+    full = {
+        node.symbol for node, _ in apps
+        if {*map(type, node.args)} == {Var} and len(set(node.args)) == len(node.args)
+    }
+    in_part = [*dict.fromkeys(app for app in apps if app[0].symbol not in full)]
+    return {atom.symbol for atom, _ in program.atoms}.union(*reads), reads, in_part
 
 
 def countermodel_search(
@@ -992,8 +1015,28 @@ def countermodel_search(
     transposition maps earlier is skipped: only an F that is not least
     in its orbit is ever skipped, and the first countermodel is the same.
     The n(n-1)/2 transpositions cost no factorial, and pruning by any
-    subset of the permutations is exact.  ``CANDIDATES_CAP`` counts the
-    candidates before pruning.
+    subset of the permutations is exact.
+
+    Function assignments are also pruned by the cells they read.  A
+    term's value under F reads only the cells its evaluation reaches, so
+    two assignments that agree on the cells F's terms read give every
+    atom, and so the formula, the same value, and read the same cells.
+    Zeroing the unread cells of a countermodel (F, R) therefore gives a
+    countermodel (F', R) with F' no later than F, as for unused tables:
+    only an F whose unread cells all hold 0 is evaluated.  The read
+    cells depend only on F's values there, so every assignment that
+    agrees with F up to F's last read cell reads the same cells, and
+    only the one that is zero past it can be evaluated; the odometer
+    steps from F straight to the next assignment that differs at or
+    before that cell.  When a transposition maps F earlier, it maps
+    earlier every assignment that agrees with F up to the last cell its
+    comparison reads, and the odometer steps past those too.  Each
+    skip, by a transposition or by an unread cell, is justified by an
+    earlier countermodel, so the first countermodel is the same.  A
+    constant, and a symbol with an application whose arguments are
+    distinct variables, has every cell read; when every used symbol is
+    read so, no cell is pruned and the odometer is ``itertools.product``.
+    ``CANDIDATES_CAP`` counts the candidates before pruning.
 
     Relation candidates are evaluated a block at a time, one candidate
     per lane (see the notes on tables above): the last relation cells in
@@ -1015,9 +1058,10 @@ def countermodel_search(
     root = program.add(formula)
     for _ in range(min(program.rank(root), DEFAULT_ROWS_CAP.bit_length())):
         root = program.forall(root)
+    plan = _read_plan(program)
     for size in range(1, max_size + 1):
         _check_cells(language, size, cells_cap)
-        found = _search_size(language, program, root, size)
+        found = _search_size(language, program, root, size, plan)
         if found is not None:
             return found
     return None
@@ -1034,10 +1078,28 @@ def _lane_pattern(bit: int, lanes: int) -> int:
     return int(("1" * half + "0" * half) * (lanes // (2 * half)), 2)
 
 
+def _earlier_image(flat: list[int], swaps) -> int:
+    """The last cell that a transposition's earlier image of the function
+    tables ``flat`` depends on, or -1 when no transposition maps them to
+    an earlier assignment.  Each image is compared cell by cell up to the
+    first cell i where it differs; that verdict reads cells 0..i of
+    ``flat`` and the cells their images read, so every assignment that
+    agrees with ``flat`` up to the returned cell is mapped earlier too."""
+    for a, b, source in swaps:
+        for i, (value, j) in enumerate(zip(flat, source)):
+            image = flat[j]
+            image = b if image == a else a if image == b else image
+            if image != value:
+                if image < value:
+                    return max(i, *source[:i + 1])
+                break
+    return -1
+
+
 def _least_in_orbit(flat: list[int], swaps) -> bool:
     """Whether no transposition maps the function tables ``flat`` to an
-    earlier assignment, comparing each image cell by cell up to the first
-    cell where it differs."""
+    earlier assignment: ``_earlier_image(flat, swaps) < 0`` without its
+    cell count, for the odometer that tries every assignment."""
     for a, b, source in swaps:
         for value, j in zip(flat, source):
             image = flat[j]
@@ -1059,20 +1121,12 @@ def _first_occurrences_ascend(flat: list[int]) -> bool:
 
 
 def _search_size(
-    language: Language, program: _Program, root: int, size: int
+    language: Language, program: _Program, root: int, size: int, plan
 ) -> Structure | None:
     # The widest table sets the lanes.  Its rows are counted first, so the
     # row cap refuses a size before the candidates cap does.
     widest = max(_rows(size, rank) for rank in program.ranks)
-    used = {atom.symbol for atom, _ in program.atoms}
-    # The function symbols each atom's arguments read.
-    reads = []
-    for atom, _ in program.atoms:
-        symbols: set[str] = set()
-        for arg in atom.args:
-            _term_symbols(arg, symbols)
-        reads.append(symbols)
-        used |= symbols
+    used, reads, applications = plan
     eq = language.equality
     fn_free = [(name, a) for name, a in language.functions.items() if name in used]
     rel_free = [
@@ -1108,9 +1162,6 @@ def _search_size(
         name: (0,) * size ** arity
         for name, arity in (*language.functions.items(), *language.predicates.items())
     }
-    fn_space = itertools.product(*(
-        itertools.product(range(size), repeat=size ** a) for _, a in fn_free
-    ))
     # An assignment F that some domain transposition maps earlier is
     # skipped (see countermodel_search); ``least`` tells the others, and
     # is None when no transposition moves anything.  With constants alone
@@ -1119,7 +1170,7 @@ def _search_size(
     # concatenated tables of fn_free that each cell of its image of F
     # reads: the image holds F[j], a and b swapped, at cell i for the
     # i-th j.
-    least = None
+    least = skip = None
     if size > 1 and fn_free and not any(arity for _, arity in fn_free):
         least = _first_occurrences_ascend
     elif size > 1 and fn_free:
@@ -1134,27 +1185,31 @@ def _search_size(
                 ]
             swaps.append((a, b, source))
         least = functools.partial(_least_in_orbit, swaps=swaps)
+        skip = functools.partial(_earlier_image, swaps=swaps)
     # Term columns and atom entries depend only on the function tables,
-    # and consecutive assignments of the odometer below mostly differ in
-    # the last table.  An unchanged table is the same tuple object, so
-    # the columns are kept across assignments and ``set_tables`` drops
-    # those of terms that read a changed table.  Each atom keeps its
-    # cell column and its entry: its plane is the sum over its cells of
-    # the cell's rows times the cell's chunk, a fixed part from the
-    # lanes and the pinned equality, plus the looped cells that hold 1.
-    # The entry is made again only when the cell column changed, so an
-    # atom whose arguments read no function symbol makes it once.  What
-    # is kept is one column per distinct (term, rank) and one cell column
-    # and entry per atom, whatever the number of assignments.
-    columns = _Columns(size, {})
+    # and consecutive assignments of the odometer mostly differ in the
+    # last table.  An unchanged table is the same tuple object, so the
+    # columns are kept across assignments and ``set_tables`` drops those
+    # of terms that read a changed table.  Each atom keeps its cell
+    # column and its entry: its plane is the sum over its cells of the
+    # cell's rows times the cell's chunk, a fixed part from the lanes and
+    # the pinned equality, plus the looped cells that hold 1.  The entry
+    # is made again only when the cell column changed, so an atom whose
+    # arguments read no function symbol makes it once.  What is kept is
+    # one column per distinct (term, rank) and one cell column and entry
+    # per atom, whatever the number of assignments.  Cells read are
+    # recorded when some symbol may be read in part; over one element
+    # the one assignment is all zero, so nothing is pruned there.
+    in_part = size > 1 and bool(applications)
+    columns = _Columns(size, {}, read_cells=in_part)
     kept: list = [None] * len(program.atoms)
     entries: list = [None] * len(program.atoms)
-    for fn_combo in fn_space:
-        if least is not None and not least(list(itertools.chain.from_iterable(fn_combo))):
-            continue
-        fns = {name: zeros[name] for name in language.functions}
-        fns.update(zip((name for name, _ in fn_free), fn_combo))
-        changed = columns.set_tables(fns)
+    fns = {name: zeros[name] for name in language.functions}
+    if in_part:
+        assignments = _read_assignments(fn_free, size, skip, columns, fns, applications)
+    else:
+        assignments = _every_assignment(fn_free, size, least, columns, fns)
+    for fns, changed in assignments:
         for i, (atom, rank) in enumerate(program.atoms):
             if kept[i] is not None and changed.isdisjoint(reads[i]):
                 continue
@@ -1189,6 +1244,78 @@ def _search_size(
                 rel_tables[name] = values[start[name]:start[name] + size ** arity]
             return Structure(language, size, fns, rel_tables)
     return None
+
+
+def _every_assignment(fn_free, size: int, least, columns: _Columns, fns):
+    """The function tables the search evaluates when every cell of every
+    table is read: each assignment of ``itertools.product`` but those
+    ``least`` skips, as the tables ``fns`` with the enumerated ones
+    replaced, each with the symbols whose tables moved since the one
+    before (``set_tables``)."""
+    names = [name for name, _ in fn_free]
+    for fn_combo in itertools.product(*(
+        itertools.product(range(size), repeat=size ** a) for _, a in fn_free
+    )):
+        if least is not None and not least(list(itertools.chain.from_iterable(fn_combo))):
+            continue
+        fns = dict(fns)
+        fns.update(zip(names, fn_combo))
+        yield fns, columns.set_tables(fns)
+
+
+def _read_assignments(fn_free, size: int, skip, columns: _Columns, fns, applications):
+    """The function tables the search evaluates when some symbol may be
+    read in part: only those whose unread cells all hold 0, but those a
+    transposition skips (``skip``, see ``_earlier_image``), each with
+    the symbols whose tables moved since the last one yielded.
+
+    The odometer runs over ``flat``, the concatenated tables of fn_free,
+    the last cell turning fastest.  ``always`` masks the cells of the
+    tables read in full, and each listed application adds the cells its
+    column reads, at its table's offset in ``flat``; ``nonzero`` masks
+    the cells of ``flat`` that hold more than 0.  From an F it tries,
+    the odometer turns at F's last read cell, or at the last cell the
+    transposition's verdict reads when one skips F, and zeroes every
+    cell past the one it turned: the assignments in between read what
+    F reads, or are skipped as F is.  ``moved`` gathers the symbols whose
+    tables moved since the last F yielded, skipped ones included, so
+    the kept entries follow every move."""
+    bounds, offset, always = [], {}, 0
+    partial = {node.symbol for node, _ in applications}
+    for name, arity in fn_free:
+        offset[name] = begin = bounds[-1][2] if bounds else 0
+        bounds.append((name, begin, begin + size ** arity))
+        if name not in partial:
+            always |= ((1 << size ** arity) - 1) << begin
+    projected = [(node, rank, offset[node.symbol]) for node, rank in applications]
+    width = bounds[-1][2]
+    table_at = [t for t, (_, begin, end) in enumerate(bounds) for _ in range(begin, end)]
+    flat, nonzero, moved, top = [0] * width, 0, set(), size - 1
+    read_cells = columns.read_cells
+    while True:
+        m = skip(flat)
+        if m < 0:
+            moved |= columns.set_tables(fns)
+            read = always
+            for node, rank, begin in projected:
+                columns.term(node, rank)
+                read |= read_cells[node, rank] << begin
+            if not nonzero & ~read:
+                yield fns, moved
+                moved = set()
+            m = read.bit_length() - 1
+        while m >= 0 and flat[m] == top:
+            m -= 1
+        if m < 0:
+            return
+        flat[m] += 1
+        flat[m + 1:] = [0] * (width - 1 - m)
+        nonzero = nonzero & ((1 << m) - 1) | 1 << m
+        fns = dict(fns)
+        for name, begin, end in bounds[table_at[m]:]:
+            table = tuple(flat[begin:end])
+            if table != fns[name]:
+                fns[name] = table
 
 
 def zmod_structure(m: int) -> Structure:

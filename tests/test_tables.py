@@ -953,14 +953,9 @@ def test_symmetry_broken_search_matches_full_enumeration(data) -> None:
         assert countermodel_search(language, p, max_size) == expected
 
 
-def test_search_evaluates_only_assignments_least_under_transpositions(monkeypatch) -> None:
-    # An A5 instance over {c/0, g/1, s/2} is valid, so every size is
-    # searched to the end.  Of the 1 + 8 + 81 function assignments up to
-    # size 3, one transposition or another maps all but 1 + 4 + 15 to an
-    # earlier one, and only those reach set_tables.
-    language = Language(FunctionType({"c": 0, "g": 1}), PredicateType({"s": 2}))
-    gc_ = App("g", (c,))
-    valid = f_imp(Forall(Atom("s", (x1, gc_))), Atom("s", (gc_, gc_)))
+def _set_tables_per_size(monkeypatch, language, formula, max_size) -> list[int]:
+    """The calls of set_tables at each size while ``formula`` is searched
+    to the end: the function assignments whose cells are read."""
     calls = []
     set_tables = semantics._Columns.set_tables
 
@@ -969,8 +964,31 @@ def test_search_evaluates_only_assignments_least_under_transpositions(monkeypatc
         return set_tables(columns, fn_tables)
 
     monkeypatch.setattr(semantics._Columns, "set_tables", spy)
-    assert countermodel_search(language, valid, 3) is None
-    assert [calls.count(size) for size in (1, 2, 3)] == [1, 4, 15]
+    assert countermodel_search(language, formula, max_size) is None
+    return [calls.count(size) for size in range(1, max_size + 1)]
+
+
+def test_search_evaluates_only_assignments_least_under_transpositions(monkeypatch) -> None:
+    # An A5 instance over {c/0, g/1, s/2} is valid, so every size is
+    # searched to the end.  Of the 1 + 8 + 81 function assignments up to
+    # size 3, one transposition or another maps all but 1 + 4 + 15 to an
+    # earlier one.  The formula reads g at c alone, and of those 4 + 15,
+    # only the 2 + 2 that hold 0 at every other cell of g reach
+    # set_tables: from each, the odometer turns at g(c)'s cell or before.
+    language = Language(FunctionType({"c": 0, "g": 1}), PredicateType({"s": 2}))
+    gc_ = App("g", (c,))
+    valid = f_imp(Forall(Atom("s", (x1, gc_))), Atom("s", (gc_, gc_)))
+    assert _set_tables_per_size(monkeypatch, language, valid, 3) == [1, 2, 2]
+
+
+def test_fully_read_tables_keep_every_least_assignment(monkeypatch) -> None:
+    # g(x1) reads every cell of g, so no cell is pruned and the 1 + 4 + 15
+    # assignments least under transpositions all reach set_tables, as
+    # they did before cells were pruned.
+    language = Language(FunctionType({"c": 0, "g": 1}), PredicateType({"s": 2}))
+    gc_ = App("g", (c,))
+    valid = f_imp(Forall(Atom("s", (x1, App("g", (x1,))))), Atom("s", (gc_, App("g", (gc_,)))))
+    assert _set_tables_per_size(monkeypatch, language, valid, 3) == [1, 4, 15]
 
 
 def test_transpositions_cost_no_factorial() -> None:
@@ -1021,6 +1039,112 @@ def test_first_occurrences_agree_with_transpositions(size) -> None:
             assert semantics._first_occurrences_ascend(list(flat)) == semantics._least_in_orbit(
                 list(flat), swaps
             )
+
+
+# Languages whose terms may read a table only in part: a closed term
+# such as g(g(c)) reads the cells its values reach, and a diagonal one
+# such as h(x1, x1) or h(x1, c) one line of h.  Full enumeration finds
+# 682 structures up to size 3 over GE_LANG and 514 up to size 2 over
+# HGE_LANG; the equality e is pinned to the identity.  HGE_LANG declares
+# c last, so the odometer turns c's cell fastest and moves h and g in
+# assignments it does not evaluate.
+GE_LANG = Language(FunctionType({"c": 0, "g": 1}), PredicateType({"r": 1, "e": 2}, equality="e"))
+HGE_LANG = Language(
+    FunctionType({"h": 2, "g": 1, "c": 0}), PredicateType({"r": 1, "e": 2}, equality="e")
+)
+g_c = App("g", (c,))
+gg_c = App("g", (g_c,))
+
+
+def h(a, b):
+    return App("h", (a, b))
+
+
+def _partly_read_formulas(binary: bool):
+    """Formulas over r/1 and e whose terms are built from c, x1 and x2 by
+    g and, when ``binary`` is set, h."""
+    def extend(inner):
+        applied = inner.map(lambda a: App("g", (a,)))
+        if binary:
+            applied |= st.builds(h, inner, inner)
+        return applied
+
+    terms = st.recursive(st.sampled_from([c, x1, Var(2)]), extend, max_leaves=3)
+    atoms = st.builds(lambda a: Atom("r", (a,)), terms) | st.builds(
+        lambda a, b: Atom("e", (a, b)), terms, terms
+    )
+    small = st.recursive(
+        atoms,
+        lambda inner: st.one_of(inner.map(FNot), st.builds(FAnd, inner, inner), inner.map(Forall)),
+        max_leaves=4,
+    )
+    return small | st.builds(f_imp, small, small)
+
+
+# Each example enumerates up to 682 structures by the oracle, so
+# hypothesis's default profile draws 10 examples.
+@settings(max_examples=profile_examples(10), deadline=None)
+@given(_partly_read_formulas(binary=False))
+# g(c) != c = g(g(c)): g swaps c with another element, first at size 2.
+@example(f_imp(FAnd(Atom("e", (gg_c, c)), Atom("r", (c,))), Atom("r", (g_c,))))
+# Valid: every size is searched to the end, reading g at c only.
+@example(f_imp(Forall(Atom("r", (g_c,))), Atom("r", (g_c,))))
+# Valid at sizes 1 and 2: c, g(c) and g(g(c)) pairwise distinct.
+@example(FNot(FAnd(FNot(Atom("e", (c, g_c))), FAnd(
+    FNot(Atom("e", (g_c, gg_c))), FNot(Atom("e", (c, gg_c)))))))
+def test_partly_read_unary_search_matches_full_enumeration(p) -> None:
+    # The search evaluates only function tables that are zero on every
+    # cell no term reads, and turns its odometer at the last read cell;
+    # the oracle enumerates every structure.
+    expected = oracle_countermodel(GE_LANG, FiniteBooleanAlg(1), p, 3)
+    assert countermodel_search(GE_LANG, p, 3) == expected
+
+
+@settings(max_examples=profile_examples(10), deadline=None)
+@given(_partly_read_formulas(binary=True))
+@example(Atom("e", (h(x1, x1), x1)))  # h idempotent: reads the diagonal only
+@example(f_imp(Forall(Atom("r", (h(x1, c),))), Atom("r", (h(c, c),))))  # valid
+@example(FNot(FAnd(Atom("r", (h(g_c, x1),)), FNot(Atom("r", (h(x1, gg_c),))))))
+# h moves in assignments not evaluated: see the kept-entries test below.
+@example(f_imp(Forall(Atom("r", (h(x1, x1),))), Atom("r", (h(c, x1),))))
+def test_partly_read_binary_search_matches_full_enumeration(p) -> None:
+    expected = oracle_countermodel(HGE_LANG, FiniteBooleanAlg(1), p, 2)
+    assert countermodel_search(HGE_LANG, p, 2) == expected
+
+
+@pytest.mark.parametrize(("arity", "size"), [(1, 2), (1, 3), (2, 2)])
+def test_earlier_image_skips_only_assignments_a_transposition_maps_earlier(arity, size) -> None:
+    # _earlier_image agrees with _least_in_orbit, and every assignment
+    # that agrees with a skipped one up to the cell it returns is skipped
+    # too, over the tables of a constant and a function of the arity.
+    cells = 1 + size ** arity
+    swaps = []
+    for a, b in itertools.combinations(range(size), 2):
+        swap = {a: b, b: a}
+        source = [0] + [
+            1 + semantics.table_index([swap.get(v, v) for v in cell], size)
+            for cell in itertools.product(range(size), repeat=arity)
+        ]
+        swaps.append((a, b, source))
+    for flat in itertools.product(range(size), repeat=cells):
+        last = semantics._earlier_image(list(flat), swaps)
+        assert (last < 0) == semantics._least_in_orbit(list(flat), swaps)
+        for rest in itertools.product(range(size), repeat=cells - 1 - last) if last >= 0 else ():
+            assert not semantics._least_in_orbit(list(flat[:last + 1] + rest), swaps)
+
+
+def test_kept_entries_follow_the_moves_of_assignments_not_evaluated() -> None:
+    # Over {h/2, c/0} h's cells come before c's.  At size 2 the odometer
+    # moves h from (0, 0, 0, 1) to (0, 0, 1, 0) at c = 0, where h(1, 0)
+    # is unread, so that assignment is not evaluated; the next, with
+    # c = 1, is, and set_tables reports only c as moved since the one
+    # before.  The kept entry of r(h(x1, x1)) was made under h = (0, 0,
+    # 0, 1), so it must be made again: kept, it gives h = (0, 1, 0, 0).
+    language = Language(FunctionType({"h": 2, "c": 0}), PredicateType({"r": 1}))
+    p = f_imp(Forall(Atom("r", (h(x1, x1),))), Atom("r", (h(c, x1),)))
+    found = countermodel_search(language, p, 2)
+    assert found == oracle_countermodel(language, FiniteBooleanAlg(1), p, 2)
+    assert found.fn_tables == {"h": (0, 0, 1, 0), "c": (1,)}
 
 
 
