@@ -1198,14 +1198,17 @@ def _search_size(
     # arguments read no function symbol makes it once.  What is kept is
     # one column per distinct (term, rank) and one cell column and entry
     # per atom, whatever the number of assignments.  Cells read are
-    # recorded when some symbol may be read in part; over one element
-    # the one assignment is all zero, so nothing is pruned there.
+    # recorded when some symbol may be read in part.  Over one element
+    # the one assignment is all zero, and many refutations end there, so
+    # no odometer is started for it.
     in_part = size > 1 and bool(applications)
     columns = _Columns(size, {}, read_cells=in_part)
     kept: list = [None] * len(program.atoms)
     entries: list = [None] * len(program.atoms)
     fns = {name: zeros[name] for name in language.functions}
-    if in_part:
+    if size == 1:
+        assignments = [(fns, columns.set_tables(fns))]
+    elif in_part:
         assignments = _read_assignments(fn_free, size, skip, columns, fns, applications)
     else:
         assignments = _every_assignment(fn_free, size, least, columns, fns)
