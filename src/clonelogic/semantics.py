@@ -694,15 +694,15 @@ class _Columns:
     A column is built once and kept, keyed by (term, rank), with the set
     of function symbols its term reads.  ``set_tables`` moves the
     columns to other function tables, dropping only those whose term
-    reads a table that changed.  With ``read_cells`` set, each
-    application's column also records, in ``read_cells``, the cells of
-    its symbol's table it reads, as a bitmask.
+    reads a table that changed.  Each application's column also records,
+    in ``read_cells``, the cells of its symbol's table it reads at each
+    row.
     """
 
-    def __init__(self, size: int, fn_tables, read_cells: bool = False):
+    def __init__(self, size: int, fn_tables):
         self.size = size
         self.fn_tables = fn_tables
-        self.read_cells: dict[tuple[Term, int], int] | None = {} if read_cells else None
+        self.read_cells: dict[tuple[Term, int], list[int]] = {}
         self._memo: dict[tuple[Term, int], list[int]] = {}
         self._reads: dict[Term, frozenset[str]] = {}
 
@@ -757,8 +757,7 @@ class _Columns:
                     continue
                 cells = self.cells(node.args, rank)
                 column = [table[c] for c in cells]
-                if self.read_cells is not None:
-                    self.read_cells[node, rank] = sum(map((1).__lshift__, set(cells)))
+                self.read_cells[node, rank] = cells
                 if node not in reads:
                     reads[node] = frozenset((node.symbol,)).union(
                         *(reads[arg] for arg in node.args)
@@ -1084,38 +1083,26 @@ def _earlier_image(flat: list[int], swaps) -> int:
     an earlier assignment.  Each image is compared cell by cell up to the
     first cell i where it differs; that verdict reads cells 0..i of
     ``flat`` and the cells their images read, so every assignment that
-    agrees with ``flat`` up to the returned cell is mapped earlier too."""
-    for a, b, source in swaps:
-        for i, (value, j) in enumerate(zip(flat, source)):
-            image = flat[j]
-            image = b if image == a else a if image == b else image
-            if image != value:
-                if image < value:
-                    return max(i, *source[:i + 1])
-                break
-    return -1
-
-
-def _least_in_orbit(flat: list[int], swaps) -> bool:
-    """Whether no transposition maps the function tables ``flat`` to an
-    earlier assignment: ``_earlier_image(flat, swaps) < 0`` without its
-    cell count, for the odometer that tries every assignment."""
+    agrees with ``flat`` up to the returned cell is mapped earlier too.
+    A source lists each cell once, so i is found from j only on a skip."""
     for a, b, source in swaps:
         for value, j in zip(flat, source):
             image = flat[j]
             image = b if image == a else a if image == b else image
             if image != value:
                 if image < value:
-                    return False
+                    i = source.index(j)
+                    return max(i, *source[:i + 1])
                 break
-    return True
+    return -1
 
 
 def _first_occurrences_ascend(flat: list[int]) -> bool:
     """Whether the values first occur in the order 0, 1, 2, ...  For
     constants alone, whose cells no transposition moves, that is
-    ``_least_in_orbit`` over all transpositions: (a b) with a < b maps
-    the values to earlier ones exactly when b occurs before a does."""
+    ``_earlier_image(flat, swaps) < 0`` over all transpositions: (a b)
+    with a < b maps the values to earlier ones exactly when b occurs
+    before a does."""
     seen = list(dict.fromkeys(flat))
     return seen == list(range(len(seen)))
 
@@ -1184,8 +1171,8 @@ def _search_size(
                     for cell in itertools.product(range(size), repeat=arity)
                 ]
             swaps.append((a, b, source))
-        least = functools.partial(_least_in_orbit, swaps=swaps)
         skip = functools.partial(_earlier_image, swaps=swaps)
+        least = lambda flat: skip(flat) < 0
     # Term columns and atom entries depend only on the function tables,
     # and consecutive assignments of the odometer mostly differ in the
     # last table.  An unchanged table is the same tuple object, so the
@@ -1197,18 +1184,12 @@ def _search_size(
     # is made again only when the cell column changed, so an atom whose
     # arguments read no function symbol makes it once.  What is kept is
     # one column per distinct (term, rank) and one cell column and entry
-    # per atom, whatever the number of assignments.  Cells read are
-    # recorded when some symbol may be read in part.  Over one element
-    # the one assignment is all zero, and many refutations end there, so
-    # no odometer is started for it.
-    in_part = size > 1 and bool(applications)
-    columns = _Columns(size, {}, read_cells=in_part)
+    # per atom, whatever the number of assignments.
+    columns = _Columns(size, {})
     kept: list = [None] * len(program.atoms)
     entries: list = [None] * len(program.atoms)
     fns = {name: zeros[name] for name in language.functions}
-    if size == 1:
-        assignments = [(fns, columns.set_tables(fns))]
-    elif in_part:
+    if skip is not None and applications:
         assignments = _read_assignments(fn_free, size, skip, columns, fns, applications)
     else:
         assignments = _every_assignment(fn_free, size, least, columns, fns)
@@ -1302,7 +1283,7 @@ def _read_assignments(fn_free, size: int, skip, columns: _Columns, fns, applicat
             read = always
             for node, rank, begin in projected:
                 columns.term(node, rank)
-                read |= read_cells[node, rank] << begin
+                read |= sum(map((1).__lshift__, set(read_cells[node, rank]))) << begin
             if not nonzero & ~read:
                 yield fns, moved
                 moved = set()
